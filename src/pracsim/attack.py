@@ -19,11 +19,11 @@ round's tail and leaves the rotation at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .dram import ACT, PRE, REF, RFMAB, DeviceState, DisturbanceMonitor, Topology
-from .security import PracParams, PrfmParams
+from .security import PracParams, PrfmParams, t_available
 from .timing import ConfigError, TimingParams
 
 
@@ -57,7 +57,7 @@ class ConsumptionReport:
 def theoretical_consumption(t: TimingParams,
                             mech: Union[PrfmParams, PracParams]) -> ConsumptionReport:
     """Worst-case share of DRAM time an attacker can burn in preventive actions."""
-    t_available = t.tREFW - t.tRFC * (t.tREFW // t.tREFI)
+    avail = t_available(t)
     if isinstance(mech, PrfmParams):
         period = mech.rfm_th * t.tRC + t.tRFM
         block = t.tRFM
@@ -66,12 +66,12 @@ def theoretical_consumption(t: TimingParams,
         block = mech.bo_n_refs * t.tRFM
     else:
         raise ConfigError(f"unsupported mechanism {type(mech).__name__}")
-    t_prevent = block * (t_available / period)
+    t_prevent = block * (avail / period)
     return ConsumptionReport(
-        t_available=t_available,
+        t_available=avail,
         t_attack_period=period,
         t_prevent=t_prevent,
-        fraction=t_prevent / t_available,
+        fraction=t_prevent / avail,
         steady_fraction=block / period,
     )
 
@@ -140,8 +140,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     prac_cfg = None
     prfm_th = None
     if isinstance(sec, PracParams):
-        prac_cfg = {"abo_th": sec.abo_th, "bo_n_refs": sec.bo_n_refs,
-                    "bo_n_acts": sec.bo_n_acts}
+        prac_cfg = asdict(sec)
         priming = sec.abo_th - 1
     elif isinstance(sec, PrfmParams):
         prfm_th = sec.rfm_th

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error,
 3 security requirement violated under --require-secure. The PRACSIM_WORKERS
 environment variable sets the campaign worker count; output rows are sorted
 by key, so the worker count never changes the bytes written.
+
+`simulate`, `replay` and the acceptance campaign share one path: a config
+dict is resolved once into a RunSpec (resolve_spec), and run_mix runs each
+mix of it beside its weighted-speedup baseline (alone_ipcs).
 """
 
 from __future__ import annotations
@@ -13,28 +17,32 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import repeat
+from typing import Optional
 
 from . import __version__
 from .attack import AttackSpec, gen_perf_attack_trace, gen_wave_trace, theoretical_consumption
-from .configfile import RunManifest, parse_config, timing_from_config
+from .configfile import RunManifest, check_schema, parse_config, timing_from_config
 from .controller import MemoryController
 from .dram import DeviceState, DisturbanceMonitor, Topology
-from .metrics import EnergyModel, SimReport, build_report
+from .metrics import SimReport, build_report
 from .mitigations import (
-    Graphene,
-    Hydra,
+    MitigationConfig,
     NoMitigation,
     Para,
     PracN,
     PracOptimistic,
     PracPlusPrfm,
     Prfm,
+    counter_width,
     graphene_defaults,
     hydra_defaults,
     para_probability,
 )
 from .security import (
+    SWEEP_COLUMNS,
     PracParams,
     PrfmParams,
     SweepGrid,
@@ -44,8 +52,9 @@ from .security import (
     secure_rfm_th,
     sweep,
 )
-from .timing import ConfigError, preset
+from .timing import ConfigError, TimingParams, preset
 from .workloads import (
+    MixSpec,
     StopCondition,
     build_mixes,
     desk_timing,
@@ -53,8 +62,6 @@ from .workloads import (
     materialize_mix,
     run_cores,
 )
-
-SWEEP_HEADER = "mechanism,threshold,b0_or_refs,max_activations,secure_at_nrh,verdict_at_nrh"
 
 
 def _write_lines(path, lines):
@@ -96,7 +103,7 @@ def cmd_analyze(args) -> int:
                 v = is_secure_prac(args.nrh, PracParams(th, max(args.bo_n_refs or [4]),
                                                         args.bo_n_acts), t)
             verdicts[th] = "secure" if v.secure else "insecure"
-    lines = [SWEEP_HEADER]
+    lines = [",".join(SWEEP_COLUMNS + ("verdict_at_nrh",))]
     for mech, th, b0r, mx, sec_at in rows:
         lines.append(f"{mech},{th},{b0r},{mx},{sec_at},{verdicts.get(th, '')}")
     out = args.out or f"analyze_{args.mech}.csv"
@@ -207,107 +214,171 @@ def cmd_gen_traces(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _mitigation_for(kind: str, n_rh: int, topo: Topology, sec: dict):
-    """Resolve a mechanism name plus threshold overrides into configs."""
-    app = preset("analysis-appendix")
-    prac_t = preset("ddr5-3200an-prac")
-    if kind == "none":
-        return NoMitigation(), None, "ddr5-3200an-base"
-    if kind == "prfm":
-        th = sec.get("rfm_th") or secure_rfm_th(n_rh, app)
-        if th is None:
-            raise ConfigError(f"no secure rfm_th exists for n_rh={n_rh}")
-        return Prfm(PrfmParams(th)), None, "ddr5-3200an-base"
-    if kind in ("prac", "prac-optimistic", "prac+prfm"):
-        abo = sec.get("abo_th") or secure_abo_th(n_rh, prac_t,
-                                                 sec.get("bo_n_refs", 4),
-                                                 sec.get("bo_n_acts", 1))
-        if abo is None:
-            raise ConfigError(f"no secure abo_th exists for n_rh={n_rh}")
-        p = PracParams(abo, sec.get("bo_n_refs", 4), sec.get("bo_n_acts", 1))
-        prac_cfg = {"abo_th": p.abo_th, "bo_n_refs": p.bo_n_refs,
-                    "bo_n_acts": p.bo_n_acts}
-        if kind == "prac":
-            return PracN(p), prac_cfg, "ddr5-3200an-prac"
-        if kind == "prac-optimistic":
-            return PracOptimistic(p), prac_cfg, "ddr5-3200an-base"
-        th = sec.get("rfm_th") or secure_rfm_th(n_rh, app)
-        return PracPlusPrfm(p, PrfmParams(th)), prac_cfg, "ddr5-3200an-prac"
-    if kind == "graphene":
-        return graphene_defaults(n_rh, topo), None, "ddr5-3200an-base"
-    if kind == "hydra":
-        return hydra_defaults(n_rh, topo), None, "ddr5-3200an-base"
-    if kind == "para":
-        return Para(sec.get("probability") or para_probability(n_rh)), None, "ddr5-3200an-base"
-    raise ConfigError(f"unknown mitigation kind {kind!r}")
+_PRAC_KEYS = ("abo_th", "bo_n_refs", "bo_n_acts")
+
+# kind -> (default timing preset, [mitigation] keys it reads besides kind and n_rh)
+MECHANISMS = {
+    "none": ("ddr5-3200an-base", ()),
+    "prfm": ("ddr5-3200an-base", ("rfm_th",)),
+    "prac": ("ddr5-3200an-prac", _PRAC_KEYS),
+    "prac-optimistic": ("ddr5-3200an-base", _PRAC_KEYS),
+    "prac+prfm": ("ddr5-3200an-prac", _PRAC_KEYS + ("rfm_th",)),
+    "graphene": ("ddr5-3200an-base", ()),
+    "hydra": ("ddr5-3200an-base", ()),
+    "para": ("ddr5-3200an-base", ("probability",)),
+}
 
 
-def _simulate_one(payload: dict):
-    """One (mix, mechanism) run incl. solo baselines; top level for pickling."""
-    topo = Topology.desk() if payload["desk"] else Topology()
-    sec = payload["mitigation"]
-    kind = sec.get("kind", "none")
-    n_rh = sec.get("n_rh", 1024)
-    mit, prac_cfg, preset_name = _mitigation_for(kind, n_rh, topo, sec)
-    t = preset(payload.get("timing_preset") or preset_name)
-    if payload["desk"]:
-        t = desk_timing(t)
-    mix = build_mixes(payload["mixes"], payload["seed"])[payload["mix_index"]]
-    traces = materialize_mix(mix, payload["records"], topo)
-    if payload.get("attacker") == "dos":
-        spec = AttackSpec("perf_degradation",
-                          rows_per_bank=payload.get("attacker_rows", 8),
-                          banks=payload.get("attacker_banks", 4))
-        cap_ps = payload["max_cycles"] * 238 if payload["max_cycles"] else 10 ** 9
-        traces[0] = gen_perf_attack_trace(spec, t, cap_ps + 10_000_000, topo=topo)
-    stop = StopCondition(payload["instructions_per_core"], payload["max_cycles"])
-    from .mitigations import counter_width
-    bits = counter_width(max(n_rh, 2))
+@dataclass(frozen=True)
+class RunSpec:
+    """A simulate config resolved once: everything a run of one mix reads."""
+    n_rh: int
+    topo: Topology
+    timing: TimingParams
+    mitigation: MitigationConfig
+    prac: Optional[dict]            # device back-off settings, None without PRAC
+    counter_bits: int
+    stop: StopCondition
+    mixes: int
+    seed: int
+    records: int
+    attacker: Optional[AttackSpec]  # core 0's row-conflict hammer (attacker = dos)
+    first_benign: int               # 1 with the attacker on core 0, else 0
+    baseline: Optional["RunSpec"]   # the same config with kind = none; None if it is
+
+
+def _reject(section: str, keys, why: str):
+    if keys:
+        raise ConfigError(f"[{section}] {', '.join(sorted(keys))}: no effect {why}")
+
+
+def _setting(sec: dict, key: str, derive, n_rh: int, *args):
+    """sec[key] when the config sets it, else derive(n_rh, *args)."""
+    value = sec[key] if key in sec else derive(n_rh, *args)
+    if value is None:
+        raise ConfigError(f"no secure {key} exists for n_rh={n_rh}")
+    return value
+
+
+def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology):
+    """Mechanism config and device prac dict; thresholds not set in the config
+    are derived from the security analysis at full size."""
+    refs, acts = sec.get("bo_n_refs", 4), sec.get("bo_n_acts", 1)
+    prfm = prac = None
+    if "rfm_th" in MECHANISMS[kind][1]:
+        prfm = PrfmParams(_setting(sec, "rfm_th", secure_rfm_th, n_rh,
+                                   preset("analysis-appendix")))
+    if "abo_th" in MECHANISMS[kind][1]:
+        prac = PracParams(_setting(sec, "abo_th", secure_abo_th, n_rh,
+                                   preset("ddr5-3200an-prac"), refs, acts), refs, acts)
+    mit = {
+        "none": NoMitigation,
+        "prfm": lambda: Prfm(prfm),
+        "prac": lambda: PracN(prac),
+        "prac-optimistic": lambda: PracOptimistic(prac),
+        "prac+prfm": lambda: PracPlusPrfm(prac, prfm),
+        "graphene": lambda: graphene_defaults(n_rh, topo),
+        "hydra": lambda: hydra_defaults(n_rh, topo),
+        "para": lambda: Para(_setting(sec, "probability", para_probability, n_rh)),
+    }[kind]()
+    return mit, None if prac is None else asdict(prac)
+
+
+def resolve_spec(cfg: dict) -> RunSpec:
+    """Resolve a parsed config, or a manifest's, into the run it describes.
+    Every key it accepts changes the spec ([output] keys change the files
+    written instead); a key with no effect is rejected."""
+    check_schema(cfg)
+    sec, wl = cfg.get("mitigation", {}), cfg.get("workload", {})
+    kind, n_rh = sec.get("kind", "none"), sec.get("n_rh", 1024)
+    attacker = wl.get("attacker", "none")
+    desk = cfg.get("topology", {}).get("desk", True)
+    if kind not in MECHANISMS:
+        raise ConfigError(f"unknown mitigation kind {kind!r}; valid: {', '.join(MECHANISMS)}")
+    if attacker not in ("none", "dos"):
+        raise ConfigError(f"unknown attacker {attacker!r}; valid: none, dos")
+    if n_rh < 1:
+        raise ConfigError("n_rh must be >= 1")
+    preset_name, reads = MECHANISMS[kind]
+    _reject("mitigation", set(sec) - {"kind", "n_rh", *reads}, f"with kind = {kind}")
+    _reject("timing", {"trefw"} & set(cfg.get("timing", {})) if desk else (),
+            "on the desk topology, whose tREFW is 8 tREFI")
+    _reject("workload", {"attacker_rows", "attacker_banks"} & set(wl) if attacker == "none"
+            else (), "without attacker = dos")
+    t = timing_from_config(cfg, preset_name)
+    topo, t = (Topology.desk(), desk_timing(t)) if desk else (Topology(), t)
+    mit, prac = _mechanism(kind, n_rh, sec, topo)
+    return RunSpec(
+        n_rh=n_rh, topo=topo, timing=t, mitigation=mit, prac=prac,
+        counter_bits=counter_width(max(n_rh, 2)),
+        stop=StopCondition(wl.get("instructions_per_core", 4000),
+                           wl.get("max_cycles", 3_000_000)),
+        mixes=wl.get("mixes", 6), seed=wl.get("seed", 0), records=wl.get("records", 600),
+        attacker=None if attacker == "none" else AttackSpec(
+            "perf_degradation", rows_per_bank=wl.get("attacker_rows", 8),
+            banks=wl.get("attacker_banks", 4)),
+        first_benign=int(attacker == "dos"),
+        baseline=None if kind == "none" else resolve_spec(
+            {**cfg, "mitigation": {"kind": "none", "n_rh": n_rh}}))
+
+
+@lru_cache(maxsize=2)
+def _attacker_trace(attacker: AttackSpec, t: TimingParams, duration_ps: int, topo: Topology):
+    return gen_perf_attack_trace(attacker, t, duration_ps, topo=topo)
+
+
+def _run(spec: RunSpec, traces, monitor: Optional[DisturbanceMonitor] = None):
+    dev = DeviceState(spec.topo, spec.timing, prac=spec.prac, monitor=monitor,
+                      counter_bits=spec.counter_bits)
+    ctrl = MemoryController(spec.topo, spec.timing, dev, spec.mitigation, seed=spec.seed)
+    return run_cores(traces, ctrl, spec.stop)
+
+
+def alone_ipcs(spec: RunSpec, mix: MixSpec, traces, cache: Optional[dict] = None) -> list:
+    """The weighted-speedup baseline: each benign core's IPC running alone
+    under the same config with kind = none, cached per (class, member seed,
+    slot) in `cache`."""
+    cache = {} if cache is None else cache
     alone = []
-    for tr in traces:
-        dev = DeviceState(topo, t, prac=prac_cfg, counter_bits=bits)
-        ctrl = MemoryController(topo, t, dev, mit, seed=payload["seed"])
-        alone.append(max(run_cores([tr], ctrl, stop).ipcs[0], 1e-12))
-    monitor = DisturbanceMonitor(n_rh, topo.rows_per_bank)
-    dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor, counter_bits=bits)
-    ctrl = MemoryController(topo, t, dev, mit, seed=payload["seed"])
-    result = run_cores(traces, ctrl, stop)
-    label = f"{mix.name}-{payload['mix_index']}-{kind}-{n_rh}"
-    report = build_report(label, payload["seed"], result, alone)
-    return label, report.csv_row()
+    for slot in range(spec.first_benign, len(traces)):
+        key = (mix.classes[slot], mix.member_seeds[slot], slot)
+        if key not in cache:
+            cache[key] = max(_run(spec.baseline or spec, [traces[slot]]).ipcs[0], 1e-12)
+        alone.append(cache[key])
+    return alone
 
 
-def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
-    wl = cfg.get("workload", {})
-    payload_base = {
-        "desk": cfg.get("topology", {}).get("desk", True),
-        "mitigation": cfg.get("mitigation", {"kind": "none"}),
-        "timing_preset": cfg.get("timing", {}).get("preset"),
-        "mixes": wl.get("mixes", 6),
-        "seed": wl.get("seed", 0),
-        "records": wl.get("records", 600),
-        "instructions_per_core": wl.get("instructions_per_core", 4000),
-        "max_cycles": wl.get("max_cycles", 3_000_000),
-        "attacker": wl.get("attacker", "none"),
-        "attacker_rows": wl.get("attacker_rows", 8),
-        "attacker_banks": wl.get("attacker_banks", 4),
-    }
-    tasks = [dict(payload_base, mix_index=i) for i in range(payload_base["mixes"])]
+def run_mix(spec: RunSpec, mix_index: int, traces=None,
+            solo_cache: Optional[dict] = None) -> SimReport:
+    """Run one mix under spec with the safety monitor on; core 0 becomes the
+    attacker under attacker = dos. `traces` may carry the mix's materialized
+    traces. The report's weighted speedup covers the benign cores only."""
+    mix = build_mixes(spec.mixes, spec.seed)[mix_index]
+    traces = list(traces or materialize_mix(mix, spec.records, spec.topo))
+    if spec.attacker is not None:
+        duration = (spec.stop.max_ps or 10 ** 9) + 10_000_000
+        traces[0] = _attacker_trace(spec.attacker, spec.timing, duration, spec.topo)
+    alone = alone_ipcs(spec, mix, traces, solo_cache)
+    result = _run(spec, traces, DisturbanceMonitor(spec.n_rh, spec.topo.rows_per_bank))
+    label = f"{mix.name}-{mix_index}-{spec.mitigation.name}-{spec.n_rh}"
+    return build_report(label, spec.seed, result, alone, first_benign=spec.first_benign)
+
+
+def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
+    spec = resolve_spec(cfg)
     workers = int(os.environ.get("PRACSIM_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_one, tasks))
+            reports = list(pool.map(run_mix, repeat(spec), range(spec.mixes)))
     else:
-        results = [_simulate_one(t) for t in tasks]
-    results.sort(key=lambda kv: kv[0])
-    out_dir = args.out_dir or cfg.get("output", {}).get("dir") or "out"
+        reports = [run_mix(spec, i) for i in range(spec.mixes)]
+    reports.sort(key=lambda r: r.label)
+    out_dir = out_dir or cfg.get("output", {}).get("dir") or "out"
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "reports.csv")
-    _write_lines(csv_path, [SimReport.csv_header()] + [row for _, row in results])
-    manifest = RunManifest(command="simulate", config=cfg,
-                           seed=payload_base["seed"],
-                           preset_name=payload_base["timing_preset"] or "per-mechanism",
+    _write_lines(csv_path, [SimReport.csv_header()] + [r.csv_row() for r in reports])
+    manifest = RunManifest(command="simulate", config=cfg, seed=spec.seed,
+                           preset_name=cfg.get("timing", {}).get("preset") or "per-mechanism",
                            outputs=[csv_path])
     man_path = os.path.join(out_dir, "manifest.json")
     manifest.save(man_path)
@@ -317,28 +388,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def cmd_simulate(args) -> int:
+    return _simulate(parse_config(args.config), args.out_dir)
+
+
 def cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.command != "simulate":
         raise ConfigError(f"cannot replay a {manifest.command!r} manifest")
-
-    class _A:
-        config = None
-        out_dir = args.out_dir
-
-    import json
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-        for section, kv in manifest.config.items():
-            fh.write(f"[{section}]\n")
-            for k, v in kv.items():
-                fh.write(f"{k} = {str(v)}\n")
-        tmp = fh.name
-    try:
-        _A.config = tmp
-        return cmd_simulate(_A)
-    finally:
-        os.unlink(tmp)
+    return _simulate(manifest.config, args.out_dir)
 
 
 # ---------------------------------------------------------------- entry point

@@ -1,18 +1,18 @@
 """Structured config file (INI sections) and the run manifest.
 
 Unknown sections or keys are hard errors so a typo cannot silently fall back
-to a default. Timing overrides accept ns/us/ms suffixes. The manifest
-records everything needed to reproduce a run byte-identically: the fully
-resolved configuration, seeds, preset names, artifact version and output
-paths.
+to a default; keys the chosen mechanism does not read are rejected when the
+run is resolved (pracsim.cli.resolve_spec). Timing overrides accept
+ns/us/ms suffixes. The manifest records everything needed to reproduce a run
+byte-identically: the parsed configuration, which replay resolves again,
+seeds, preset names, artifact version and output paths.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .timing import ConfigError, TimingParams, parse_duration, preset
@@ -27,76 +27,62 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-_TIMING_FIELDS = ("tRC", "tRAS", "tRP", "tRCD", "tCL", "tRTP", "tWR", "tREFW",
-                  "tREFI", "tRFC", "tRFM", "tABO_ACT", "tBO_DELAY",
-                  "tBackoffSignal", "clock_period")
+# every duration except tRC, which is always rebuilt as tRAS + tRP
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams)
+                       if f.name not in ("tRC", "prac_adjusted"))
 
 SCHEMA = {
-    "timing": {"preset": str, "desk_scale": _bool,
-               **{f.lower(): parse_duration for f in _TIMING_FIELDS}},
-    "topology": {"desk": _bool, "channels": int, "ranks_per_channel": int,
-                 "bankgroups_per_rank": int, "banks_per_bankgroup": int,
-                 "rows_per_bank": int, "row_size_bytes": int},
+    "timing": {"preset": str, **{f.lower(): parse_duration for f in _TIMING_FIELDS}},
+    "topology": {"desk": _bool},
     "mitigation": {"kind": str, "n_rh": int, "rfm_th": int, "abo_th": int,
-                   "bo_n_refs": int, "bo_n_acts": int, "quantization": float,
-                   "probability": float, "table_entries": int, "threshold": int,
-                   "gct_entries": int, "rcc_entries": int,
-                   "group_threshold": int, "row_threshold": int},
+                   "bo_n_refs": int, "bo_n_acts": int, "probability": float},
     "workload": {"mixes": int, "seed": int, "records": int,
                  "instructions_per_core": int, "max_cycles": int,
                  "attacker": str, "attacker_rows": int, "attacker_banks": int},
-    "attack": {"kind": str, "b0": int, "rows_per_bank": int, "banks": int,
-               "initial_priming": int, "duration": parse_duration},
     "output": {"dir": str, "gnuplot_stub": _bool},
 }
 
 
-def parse_config(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    out: dict = {}
-    for section in parser.sections():
+def check_schema(cfg: dict) -> None:
+    """Reject any section or key the schema does not list."""
+    for section, keys in cfg.items():
         if section not in SCHEMA:
             raise ConfigError(
                 f"unknown config section [{section}]; valid: {', '.join(SCHEMA)}")
-        coercers = SCHEMA[section]
-        sec_out = {}
-        for key, raw in parser[section].items():
-            if key not in coercers:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; valid: {', '.join(coercers)}")
-            try:
-                sec_out[key] = coercers[key](raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from None
-        out[section] = sec_out
-    return out
+        for key in keys:
+            if key not in SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]; "
+                                  f"valid: {', '.join(SCHEMA[section])}")
 
 
-def timing_from_config(cfg: dict) -> TimingParams:
+def _coerce(section: str, key: str, text: str):
+    try:
+        return SCHEMA[section][key](text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {text!r} ({exc})") from None
+
+
+def parse_config(path: str) -> dict:
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise ConfigError(f"config file not found: {path}")
+    raw = {section: dict(parser[section]) for section in parser.sections()}
+    check_schema(raw)
+    return {section: {key: _coerce(section, key, text) for key, text in kv.items()}
+            for section, kv in raw.items()}
+
+
+def timing_from_config(cfg: dict, default_preset: str = "ddr5-3200an-base") -> TimingParams:
+    """The [timing] preset (default_preset when unset) with the section's
+    duration overrides applied."""
     sec = cfg.get("timing", {})
-    t = preset(sec.get("preset", "ddr5-3200an-base"))
-    overrides = {f: sec[f.lower()] for f in _TIMING_FIELDS
-                 if f.lower() in sec and f != "clock_period"}
-    if "clock_period" in sec:
-        overrides["clock_period"] = sec["clock_period"]
+    t = preset(sec.get("preset", default_preset))
+    overrides = {f: sec[f.lower()] for f in _TIMING_FIELDS if f.lower() in sec}
     if overrides:
-        if "tRAS" in overrides or "tRP" in overrides:
-            tras = overrides.get("tRAS", t.tRAS)
-            trp = overrides.get("tRP", t.tRP)
-            overrides.setdefault("tRC", tras + trp)
-        t = replace(t, **overrides)
-    if sec.get("desk_scale"):
-        from .workloads import desk_timing
-        t = desk_timing(t)
+        trc = overrides.get("tRAS", t.tRAS) + overrides.get("tRP", t.tRP)
+        t = replace(t, tRC=trc, **overrides)
     return t
 
 
@@ -110,23 +96,11 @@ class RunManifest:
     artifact_version: str = __version__
 
     def save(self, path: str):
-        payload = {
-            "artifact_version": self.artifact_version,
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "preset_name": self.preset_name,
-            "outputs": self.outputs,
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
         with open(path) as fh:
-            payload = json.load(fh)
-        return cls(command=payload["command"], config=payload["config"],
-                   seed=payload["seed"], preset_name=payload["preset_name"],
-                   outputs=payload["outputs"],
-                   artifact_version=payload["artifact_version"])
+            return cls(**json.load(fh))

@@ -20,11 +20,19 @@ fatal, the fuzz tests treat it as a failed property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Optional
 
 from .timing import ConfigError, TimingParams
 
 BLAST_RADIUS = 2
+
+
+@lru_cache(maxsize=4096)
+def victim_rows(row: int, rows_per_bank: int) -> tuple:
+    """Rows within BLAST_RADIUS of an aggressor, clipped to the bank."""
+    return (*range(max(0, row - BLAST_RADIUS), row),
+            *range(row + 1, min(rows_per_bank, row + BLAST_RADIUS + 1)))
 
 ACT, PRE, RD, WR, REF, RFMAB, RFMSB = "ACT", "PRE", "RD", "WR", "REF", "RFMab", "RFMsb"
 
@@ -152,11 +160,7 @@ class DisturbanceMonitor:
         self.violations: list = []
 
     def on_act(self, bank: int, row: int):
-        lo = max(0, row - BLAST_RADIUS)
-        hi = min(self.rows_per_bank - 1, row + BLAST_RADIUS)
-        for victim in range(lo, hi + 1):
-            if victim == row:
-                continue
+        for victim in victim_rows(row, self.rows_per_bank):
             key = (bank, victim, row)
             c = self.pair.get(key, 0) + 1
             self.pair[key] = c
@@ -175,7 +179,6 @@ class DeviceState:
     """One memory channel's worth of DRAM state, mutated via issue()."""
 
     def __init__(self, topo: Topology, t: TimingParams, prac: Optional[dict] = None,
-                 prfm_rfm_th: Optional[int] = None, victims_per_rfm: int = 4,
                  ref_resets_counters: bool = True, tie_break: str = "low",
                  monitor: Optional[DisturbanceMonitor] = None,
                  log_commands: bool = False, counter_bits: Optional[int] = None):
@@ -192,8 +195,6 @@ class DeviceState:
             self.fsm = BackOffFsm(
                 abo_th=prac["abo_th"], bo_n_refs=prac["bo_n_refs"],
                 bo_n_acts=prac["bo_n_acts"], window_acts=t.window_acts())
-        self.prfm_rfm_th = prfm_rfm_th
-        self.victims_per_rfm = victims_per_rfm
         self.ref_resets_counters = ref_resets_counters
         self.tie_break = tie_break
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
@@ -300,11 +301,6 @@ class DeviceState:
 
     # ------------------------------------------------------------- refresh ops
 
-    def _victims(self, row: int) -> list:
-        lo = max(0, row - BLAST_RADIUS)
-        hi = min(self.topo.rows_per_bank - 1, row + BLAST_RADIUS)
-        return [v for v in range(lo, hi + 1) if v != row]
-
     def serve_rfm(self, kind: str, addr=None, triggered_bank: Optional[int] = None) -> list:
         """Refresh the victims of each selected bank's hottest row.
 
@@ -330,13 +326,13 @@ class DeviceState:
                 aggressor = min(rows) if self.tie_break == "low" else max(rows)
             else:
                 aggressor = 0  # deterministic fallback, no-op security-wise
-            victims = self._victims(aggressor)
+            victims = victim_rows(aggressor, self.topo.rows_per_bank)
             cleared = b.counters.pop(aggressor, 0)
             self.cleared_counts += cleared
             if self.monitor is not None:
                 for v in victims:
                     self.monitor.on_row_refreshed(bi, v)
-            events.append(("refreshed", bi, aggressor, tuple(victims)))
+            events.append(("refreshed", bi, aggressor, victims))
         if triggered_bank is not None:
             self.banks[triggered_bank].raa = 0
         return events

@@ -10,7 +10,7 @@ claim made by the test suite is directional, never absolute.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -124,12 +124,14 @@ class SimReport:
 
 
 def build_report(label: str, seed: int, result: RunResult, alone_ipcs,
-                 model: Optional[EnergyModel] = None) -> SimReport:
+                 model: Optional[EnergyModel] = None, first_benign: int = 0) -> SimReport:
+    """Report for one shared run; the weighted speedup covers cores
+    first_benign.. against their alone IPCs (cores before that are attackers)."""
     model = model or EnergyModel.load()
     counts = dict(result.device_counts)
     counts["preventive"] = result.preventive_refreshes
     e = energy(counts, model, result.end_ps)
-    ws = weighted_speedup(result.ipcs, alone_ipcs)
+    ws = weighted_speedup(result.ipcs[first_benign:], alone_ipcs)
     return SimReport(
         label=label, seed=seed,
         shared_ipcs=list(result.ipcs), alone_ipcs=list(alone_ipcs),

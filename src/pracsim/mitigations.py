@@ -9,18 +9,19 @@ controller; their configs are carried here so one tagged union selects any
 mechanism.
 
 Storage constants the original proposals left open are pinned here and noted
-inline; every one of them is overridable through the config file.
+inline. The config file sets none of them: graphene and hydra are sized from
+n_rh and the topology by graphene_defaults and hydra_defaults.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from .dram import BLAST_RADIUS, Topology
-from .security import PracParams, PrfmParams
+from .dram import Topology, victim_rows
+from .security import PracParams, PrfmParams, t_available
 from .timing import ConfigError, TimingParams, preset
 
 
@@ -102,7 +103,7 @@ def para_probability(n_rh: int, escape_exponent: int = 40) -> float:
 def graphene_defaults(n_rh: int, topo: Topology, t: Optional[TimingParams] = None) -> Graphene:
     """Standard frequent-item sizing: entries >= W / threshold per bank."""
     t = t or preset("ddr5-3200an-base")
-    window_acts = (t.tREFW - (t.tREFW // t.tREFI) * t.tRFC) // t.tRC
+    window_acts = t_available(t) // t.tRC
     threshold = max(n_rh // 4, 1)
     return Graphene(table_entries=-(-window_acts // threshold) + 1, threshold=threshold)
 
@@ -127,12 +128,6 @@ class Action:
 
 
 NONE_ACTION = Action("none")
-
-
-def _victims_of(row: int, rows_per_bank: int) -> tuple:
-    lo = max(0, row - BLAST_RADIUS)
-    hi = min(rows_per_bank - 1, row + BLAST_RADIUS)
-    return tuple(v for v in range(lo, hi + 1) if v != row)
 
 
 class GrapheneState:
@@ -169,7 +164,7 @@ class GrapheneState:
         if table[row] - self.spill[bank] >= self.cfg.threshold:
             table[row] = self.spill[bank]
             self.refreshes += 1
-            return Action("preventive_refresh", _victims_of(row, self.topo.rows_per_bank))
+            return Action("preventive_refresh", victim_rows(row, self.topo.rows_per_bank))
         return NONE_ACTION
 
 
@@ -217,7 +212,7 @@ class HydraState:
         if count >= self.cfg.row_threshold:
             self.row_counters[key] = 0
             self.refreshes += 1
-            return Action("preventive_refresh", _victims_of(row, self.topo.rows_per_bank))
+            return Action("preventive_refresh", victim_rows(row, self.topo.rows_per_bank))
         self.row_counters[key] = count
         return NONE_ACTION
 

@@ -35,20 +35,15 @@ from .timing import ConfigError, TimingParams
 
 ROWS_PER_BANK_DEFAULT = 65_536
 
-BO_QUANTIZATIONS = (0.7, 0.8, 0.9, 1.0)
-
 
 @dataclass(frozen=True)
 class PrfmParams:
     """Periodic refresh management: one RFM per rfm_th bank activations."""
     rfm_th: int
-    victims_per_rfm: int = 4
 
     def __post_init__(self):
         if self.rfm_th < 1:
             raise ConfigError("rfm_th must be >= 1")
-        if self.victims_per_rfm < 1:
-            raise ConfigError("victims_per_rfm must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,6 @@ class PracParams:
     abo_th: int
     bo_n_refs: int = 4
     bo_n_acts: int = 1
-    quantization: float = 1.0
 
     def __post_init__(self):
         if self.abo_th < 1:
@@ -67,8 +61,6 @@ class PracParams:
             raise ConfigError("bo_n_refs must be one of 1, 2, 4")
         if self.bo_n_acts not in (1, 2, 4):
             raise ConfigError("bo_n_acts must be one of 1, 2, 4")
-        if self.quantization not in BO_QUANTIZATIONS:
-            raise ConfigError(f"quantization must be one of {BO_QUANTIZATIONS}")
 
     def divisor(self, t: TimingParams) -> int:
         """Activations per back-off cycle: delay ACTs plus window ACTs."""
@@ -119,25 +111,9 @@ def wave_trajectory(r1: int, removed: int, divisor: int,
     return RowSetTrajectory(tuple(sizes), tuple(cum))
 
 
-def prfm_trajectory(r1: int, p: PrfmParams, max_steps: int = 1_000_000,
-                    postpone_slack_acts: int = 0) -> RowSetTrajectory:
-    """Default trajectory, plus an experimental knob: the protocol's RFM
-    postponement allowance lets a bank absorb extra activations before the
-    first management command, modeled as slack subtracted from the running
-    activation sum. No security claim is attached to nonzero slack."""
-    if postpone_slack_acts < 0:
-        raise ConfigError("postpone_slack_acts must be >= 0")
-    if postpone_slack_acts == 0:
-        return wave_trajectory(r1, 1, p.rfm_th, max_steps)
-    sizes = [r1]
-    cum = [r1]
-    s = r1
-    while sizes[-1] > 0 and len(sizes) <= max_steps:
-        nxt = r1 - max(s - postpone_slack_acts, 0) // p.rfm_th
-        sizes.append(max(nxt, 0))
-        s += sizes[-1]
-        cum.append(s)
-    return RowSetTrajectory(tuple(sizes), tuple(cum))
+def prfm_trajectory(r1: int, p: PrfmParams, max_steps: int = 1_000_000) -> RowSetTrajectory:
+    """Threshold-triggered trajectory: one row leaves per rfm_th activations."""
+    return wave_trajectory(r1, 1, p.rfm_th, max_steps)
 
 
 def prac_trajectory(r1: int, p: PracParams, t: TimingParams,
@@ -184,24 +160,25 @@ class ActBudget:
     max_act: int        # activations that fit in the remaining window
 
 
-def _t_available(t: TimingParams) -> int:
+def t_available(t: TimingParams) -> int:
+    """Command time per refresh window left after periodic refresh (ps)."""
     return t.tREFW - (t.tREFW // t.tREFI) * t.tRFC
 
 
 def max_act_budget(t: TimingParams, p: PrfmParams) -> ActBudget:
-    d_allref = (t.tREFW // t.tREFI) * t.tRFC
+    avail = t_available(t)
     period = p.rfm_th * t.tRC + t.tRFM
-    max_rfm = (t.tREFW - d_allref) // period
-    return ActBudget(d_allref, period, max_rfm, max_rfm * p.rfm_th)
+    max_rfm = avail // period
+    return ActBudget(t.tREFW - avail, period, max_rfm, max_rfm * p.rfm_th)
 
 
 def prac_act_budget(t: TimingParams, p: PracParams) -> ActBudget:
     """Back-off analog: one recovery of bo_n_refs RFMs per divisor activations."""
-    d_allref = (t.tREFW // t.tREFI) * t.tRFC
+    avail = t_available(t)
     divisor = p.divisor(t)
     period = divisor * t.tRC + p.bo_n_refs * t.tRFM
-    cycles = (t.tREFW - d_allref) // period
-    return ActBudget(d_allref, period, cycles, cycles * divisor)
+    cycles = avail // period
+    return ActBudget(t.tREFW - avail, period, cycles, cycles * divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +196,7 @@ class Verdict:
 
 
 def _reach_rounds(b0_max: int, removed: int, divisor: int, rounds_needed: int,
-                  prime_per_row: int, t_available: int, trc: int,
+                  prime_per_row: int, t_avail: int, trc: int,
                   trigger_block: int) -> Optional[int]:
     """Smallest starting set size whose survivor completes `rounds_needed`
     wave rounds inside the refresh-window time budget, or None.
@@ -243,7 +220,7 @@ def _reach_rounds(b0_max: int, removed: int, divisor: int, rounds_needed: int,
             return None
     spent = ((prime_per_row * b0 + s_prev + 1) * trc
              + (s_prev // divisor) * trigger_block)
-    feasible = (b_prev > 0) & (spent <= t_available)
+    feasible = (b_prev > 0) & (spent <= t_avail)
     if not feasible.any():
         return None
     return int(b0[int(np.argmax(feasible))])
@@ -265,7 +242,7 @@ def is_secure_prfm(n_rh: int, p: PrfmParams, t: TimingParams,
     if b0_max is None:
         b0_max = _default_b0_max(budget.max_act, rows_per_bank)
     witness = _reach_rounds(b0_max, 1, p.rfm_th, n_rh, 0,
-                            _t_available(t), t.tRC, t.tRFM)
+                            t_available(t), t.tRC, t.tRFM)
     return Verdict(witness is None, witness, budget.max_act)
 
 
@@ -287,7 +264,7 @@ def is_secure_prac(n_rh: int, p: PracParams, t: TimingParams,
         return Verdict(False, 1, budget.max_act)
     rounds_needed = n_rh - (p.abo_th - 1)
     witness = _reach_rounds(b0_max, p.bo_n_refs, p.divisor(t), rounds_needed,
-                            p.abo_th - 1, _t_available(t), t.tRC,
+                            p.abo_th - 1, t_available(t), t.tRC,
                             p.bo_n_refs * t.tRFM)
     return Verdict(witness is None, witness, budget.max_act)
 
@@ -299,7 +276,7 @@ def is_secure_prac(n_rh: int, p: PracParams, t: TimingParams,
 def max_activations_prfm(p: PrfmParams, t: TimingParams, b0: int) -> int:
     """Highest activation count one aggressor reaches before its victims are
     refreshed, starting from a decoy set of exactly b0 rows."""
-    t_avail = _t_available(t)
+    t_avail = t_available(t)
     reach = 0
     b_prev, s_prev = b0, 0
     while b_prev > 0:
@@ -321,7 +298,7 @@ def max_activations_prac(p: PracParams, t: TimingParams,
     if b0_max is None:
         b0_max = _default_b0_max(budget.max_act, rows_per_bank)
     divisor = p.divisor(t)
-    t_avail = _t_available(t)
+    t_avail = t_available(t)
     block = p.bo_n_refs * t.tRFM
     b0 = np.arange(1, b0_max + 1, dtype=np.int64)
     b_prev = b0.copy()

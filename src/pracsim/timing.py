@@ -39,7 +39,6 @@ class TimingParams:
     tRFC: int
     tRFM: int
     tABO_ACT: int
-    tBO_DELAY: int
     tBackoffSignal: int
     clock_period: int = 625  # DDR5-3200: 1600 MHz command clock
     prac_adjusted: bool = False
@@ -47,7 +46,7 @@ class TimingParams:
     def __post_init__(self):
         for name in ("tRC", "tRAS", "tRP", "tRCD", "tCL", "tRTP", "tWR",
                      "tREFW", "tREFI", "tRFC", "tRFM", "tABO_ACT",
-                     "tBO_DELAY", "tBackoffSignal", "clock_period"):
+                     "tBackoffSignal", "clock_period"):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer (ps), got {value!r}")
@@ -72,7 +71,7 @@ class TimingParams:
             tCL=q(self.tCL), tRTP=q(self.tRTP), tWR=q(self.tWR),
             tREFW=q(self.tREFW), tREFI=q(self.tREFI), tRFC=q(self.tRFC),
             tRFM=q(self.tRFM), tABO_ACT=q(self.tABO_ACT),
-            tBO_DELAY=q(self.tBO_DELAY), tBackoffSignal=q(self.tBackoffSignal))
+            tBackoffSignal=q(self.tBackoffSignal))
 
     def window_acts(self) -> int:
         """Activations that fit in the back-off service window."""
@@ -85,7 +84,7 @@ _BASE = TimingParams(
     tRTP=7500, tWR=30 * NS,
     tREFW=32 * MS, tREFI=3900 * NS, tRFC=295 * NS,
     tRFM=350 * NS,
-    tABO_ACT=180 * NS, tBO_DELAY=180 * NS, tBackoffSignal=5 * NS,
+    tABO_ACT=180 * NS, tBackoffSignal=5 * NS,
 )
 
 PRAC_TRP_INCREASE = 21 * NS

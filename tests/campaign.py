@@ -1,117 +1,50 @@
 """Shared campaign driver for the ordering-property acceptance runs.
 
-Weighted speedups here are normalized against the unmitigated system: alone
-IPCs come from no-mitigation solo runs, so configurations are comparable on
-one scale and mechanism overheads show up as WS losses rather than shifting
-the baseline.
+Every run goes through pracsim.cli's resolver and runner, so the campaign
+measures exactly what `pracsim simulate` reports. Weighted speedups are
+normalized against the unmitigated system: alone IPCs come from solo runs of
+the same config with kind = none, so configurations are comparable on one
+scale and mechanism overheads show up as WS losses rather than shifting the
+baseline.
 """
 
 from __future__ import annotations
 
-from pracsim.attack import AttackSpec, gen_perf_attack_trace
-from pracsim.controller import MemoryController
-from pracsim.dram import DeviceState, Topology
-from pracsim.mitigations import NoMitigation, PracN, PracOptimistic, PracPlusPrfm, Prfm
-from pracsim.security import PracParams, PrfmParams, secure_abo_th, secure_rfm_th
-from pracsim.timing import preset
-from pracsim.workloads import (
-    StopCondition,
-    build_mixes,
-    desk_timing,
-    materialize_mix,
-    run_cores,
-)
+from functools import lru_cache
 
-TOPO = Topology.desk()
-T_BASE = desk_timing(preset("ddr5-3200an-base"))
-T_PRAC = desk_timing(preset("ddr5-3200an-prac"))
-APP = preset("analysis-appendix")
-FULL_PRAC = preset("ddr5-3200an-prac")
+from pracsim.cli import resolve_spec, run_mix
+from pracsim.workloads import build_mixes, materialize_mix
 
 N_RH_SWEEP = (1024, 128, 64, 32, 16)
 ATTACK_N_RH = (128, 64, 32, 16)
 
-STOP = StopCondition(instructions_per_core=8000, max_cycles=3_000_000)
-RECORDS = 1600
-CAP_PS = 3_000_000 * 238
+WORKLOAD = {"records": 1600, "instructions_per_core": 8000, "max_cycles": 3_000_000}
 
 
-_TH_CACHE: dict = {}
-
-
-def derived_rfm_th(n_rh: int) -> int:
-    key = ("rfm", n_rh)
-    if key not in _TH_CACHE:
-        _TH_CACHE[key] = secure_rfm_th(n_rh, APP)
-    return _TH_CACHE[key]
-
-
-def derived_abo_th(n_rh: int) -> int:
-    key = ("abo", n_rh)
-    if key not in _TH_CACHE:
-        _TH_CACHE[key] = secure_abo_th(n_rh, FULL_PRAC)
-    return _TH_CACHE[key]
-
-
-def config_for(kind: str, n_rh: int):
-    """(mitigation, device prac dict, timing) for one mechanism at one n_rh;
-    thresholds derived from the security analysis at full scale."""
-    if kind == "none":
-        return NoMitigation(), None, T_BASE
-    if kind == "prfm":
-        return Prfm(PrfmParams(derived_rfm_th(n_rh))), None, T_BASE
-    p = PracParams(derived_abo_th(n_rh), 4, 1)
-    prac = {"abo_th": p.abo_th, "bo_n_refs": p.bo_n_refs, "bo_n_acts": p.bo_n_acts}
-    if kind == "prac":
-        return PracN(p), prac, T_PRAC
-    if kind == "prac-optimistic":
-        return PracOptimistic(p), prac, T_BASE
-    if kind == "prac+prfm":
-        return PracPlusPrfm(p, PrfmParams(derived_rfm_th(n_rh))), prac, T_PRAC
-    raise ValueError(kind)
-
-
-def run_one(traces, kind: str, n_rh: int):
-    mit, prac, t = config_for(kind, n_rh)
-    dev = DeviceState(TOPO, t, prac=prac)
-    ctrl = MemoryController(TOPO, t, dev, mit)
-    return run_cores(traces, ctrl, STOP)
-
-
-def attacker_trace():
-    spec = AttackSpec("perf_degradation", rows_per_bank=2, banks=4)
-    return gen_perf_attack_trace(spec, T_PRAC, CAP_PS + 10_000_000, topo=TOPO)
+@lru_cache(maxsize=None)
+def spec_for(kind: str, n_rh: int, attacker: bool, mixes: int, seed: int):
+    """Desk-scale run spec; thresholds are derived at full scale."""
+    workload = dict(WORKLOAD, mixes=mixes, seed=seed)
+    if attacker:
+        workload.update(attacker="dos", attacker_rows=2, attacker_banks=4)
+    return resolve_spec({"mitigation": {"kind": kind, "n_rh": n_rh}, "workload": workload})
 
 
 class Campaign:
-    """Materializes mixes once and caches unmitigated solo IPCs."""
+    """Materializes mixes once and caches unmitigated solo IPCs. Every spec
+    here shares one baseline (desk, base timing, the same stop condition),
+    so a solo result is keyed by (class, member seed, slot) alone."""
 
     def __init__(self, n_mixes: int = 12, seed: int = 0):
-        self.mixes = build_mixes(n_mixes, seed)
-        self.traces = [materialize_mix(m, RECORDS, TOPO) for m in self.mixes]
+        self.n_mixes, self.seed = n_mixes, seed
+        spec = spec_for("none", 1024, False, n_mixes, seed)
+        self.traces = [materialize_mix(m, spec.records, spec.topo)
+                       for m in build_mixes(n_mixes, seed)]
         self._solo_cache: dict = {}
-        self._atk = None
-
-    def alone_ipcs(self, mix_index: int):
-        out = []
-        for slot, tr in enumerate(self.traces[mix_index]):
-            key = (self.mixes[mix_index].classes[slot],
-                   self.mixes[mix_index].member_seeds[slot], slot)
-            if key not in self._solo_cache:
-                self._solo_cache[key] = max(run_one([tr], "none", 1024).ipcs[0], 1e-12)
-            out.append(self._solo_cache[key])
-        return out
 
     def ws(self, mix_index: int, kind: str, n_rh: int, attacker: bool = False):
         """Weighted speedup vs the unmitigated solos; with an attacker the
         first core is the adversary and the WS covers the other three."""
-        traces = list(self.traces[mix_index])
-        alone = self.alone_ipcs(mix_index)
-        if attacker:
-            if self._atk is None:
-                self._atk = attacker_trace()
-            traces[0] = self._atk
-        result = run_one(traces, kind, n_rh)
-        if attacker:
-            return sum(s / a for s, a in zip(result.ipcs[1:], alone[1:])), result
-        return sum(s / a for s, a in zip(result.ipcs, alone)), result
+        spec = spec_for(kind, n_rh, attacker, self.n_mixes, self.seed)
+        report = run_mix(spec, mix_index, self.traces[mix_index], self._solo_cache)
+        return report.weighted_speedup, report

@@ -1,10 +1,11 @@
-import os
-
 import pytest
 
-from pracsim.cli import main
-from pracsim.configfile import RunManifest, parse_config, timing_from_config
+from pracsim.cli import main, resolve_spec
+from pracsim.configfile import SCHEMA, RunManifest, parse_config
 from pracsim.timing import ConfigError
+
+TINY_WORKLOAD = {"mixes": "6", "records": "64", "instructions_per_core": "100",
+                 "max_cycles": "20000"}
 
 
 def test_analyze_prac_minimum_cell_is_nine(tmp_path):
@@ -80,12 +81,83 @@ def test_unknown_config_section_rejected(tmp_path):
         parse_config(str(bad))
 
 
-def test_timing_overrides_with_units(tmp_path):
-    ini = tmp_path / "t.ini"
-    ini.write_text("[timing]\npreset = ddr5-3200an-base\ntrfm = 295ns\n")
-    cfg = parse_config(str(ini))
-    t = timing_from_config(cfg)
-    assert t.tRFM == 295_000
+def _write_ini(path, cfg: dict) -> str:
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                            for section, kv in cfg.items()))
+    return str(path)
+
+
+def _with(cfg: dict, section: str, key: str, value: str) -> dict:
+    return {**cfg, section: {**cfg.get(section, {}), key: value}}
+
+
+_PRAC = {"mitigation": {"kind": "prac", "abo_th": "60"}}
+_PRFM = {"mitigation": {"kind": "prfm", "rfm_th": "4"}}
+_DOS = {"workload": {"attacker": "dos"}}
+
+# "section.key" -> (config in which the key takes effect, its value,
+#                   (config, value) that must be rejected, or None)
+KEY_CASES = {f"{section}.{key}": ({}, value, None) for section, key, value in (
+    ("timing", "tras", "40ns"), ("timing", "trp", "20ns"), ("timing", "trcd", "15ns"),
+    ("timing", "tcl", "15ns"), ("timing", "trtp", "10ns"), ("timing", "twr", "40ns"),
+    ("timing", "trefi", "7.8us"), ("timing", "trfc", "350ns"), ("timing", "trfm", "295ns"),
+    ("timing", "tabo_act", "200ns"), ("timing", "tbackoffsignal", "10ns"),
+    ("timing", "clock_period", "500ps"), ("topology", "desk", "false"),
+    ("workload", "mixes", "12"), ("workload", "seed", "3"), ("workload", "records", "100"),
+    ("workload", "instructions_per_core", "100"), ("workload", "max_cycles", "1000"),
+    ("output", "dir", None), ("output", "gnuplot_stub", "true"))}
+KEY_CASES.update({
+    "timing.preset": ({}, "ddr5-3200an-prac", ({}, "ddr5-1600")),
+    "timing.trefw": ({"topology": {"desk": "false"}}, "64ms", ({}, "64ms")),
+    "mitigation.kind": ({}, "graphene", ({}, "trr")),
+    "mitigation.n_rh": ({}, "64", ({}, "0")),
+    "mitigation.rfm_th": ({"mitigation": {"kind": "prfm"}}, "4", (_PRAC, "4")),
+    "mitigation.abo_th": ({"mitigation": {"kind": "prac", "n_rh": "64"}}, "50", (_PRFM, "50")),
+    "mitigation.bo_n_refs": (_PRAC, "2", ({"mitigation": {"kind": "graphene"}}, "2")),
+    "mitigation.bo_n_acts": (_PRAC, "2", (_PRFM, "2")),
+    "mitigation.probability": ({"mitigation": {"kind": "para"}}, "0.01", ({}, "0.01")),
+    "workload.attacker": ({}, "dos", ({}, "hammer")),
+    "workload.attacker_rows": (_DOS, "2", ({}, "2")),
+    "workload.attacker_banks": (_DOS, "2", ({}, "2")),
+})
+
+
+@pytest.mark.parametrize("name", [f"{s}.{k}" for s in SCHEMA for k in SCHEMA[s]])
+def test_every_schema_key_changes_the_run(tmp_path, name):
+    """An accepted key changes the resolved spec (or, under [output], the
+    files written); the same key where it has no effect, or with a value no
+    run can use, is rejected."""
+    (section, key), (cfg, value, rejected) = name.split("."), KEY_CASES[name]
+    if section == "output":
+        out = tmp_path / "o"
+        ini = _write_ini(tmp_path / "c.ini", _with({"workload": TINY_WORKLOAD},
+                                                   section, key, value or out))
+        argv = ["simulate", "--config", ini] + (["--out-dir", str(out)] if value else [])
+        assert main(argv) == 0
+        assert (out / ("reports.csv.gp" if value else "reports.csv")).exists()
+        return
+    def spec(c, path):
+        return resolve_spec(parse_config(_write_ini(tmp_path / path, c)))
+    assert spec(_with(cfg, section, key, value), "b.ini") != spec(cfg, "a.ini")
+    if rejected is not None:
+        with pytest.raises(ConfigError):
+            spec(_with(rejected[0], section, key, rejected[1]), "c.ini")
+
+
+def test_trc_is_rejected(tmp_path):
+    ini = _write_ini(tmp_path / "t.ini", {"timing": {"trfm": "295ns", "trc": "200ns"},
+                                          "workload": TINY_WORKLOAD})
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_replay_with_timing_overrides_byte_identical(tmp_path):
+    ini = _write_ini(tmp_path / "t.ini", {"timing": {"trfm": "295ns", "tras": "40ns"},
+                                          "mitigation": {"kind": "prfm", "n_rh": "32"},
+                                          "workload": dict(TINY_WORKLOAD, max_cycles="400000")})
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["simulate", "--config", ini, "--out-dir", str(out1)]) == 0
+    assert main(["replay", str(out1 / "manifest.json"), "--out-dir", str(out2)]) == 0
+    assert (out1 / "reports.csv").read_bytes() == (out2 / "reports.csv").read_bytes()
 
 
 def test_simulate_and_replay_byte_identical(tmp_path):

@@ -239,11 +239,3 @@ def test_sweep_grid_order_invariance():
     a = sweep(SweepGrid("prfm", thresholds=(4, 2, 8), b0_values=(16, 4)), APP)
     b = sweep(SweepGrid("prfm", thresholds=(8, 4, 2), b0_values=(4, 16)), APP)
     assert a == b
-
-
-def test_experimental_postponement_slack_only_weakens():
-    p = PrfmParams(4)
-    base = prfm_trajectory(8, p)
-    slacked = prfm_trajectory(8, p, postpone_slack_acts=10 * 4)
-    assert slacked.first_zero >= base.first_zero
-    assert all(a >= b for a, b in zip(slacked.sizes, base.sizes))

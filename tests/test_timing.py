@@ -51,7 +51,7 @@ def test_prac_adjustments_touch_only_the_five_fields():
     adj = apply_prac_adjustments(base)
     changed = {f for f in ("tRC", "tRAS", "tRP", "tRCD", "tCL", "tRTP", "tWR",
                            "tREFW", "tREFI", "tRFC", "tRFM", "tABO_ACT",
-                           "tBO_DELAY", "tBackoffSignal", "clock_period")
+                           "tBackoffSignal", "clock_period")
                if getattr(base, f) != getattr(adj, f)}
     assert changed == {"tRC", "tRAS", "tRP", "tRTP", "tWR"}
 
@@ -68,7 +68,7 @@ def test_adjustment_rejects_nonpositive_result():
         tRC=base.tRC, tRAS=base.tRAS, tRP=base.tRP, tRCD=base.tRCD, tCL=base.tCL,
         tRTP=2_000, tWR=base.tWR, tREFW=base.tREFW, tREFI=base.tREFI,
         tRFC=base.tRFC, tRFM=base.tRFM, tABO_ACT=base.tABO_ACT,
-        tBO_DELAY=base.tBO_DELAY, tBackoffSignal=base.tBackoffSignal)
+        tBackoffSignal=base.tBackoffSignal)
     with pytest.raises(ConfigError):
         apply_prac_adjustments(tiny)
 
@@ -80,8 +80,7 @@ def test_trc_consistency_enforced():
             tRC=50 * NS, tRAS=base.tRAS, tRP=base.tRP, tRCD=base.tRCD,
             tCL=base.tCL, tRTP=base.tRTP, tWR=base.tWR, tREFW=base.tREFW,
             tREFI=base.tREFI, tRFC=base.tRFC, tRFM=base.tRFM,
-            tABO_ACT=base.tABO_ACT, tBO_DELAY=base.tBO_DELAY,
-            tBackoffSignal=base.tBackoffSignal)
+            tABO_ACT=base.tABO_ACT, tBackoffSignal=base.tBackoffSignal)
 
 
 @pytest.mark.parametrize("name", ["ddr5-3200an-base", "ddr5-3200an-prac", "analysis-appendix"])
