@@ -32,13 +32,12 @@ class AttackSpec:
     kind: str                      # "wave" or "perf_degradation"
     rows_per_bank: int = 8
     banks: int = 4
-    initial_priming: int = 0
 
     def __post_init__(self):
         if self.kind not in ("wave", "perf_degradation"):
             raise ConfigError("attack kind must be 'wave' or 'perf_degradation'")
-        if self.rows_per_bank < 1 or self.banks < 1 or self.initial_priming < 0:
-            raise ConfigError("attack spec fields must be non-negative counts")
+        if self.rows_per_bank < 1 or self.banks < 1:
+            raise ConfigError("attack spec rows_per_bank and banks must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +223,11 @@ def gen_wave_trace(spec: AttackSpec, sec: Union[PrfmParams, PracParams],
 
     if spec.kind != "wave":
         raise ConfigError("spec/mechanism mismatch: gen_wave_trace needs kind='wave'")
-    if isinstance(sec, PracParams) and spec.initial_priming > sec.abo_th - 1:
-        raise ConfigError("wave priming must stay below the back-off threshold")
     topo = topo or Topology.desk()
     result = run_wave_attack(spec.rows_per_bank, sec, t, topo=topo)
     records = []
     for row in result.access_rows:
-        addr = inverse_map_address(topo, channel=0, rank=0, bankgroup=0, bank=0,
+        addr = inverse_map_address(topo, rank=0, bankgroup=0, bank=0,
                                    row=row, column=0)
         records.append(TraceRecord(bubble_count=0, op="read", address=addr))
     return Trace(records), result
@@ -256,7 +253,7 @@ def gen_perf_attack_trace(spec: AttackSpec, t: TimingParams, duration_ps: int,
     for i in range(n_records):
         bg = i % spec.banks                       # bank-group interleave first
         row = (i // spec.banks) % spec.rows_per_bank
-        addr = inverse_map_address(topo, channel=0, rank=0, bankgroup=bg, bank=0,
+        addr = inverse_map_address(topo, rank=0, bankgroup=bg, bank=0,
                                    row=row, column=0)
         records.append(TraceRecord(bubble_count=0, op="read", address=addr))
     return Trace(records)

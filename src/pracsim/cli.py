@@ -177,8 +177,7 @@ def cmd_gen_traces(args) -> int:
     if args.attack == "wave":
         t = preset("ddr5-3200an-prac")
         sec = PracParams(args.abo_th, args.bo_n_refs, args.bo_n_acts)
-        spec = AttackSpec("wave", rows_per_bank=args.b0, banks=1,
-                          initial_priming=sec.abo_th - 1)
+        spec = AttackSpec("wave", rows_per_bank=args.b0, banks=1)
         trace, result = gen_wave_trace(spec, sec, t, topo=topo)
         path = os.path.join(args.out_dir, "wave.trace")
         trace.save(path)

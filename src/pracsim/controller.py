@@ -7,7 +7,7 @@ consecutive cache blocks stays in one row, then the stream stripes across
 bank groups, banks and ranks before touching the next column group. Bit
 layout, from least significant block bit upward:
 
-    [mop offset] [bankgroup] [bank] [rank] [channel] [column high] [row]
+    [mop offset] [bankgroup] [bank] [rank] [column high] [row]
 
 The layout is fixed and documented so runs are reproducible.
 """
@@ -25,62 +25,46 @@ BLOCK_BYTES = 64
 BURST_PS = 5000   # BL16 on a 3200 MT/s bus
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
-    read_queue_depth: int = 64
-    write_queue_depth: int = 64
-    frfcfs_cap: int = 4
-    mop_group_blocks: int = 4
-    drain_high: int = 56       # begin draining writes at 7/8 of the queue
-    drain_low: int = 16        # stop at 1/4
-
-    def __post_init__(self):
-        if self.frfcfs_cap < 1 or self.read_queue_depth < 1 or self.write_queue_depth < 1:
-            raise ConfigError("queue depths and the reorder cap must be >= 1")
-        if self.mop_group_blocks < 1 or (self.mop_group_blocks & (self.mop_group_blocks - 1)):
-            raise ConfigError("mop_group_blocks must be a power of two")
+READ_QUEUE_DEPTH = 64
+WRITE_QUEUE_DEPTH = 64
+FRFCFS_CAP = 4           # row hits that may bypass the oldest row miss
+MOP_GROUP_BLOCKS = 4     # consecutive cache blocks kept in one row
+DRAIN_HIGH = 56          # begin draining writes at 7/8 of the queue
+DRAIN_LOW = 16           # stop at 1/4
 
 
-def map_address(topo: Topology, address: int, cfg: Optional[ControllerConfig] = None):
-    """Byte address -> (channel, rank, bankgroup, bank, row, column block)."""
-    cfg = cfg or ControllerConfig()
+def map_address(topo: Topology, address: int):
+    """Byte address -> (rank, bankgroup, bank, row, column block)."""
     blocks_per_row = topo.row_size_bytes // BLOCK_BYTES
     capacity = topo.rows_total * topo.row_size_bytes
     if not 0 <= address < capacity:
         raise ConfigError(f"address {address:#x} outside capacity {capacity:#x}")
     block = address // BLOCK_BYTES
-    group = cfg.mop_group_blocks
-    off = block % group
-    block //= group
+    off = block % MOP_GROUP_BLOCKS
+    block //= MOP_GROUP_BLOCKS
     bg = block % topo.bankgroups_per_rank
     block //= topo.bankgroups_per_rank
     bank = block % topo.banks_per_bankgroup
     block //= topo.banks_per_bankgroup
     rank = block % topo.ranks_per_channel
     block //= topo.ranks_per_channel
-    channel = block % topo.channels
-    block //= topo.channels
-    col_groups = blocks_per_row // group
+    col_groups = blocks_per_row // MOP_GROUP_BLOCKS
     col_high = block % col_groups
     row = block // col_groups
-    return channel, rank, bg, bank, row, col_high * group + off
+    return rank, bg, bank, row, col_high * MOP_GROUP_BLOCKS + off
 
 
-def inverse_map_address(topo: Topology, channel: int, rank: int, bankgroup: int,
-                        bank: int, row: int, column: int,
-                        cfg: Optional[ControllerConfig] = None) -> int:
-    cfg = cfg or ControllerConfig()
-    group = cfg.mop_group_blocks
+def inverse_map_address(topo: Topology, rank: int, bankgroup: int,
+                        bank: int, row: int, column: int) -> int:
     blocks_per_row = topo.row_size_bytes // BLOCK_BYTES
-    col_groups = blocks_per_row // group
-    off, col_high = column % group, column // group
+    col_groups = blocks_per_row // MOP_GROUP_BLOCKS
+    off, col_high = column % MOP_GROUP_BLOCKS, column // MOP_GROUP_BLOCKS
     block = row
     block = block * col_groups + col_high
-    block = block * topo.channels + channel
     block = block * topo.ranks_per_channel + rank
     block = block * topo.banks_per_bankgroup + bank
     block = block * topo.bankgroups_per_rank + bankgroup
-    block = block * group + off
+    block = block * MOP_GROUP_BLOCKS + off
     return block * BLOCK_BYTES
 
 
@@ -104,13 +88,9 @@ class MemoryController:
     """Single-channel controller driving one DeviceState."""
 
     def __init__(self, topo: Topology, t: TimingParams, device: DeviceState,
-                 mitigation: MitigationConfig = NoMitigation(),
-                 cfg: Optional[ControllerConfig] = None, seed: int = 0):
-        if topo.channels != 1:
-            raise ConfigError("one controller drives one channel")
+                 mitigation: MitigationConfig = NoMitigation(), seed: int = 0):
         self.topo = topo
         self.t = t
-        self.cfg = cfg or ControllerConfig()
         self.dev = device
         self.mitigation = mitigation
         self.prfm_th = None
@@ -140,13 +120,13 @@ class MemoryController:
 
     def can_accept(self, is_write: bool) -> bool:
         q = self.write_q if is_write else self.read_q
-        depth = self.cfg.write_queue_depth if is_write else self.cfg.read_queue_depth
+        depth = WRITE_QUEUE_DEPTH if is_write else READ_QUEUE_DEPTH
         return len(q) < depth
 
     def enqueue(self, core: int, address: int, is_write: bool, now: int) -> Request:
         if not self.can_accept(is_write):
             raise ConfigError("enqueue on a full queue; call can_accept first")
-        _, rank, bg, bank, row, col = map_address(self.topo, address, self.cfg)
+        rank, bg, bank, row, col = map_address(self.topo, address)
         bank_idx = self.dev.bank_index(rank, bg, bank)
         req = Request(self._next_id, core, now, is_write, bank_idx, row, col)
         self._next_id += 1
@@ -212,9 +192,9 @@ class MemoryController:
 
     def _update_drain_mode(self):
         before = self.draining
-        if len(self.write_q) >= self.cfg.drain_high:
+        if len(self.write_q) >= DRAIN_HIGH:
             self.draining = True
-        elif self.draining and len(self.write_q) <= self.cfg.drain_low:
+        elif self.draining and len(self.write_q) <= DRAIN_LOW:
             self.draining = False
         if self.draining != before:
             self._choice_cache.clear()
@@ -226,7 +206,7 @@ class MemoryController:
 
     def _bank_choice(self, bank_idx: int):
         """FR-FCFS+Cap within one bank: hits first until the oldest waiting
-        row-miss has been bypassed frfcfs_cap times. Returns the bank-local
+        row-miss has been bypassed FRFCFS_CAP times. Returns the bank-local
         (ready, cmd, req) triple, ignoring channel-global constraints."""
         cached = self._choice_cache.get(bank_idx, False)
         if cached is not False:
@@ -250,7 +230,7 @@ class MemoryController:
         if oldest is not None:
             req = oldest
             if (hit is not None and not (oldest.row != open_row
-                                         and oldest.bypassed >= self.cfg.frfcfs_cap)):
+                                         and oldest.bypassed >= FRFCFS_CAP)):
                 req = hit
             if open_row == req.row:
                 choice = (b.col_ok, WR if req.is_write else RD, req)

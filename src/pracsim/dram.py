@@ -34,7 +34,7 @@ def victim_rows(row: int, rows_per_bank: int) -> tuple:
     return (*range(max(0, row - BLAST_RADIUS), row),
             *range(row + 1, min(rows_per_bank, row + BLAST_RADIUS + 1)))
 
-ACT, PRE, RD, WR, REF, RFMAB, RFMSB = "ACT", "PRE", "RD", "WR", "REF", "RFMab", "RFMsb"
+ACT, PRE, RD, WR, REF, RFMAB = "ACT", "PRE", "RD", "WR", "REF", "RFMab"
 
 
 class ProtocolError(Exception):
@@ -46,7 +46,6 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class Topology:
-    channels: int = 1
     ranks_per_channel: int = 2
     bankgroups_per_rank: int = 8
     banks_per_bankgroup: int = 4
@@ -54,8 +53,8 @@ class Topology:
     row_size_bytes: int = 8192
 
     def __post_init__(self):
-        for name in ("channels", "ranks_per_channel", "bankgroups_per_rank",
-                     "banks_per_bankgroup", "rows_per_bank", "row_size_bytes"):
+        for name in ("ranks_per_channel", "bankgroups_per_rank", "banks_per_bankgroup",
+                     "rows_per_bank", "row_size_bytes"):
             v = getattr(self, name)
             if v < 1 or (v & (v - 1)) != 0:
                 raise ConfigError(f"{name} must be a positive power of two, got {v}")
@@ -66,7 +65,7 @@ class Topology:
 
     @property
     def banks_total(self) -> int:
-        return self.channels * self.ranks_per_channel * self.banks_per_rank
+        return self.ranks_per_channel * self.banks_per_rank
 
     @property
     def rows_total(self) -> int:
@@ -205,7 +204,7 @@ class DeviceState:
         self.total_acts = 0
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
         self.saturated_increments = 0   # increments swallowed at saturation
-        self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB, RFMSB)}
+        self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
         self.log: Optional[list] = [] if log_commands else None
 
     # ------------------------------------------------------------- helpers
@@ -286,10 +285,9 @@ class DeviceState:
         elif cmd == REF:
             events.extend(self._serve_ref(now))
             self.blocked_until = now + self.t.tRFC
-        elif cmd in (RFMAB, RFMSB):
-            kind = "all-bank" if cmd == RFMAB else "same-bank"
+        elif cmd == RFMAB:
             triggered = addr[0] if addr is not None else None
-            events.extend(self.serve_rfm(kind, addr, triggered_bank=triggered))
+            events.extend(self.serve_rfm(triggered_bank=triggered))
             self.blocked_until = now + self.t.tRFM
             if self.fsm is not None:
                 self.fsm.on_rfm()
@@ -301,25 +299,15 @@ class DeviceState:
 
     # ------------------------------------------------------------- refresh ops
 
-    def serve_rfm(self, kind: str, addr=None, triggered_bank: Optional[int] = None) -> list:
-        """Refresh the victims of each selected bank's hottest row.
+    def serve_rfm(self, triggered_bank: Optional[int] = None) -> list:
+        """All-bank RFM: refresh the victims of every bank's hottest row, and
+        reset the activation count of the bank that triggered it, if any.
 
         Returns ('refreshed', bank, aggressor, victims) events; the aggressor
         report is the attacker feedback channel.
         """
-        if kind == "all-bank":
-            bank_range = range(len(self.banks))
-        elif kind == "same-bank":
-            if addr is None:
-                raise ConfigError("same-bank RFM needs a bank address")
-            target = addr[0] % self.topo.banks_per_bankgroup
-            bank_range = [i for i in range(len(self.banks))
-                          if i % self.topo.banks_per_bankgroup == target]
-        else:
-            raise ConfigError(f"unknown RFM kind {kind!r}")
         events = []
-        for bi in bank_range:
-            b = self.banks[bi]
+        for bi, b in enumerate(self.banks):
             if b.counters:
                 best = max(b.counters.values())
                 rows = [r for r, c in b.counters.items() if c == best]

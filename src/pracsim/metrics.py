@@ -1,17 +1,14 @@
 """Weighted speedup, per-command energy accounting, latency percentiles,
 slowdown statistics and report assembly.
 
-The energy model is a flat per-command table plus background power, loaded
-from the packaged defaults (data/energy_ddr5.ini) or any file with the same
-sections. It deliberately replaces a current-waveform model; every energy
-claim made by the test suite is directional, never absolute.
+The energy model is a flat per-command table plus background power
+(DDR5_ENERGY). It deliberately replaces a current-waveform model; every
+energy claim made by the test suite is directional, never absolute.
 """
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .timing import ConfigError
@@ -39,25 +36,20 @@ class EnergyModel:
         except KeyError:
             raise ConfigError(f"energy model has no entry for command {cmd!r}") from None
 
-    @classmethod
-    def load(cls, path: Optional[str] = None) -> "EnergyModel":
-        parser = configparser.ConfigParser()
-        if path is None:
-            text = resources.files("pracsim.data").joinpath("energy_ddr5.ini").read_text()
-            parser.read_string(text)
-        else:
-            with open(path) as fh:
-                parser.read_file(fh)
-        names = {"act": "ACT", "pre": "PRE", "rd": "RD", "wr": "WR",
-                 "ref": "REF", "rfmab": "RFMab", "rfmsb": "RFMsb",
-                 "preventive": "preventive"}
-        per_cmd = {}
-        for k, v in parser["per_command_pj"].items():
-            if k not in names:
-                raise ConfigError(f"unknown command class {k!r} in energy model")
-            per_cmd[names[k]] = float(v)
-        bg = float(parser["background"]["power_mw"])
-        return cls(per_cmd, bg)
+
+# Per-command energy, flat-rate model. Values are datasheet-style DDR5 x8
+# estimates (IDD-derived order of magnitude, not a current-waveform model):
+# an activate/precharge pair around 2 nJ split across ACT and PRE, column
+# accesses dominated by I/O energy, all-bank refresh amortized over the rows
+# it covers, and a refresh-management window costed like a short refresh.
+# "preventive" is one targeted victim-row refresh performed by a
+# controller-side mechanism. Suite assertions about energy are directional
+# only.
+DDR5_ENERGY = EnergyModel(
+    {"ACT": 1200.0, "PRE": 800.0, "RD": 1600.0, "WR": 1700.0,
+     "REF": 28000.0, "RFMab": 15000.0, "preventive": 2000.0},
+    background_mw=150.0,    # static + refresh-idle power for a dual-rank channel
+)
 
 
 def energy(command_counts: dict, model: EnergyModel, runtime_ps: int) -> float:
@@ -84,9 +76,7 @@ class SimReport:
     label: str
     seed: int
     shared_ipcs: list
-    alone_ipcs: list
     weighted_speedup: float
-    instructions: list
     cycles: int
     energy_pj: float
     command_counts: dict
@@ -109,7 +99,7 @@ class SimReport:
         vals = [self.label, self.seed, f"{self.weighted_speedup:.6f}", self.cycles,
                 f"{self.energy_pj:.3f}",
                 cc.get("ACT", 0), cc.get("PRE", 0), cc.get("RD", 0), cc.get("WR", 0),
-                cc.get("REF", 0), cc.get("RFMab", 0) + cc.get("RFMsb", 0),
+                cc.get("REF", 0), cc.get("RFMab", 0),
                 self.preventive_refreshes, self.backoffs,
                 self.latency_ps[50], self.latency_ps[90], self.latency_ps[95],
                 self.latency_ps[99], self.latency_ps[100],
@@ -124,19 +114,17 @@ class SimReport:
 
 
 def build_report(label: str, seed: int, result: RunResult, alone_ipcs,
-                 model: Optional[EnergyModel] = None, first_benign: int = 0) -> SimReport:
+                 first_benign: int = 0) -> SimReport:
     """Report for one shared run; the weighted speedup covers cores
     first_benign.. against their alone IPCs (cores before that are attackers)."""
-    model = model or EnergyModel.load()
     counts = dict(result.device_counts)
     counts["preventive"] = result.preventive_refreshes
-    e = energy(counts, model, result.end_ps)
+    e = energy(counts, DDR5_ENERGY, result.end_ps)
     ws = weighted_speedup(result.ipcs[first_benign:], alone_ipcs)
     return SimReport(
         label=label, seed=seed,
-        shared_ipcs=list(result.ipcs), alone_ipcs=list(alone_ipcs),
+        shared_ipcs=list(result.ipcs),
         weighted_speedup=ws,
-        instructions=list(result.instructions),
         cycles=result.end_ps // CPU_CYCLE_PS,
         energy_pj=e,
         command_counts=dict(result.device_counts),

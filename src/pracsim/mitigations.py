@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .dram import Topology, victim_rows
 from .security import PracParams, PrfmParams, t_available
@@ -100,9 +100,10 @@ def para_probability(n_rh: int, escape_exponent: int = 40) -> float:
     return 1.0 - math.exp(math.log(2.0 ** -escape_exponent) / n_rh)
 
 
-def graphene_defaults(n_rh: int, topo: Topology, t: Optional[TimingParams] = None) -> Graphene:
-    """Standard frequent-item sizing: entries >= W / threshold per bank."""
-    t = t or preset("ddr5-3200an-base")
+def graphene_defaults(n_rh: int, topo: Topology) -> Graphene:
+    """Standard frequent-item sizing: entries >= W / threshold per bank,
+    with W the activations that fit in one base-timing refresh window."""
+    t = preset("ddr5-3200an-base")
     window_acts = t_available(t) // t.tRC
     threshold = max(n_rh // 4, 1)
     return Graphene(table_entries=-(-window_acts // threshold) + 1, threshold=threshold)
@@ -269,8 +270,7 @@ def counter_width(n_rh: int) -> int:
 HYDRA_MIN_COUNTER_BITS = 6   # smallest row-count-cache entry granularity
 
 
-def storage_cost(mech: MitigationConfig, n_rh: int, topo: Topology,
-                 t: Optional[TimingParams] = None) -> StorageBreakdown:
+def storage_cost(mech: MitigationConfig, n_rh: int, topo: Topology) -> StorageBreakdown:
     if n_rh < 2:
         raise ConfigError("storage model needs n_rh >= 2")
     row_bits_bank = math.ceil(math.log2(topo.rows_per_bank))

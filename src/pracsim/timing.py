@@ -4,12 +4,11 @@ All durations are integer picoseconds. Presets cover the DDR5-3200AN speed
 bin in its baseline form, the variant with the per-row-counter update folded
 into precharge, and the parameter set used by the throughput-budget
 arithmetic (which assumes a 295 ns refresh-management window instead of the
-350 ns one). Cycle quantization always rounds up, so a quantized value never
-undercuts a minimum constraint.
+350 ns one).
 
 tRCD and tCL are not part of any security computation; they only shape
 read/write latency in simulation. Both default to 13.75 ns, the common
-DDR5-3200 value, quantized up to whole clock cycles on demand.
+DDR5-3200 value.
 """
 
 from __future__ import annotations
@@ -57,21 +56,6 @@ class TimingParams:
             raise ConfigError("tREFI must be smaller than tREFW")
         if self.tRFC >= self.tREFI:
             raise ConfigError("tRFC must be smaller than tREFI")
-
-    def cycles(self, duration_ps: int) -> int:
-        """Round a duration up to whole clock cycles."""
-        return -(-duration_ps // self.clock_period)
-
-    def quantized(self) -> "TimingParams":
-        """All durations rounded up to clock-cycle multiples; tRC rebuilt from parts."""
-        q = lambda v: self.cycles(v) * self.clock_period
-        tras, trp = q(self.tRAS), q(self.tRP)
-        return replace(
-            self, tRAS=tras, tRP=trp, tRC=tras + trp, tRCD=q(self.tRCD),
-            tCL=q(self.tCL), tRTP=q(self.tRTP), tWR=q(self.tWR),
-            tREFW=q(self.tREFW), tREFI=q(self.tREFI), tRFC=q(self.tRFC),
-            tRFM=q(self.tRFM), tABO_ACT=q(self.tABO_ACT),
-            tBackoffSignal=q(self.tBackoffSignal))
 
     def window_acts(self) -> int:
         """Activations that fit in the back-off service window."""

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .controller import BLOCK_BYTES, ControllerConfig, MemoryController
+from .controller import BLOCK_BYTES, MemoryController
 from .dram import DeviceState, Topology
 from .mitigations import NoMitigation
 from .timing import ConfigError, TimingParams, preset

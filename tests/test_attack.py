@@ -88,9 +88,6 @@ def test_wave_trace_act_legality_spacing():
 def test_wave_trace_kind_mismatch():
     with pytest.raises(ConfigError):
         gen_wave_trace(AttackSpec("perf_degradation"), PrfmParams(4), APP)
-    with pytest.raises(ConfigError):
-        gen_wave_trace(AttackSpec("wave", initial_priming=9),
-                       PracParams(abo_th=6), PRAC_T)
 
 
 # ----------------------------------------------------- performance attack
@@ -101,7 +98,7 @@ def test_perf_trace_rotates_32_targets_bank_first():
     trace = gen_perf_attack_trace(spec, PRAC_T, duration_ps=4_000_000, topo=topo)
     seen = []
     for rec in trace.records[:64]:
-        ch, rank, bg, bank, row, col = map_address(topo, rec.address)
+        rank, bg, bank, row, col = map_address(topo, rec.address)
         seen.append((bg, row))
     # bank groups rotate fastest: each group gets every 4th access
     assert [s[0] for s in seen[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]

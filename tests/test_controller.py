@@ -1,7 +1,7 @@
 import pytest
 
 from pracsim.controller import (
-    ControllerConfig,
+    MOP_GROUP_BLOCKS,
     MemoryController,
     inverse_map_address,
     map_address,
@@ -27,23 +27,23 @@ def make(mit=NoMitigation(), t=T_DESK, topo=DESK, prac=None):
 # ------------------------------------------------------------- address map
 
 def test_address_zero_maps_to_origin():
-    assert map_address(TOPO, 0) == (0, 0, 0, 0, 0, 0)
+    assert map_address(TOPO, 0) == (0, 0, 0, 0, 0)
 
 
 def test_bankgroup_bits_change_bankgroup_only():
     a = map_address(TOPO, 0)
     b = map_address(TOPO, 64 * 4)      # one MOP group further
-    assert b[2] == a[2] + 1
-    assert (b[0], b[1], b[3], b[4]) == (a[0], a[1], a[3], a[4])
+    assert b[1] == a[1] + 1
+    assert (b[0], b[2], b[3]) == (a[0], a[2], a[3])
 
 
 def test_linear_stream_bursts_per_bank_equal_mop_group():
     # a linear stream stays in one bank for exactly one column group before
     # striping across bank groups; every burst lands in the same row
-    group = ControllerConfig().mop_group_blocks
+    group = MOP_GROUP_BLOCKS
     cur_key, run = None, 0
     for block in range(4096):
-        ch, rank, bg, bank, row, col = map_address(TOPO, block * 64)
+        rank, bg, bank, row, col = map_address(TOPO, block * 64)
         key = (rank, bg, bank, row)
         if key == cur_key:
             run += 1
@@ -56,8 +56,8 @@ def test_linear_stream_bursts_per_bank_equal_mop_group():
 
 def test_map_roundtrip():
     for addr in (0, 64, 8192, 1 << 20, (1 << 28) + 64 * 37):
-        ch, rank, bg, bank, row, col = map_address(TOPO, addr)
-        assert inverse_map_address(TOPO, ch, rank, bg, bank, row, col) == addr
+        rank, bg, bank, row, col = map_address(TOPO, addr)
+        assert inverse_map_address(TOPO, rank, bg, bank, row, col) == addr
 
 
 def test_address_out_of_range():
@@ -70,8 +70,8 @@ def test_address_out_of_range():
 def test_frfcfs_cap_forces_the_old_miss_after_four_hits():
     dev, ctrl = make()
     # one bank: an old miss (row 9) plus five younger hits on the open row 0
-    hit_addrs = [inverse_map_address(DESK, 0, 0, 0, 0, 0, c) for c in range(5)]
-    miss_addr = inverse_map_address(DESK, 0, 0, 0, 0, 9, 0)
+    hit_addrs = [inverse_map_address(DESK, 0, 0, 0, 0, c) for c in range(5)]
+    miss_addr = inverse_map_address(DESK, 0, 0, 0, 9, 0)
     dev.issue("ACT", (0, 0), 0)
     ctrl.enqueue(0, miss_addr, False, 10)
     for i, a in enumerate(hit_addrs):
@@ -100,7 +100,7 @@ def test_ref_happens_on_cadence_when_idle():
 
 def test_prfm_rfm_count_matches_bank_act_floor():
     trace = Trace([TraceRecord(2, "read",
-                               inverse_map_address(DESK, 0, 0, 0, 0, i % 8, 0))
+                               inverse_map_address(DESK, 0, 0, 0, i % 8, 0))
                    for i in range(64)])
     dev, ctrl = make(Prfm(PrfmParams(4)))
     run_cores([trace], ctrl, StopCondition(None, 2_000_000))
@@ -110,7 +110,7 @@ def test_prfm_rfm_count_matches_bank_act_floor():
 
 def test_backoff_deadline_never_overrun_and_recovery_complete():
     trace = Trace([TraceRecord(0, "read",
-                               inverse_map_address(DESK, 0, 0, 0, 0, i % 2, 0))
+                               inverse_map_address(DESK, 0, 0, 0, i % 2, 0))
                    for i in range(400)])
     prac = {"abo_th": 8, "bo_n_refs": 4, "bo_n_acts": 1}
     dev, ctrl = make(PracN(PracParams(8, 4, 1)), t=T_DESK_PRAC, prac=prac)
@@ -119,17 +119,3 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     assert ctrl.stat["rfms"] == ctrl.stat["backoffs"] * 4
     assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
     assert dev.fsm.phase in ("delay", "window")
-
-
-def test_controller_rejects_multichannel():
-    topo = Topology(channels=2, rows_per_bank=64, row_size_bytes=1024)
-    dev = DeviceState(topo, T_DESK)
-    with pytest.raises(ConfigError):
-        MemoryController(topo, T_DESK, dev)
-
-
-def test_controller_config_validation():
-    with pytest.raises(ConfigError):
-        ControllerConfig(frfcfs_cap=0)
-    with pytest.raises(ConfigError):
-        ControllerConfig(mop_group_blocks=3)

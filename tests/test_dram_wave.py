@@ -14,7 +14,7 @@ from pracsim.dram import (
     Topology,
 )
 from pracsim.security import PracParams, PrfmParams, prac_trajectory, prfm_trajectory
-from pracsim.timing import preset
+from pracsim.timing import ConfigError, preset
 
 PRAC_T = preset("ddr5-3200an-prac")
 BASE_T = preset("ddr5-3200an-base")
@@ -69,7 +69,7 @@ def test_act_rejected_during_recovery():
 def test_serve_rfm_refreshes_the_hottest_rows_victims():
     dev = fresh_device()
     dev.banks[0].counters = {3: 5, 9: 2}
-    events = dev.serve_rfm("all-bank")
+    events = dev.serve_rfm()
     bank0 = [e for e in events if e[1] == 0][0]
     assert bank0[2] == 3
     assert bank0[3] == (1, 2, 4, 5)
@@ -78,7 +78,7 @@ def test_serve_rfm_refreshes_the_hottest_rows_victims():
 
 def test_serve_rfm_fallback_row_when_all_counters_zero():
     dev = fresh_device()
-    events = dev.serve_rfm("all-bank")
+    events = dev.serve_rfm()
     assert all(e[2] == 0 for e in events)
 
 
@@ -86,7 +86,7 @@ def test_serve_rfm_tie_break_orders():
     for tie, expected in (("low", 3), ("high", 9)):
         dev = fresh_device(tie_break=tie)
         dev.banks[0].counters = {3: 5, 9: 5}
-        events = dev.serve_rfm("all-bank")
+        events = dev.serve_rfm()
         assert [e for e in events if e[1] == 0][0][2] == expected
 
 
@@ -125,7 +125,7 @@ def test_conservation_of_activation_counts():
         dev.issue(PRE, (0, row), now + BASE_T.tRAS)
         now += BASE_T.tRC
     assert dev.conservation_holds()
-    dev.serve_rfm("all-bank")
+    dev.serve_rfm()
     assert dev.conservation_holds()
     assert result.act_count == sum(result.sizes[:-1] or [0])
 
@@ -204,16 +204,13 @@ def test_counter_saturation_honored():
     assert dev.conservation_holds()
 
 
-def test_rfmsb_covers_matching_banks_only():
+def test_same_bank_rfm_is_rejected():
+    # the controller only issues all-bank RFMs; the device knows no other kind
     dev = fresh_device()
-    dev.banks[1].counters = {4: 3}          # bank 1 = bankgroup 0, bank index 1
-    dev.banks[2].counters = {9: 9}          # bank 2 has a hotter row elsewhere
-    events = dev.issue("RFMsb", (1, -1), 1_000_000)
-    touched = {e[1] for e in events}
-    assert 1 in touched and 2 not in touched
-    assert all(b % DESK.banks_per_bankgroup == 1 for b in touched)
-    assert 4 not in dev.banks[1].counters
-    assert dev.banks[2].counters == {9: 9}
+    dev.banks[1].counters = {4: 3}
+    with pytest.raises(ConfigError):
+        dev.issue("RFMsb", (1, -1), 1_000_000)
+    assert dev.banks[1].counters == {4: 3}
 
 
 def test_command_log_csv(tmp_path):

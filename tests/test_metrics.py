@@ -1,6 +1,7 @@
 import pytest
 
 from pracsim.metrics import (
+    DDR5_ENERGY,
     EnergyModel,
     SimReport,
     SlowdownStats,
@@ -52,10 +53,11 @@ def test_energy_unknown_command_rejected():
 
 
 def test_packaged_energy_model_loads():
-    m = EnergyModel.load()
-    for cmd in ("ACT", "PRE", "RD", "WR", "REF", "RFMab", "preventive"):
-        assert m.command_energy(cmd) > 0
-    assert m.background_mw > 0
+    # every value feeds reports.csv's energy_pj column
+    assert DDR5_ENERGY.per_command_pj == {
+        "ACT": 1200.0, "PRE": 800.0, "RD": 1600.0, "WR": 1700.0,
+        "REF": 28000.0, "RFMab": 15000.0, "preventive": 2000.0}
+    assert DDR5_ENERGY.background_mw == 150.0
 
 
 def test_latency_percentiles_monotone():
@@ -72,8 +74,8 @@ def test_latency_percentiles_empty():
 
 
 def _report(label, ws, ipcs):
-    return SimReport(label=label, seed=0, shared_ipcs=ipcs, alone_ipcs=[1.0] * len(ipcs),
-                     weighted_speedup=ws, instructions=[100] * len(ipcs), cycles=1000,
+    return SimReport(label=label, seed=0, shared_ipcs=ipcs,
+                     weighted_speedup=ws, cycles=1000,
                      energy_pj=5.0, command_counts={}, preventive_refreshes=0,
                      backoffs=0, latency_ps={50: 1, 90: 2, 95: 3, 99: 4, 100: 5},
                      max_row_activation_between_refreshes=0, min_deadline_slack=None)

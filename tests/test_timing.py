@@ -83,16 +83,6 @@ def test_trc_consistency_enforced():
             tABO_ACT=base.tABO_ACT, tBackoffSignal=base.tBackoffSignal)
 
 
-@pytest.mark.parametrize("name", ["ddr5-3200an-base", "ddr5-3200an-prac", "analysis-appendix"])
-def test_quantized_keeps_invariants_and_rounds_up(name):
-    t = preset(name)
-    q = t.quantized()
-    assert q.tRC == q.tRAS + q.tRP
-    for f in ("tRAS", "tRP", "tRTP", "tWR", "tREFI", "tRFC", "tRFM"):
-        assert getattr(q, f) % q.clock_period == 0
-        assert getattr(q, f) >= getattr(t, f)
-
-
 def test_window_acts_from_preset():
     assert preset("ddr5-3200an-prac").window_acts() == 3  # 180 ns / 52 ns
 
