@@ -14,6 +14,7 @@ The layout is fixed and documented so runs are reproducible.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,7 +69,7 @@ def inverse_map_address(topo: Topology, rank: int, bankgroup: int,
     return block * BLOCK_BYTES
 
 
-@dataclass
+@dataclass(eq=False)   # queues remove requests by identity
 class Request:
     req_id: int
     core: int
@@ -107,12 +108,13 @@ class MemoryController:
         self.cmd_bus_free = 0
         self.data_bus_free = 0
         self.bank_busy_extra: dict = {}  # preventive refreshes occupy the bank
-        self.completions: list = []      # (time, Request), reads only
+        self.completions: deque = deque()  # (time, Request), reads, in time order
         self.bo_deadline: Optional[int] = None
         self.min_deadline_slack: Optional[int] = None
         self.stat = {"acts": 0, "reads": 0, "writes": 0, "rfms": 0,
                      "refs": 0, "backoffs": 0, "preventive_refreshes": 0}
         self.read_latencies: list = []
+        self._last_done = 0
         self._next_id = 0
         self._choice_cache: dict = {}    # bank_idx -> (local_ready, cmd, req) | None
 
@@ -207,10 +209,8 @@ class MemoryController:
     def _bank_choice(self, bank_idx: int):
         """FR-FCFS+Cap within one bank: hits first until the oldest waiting
         row-miss has been bypassed FRFCFS_CAP times. Returns the bank-local
-        (ready, cmd, req) triple, ignoring channel-global constraints."""
-        cached = self._choice_cache.get(bank_idx, False)
-        if cached is not False:
-            return cached
+        (ready, cmd, req) triple, ignoring channel-global constraints;
+        _select caches it until the bank or its queue changes."""
         queue = self.bank_q.get(bank_idx)
         choice = None
         b = self.dev.banks[bank_idx]
@@ -238,46 +238,60 @@ class MemoryController:
                 choice = (b.act_ok, ACT, req)
             else:
                 choice = (b.pre_ok, PRE, req)
-        self._choice_cache[bank_idx] = choice
         return choice
 
     def _window_allows(self, cmd: str, at: int) -> bool:
-        """A command fits the service window only if the bank can be back in
-        a precharged state by the deadline: the last ACT may issue no later
-        than deadline - tRC, and closing every bank costs one command-bus hop
-        each ahead of the recovery RFM."""
-        fsm = self.dev.fsm
-        if fsm is None or fsm.phase != "window" or self.bo_deadline is None:
-            return True
+        """A command fits the open service window only if the bank can be
+        back in a precharged state by the deadline: the last ACT may issue no
+        later than deadline - tRC, and closing every bank costs one
+        command-bus hop each ahead of the recovery RFM."""
         tail = {ACT: self.t.tRC, RD: self.t.tRTP, WR: self.t.tWR}.get(cmd, 0)
         margin = (self.topo.banks_total + 2) * self.t.clock_period
         if at + tail + margin > self.bo_deadline:
             return False
-        if cmd == ACT and fsm.window_left <= 0:
+        if cmd == ACT and self.dev.fsm.window_left <= 0:
             return False
         return True
 
-    def _candidates(self, now: int):
+    def _select(self, now: int, windowed: bool):
+        """The next command over all banks, or None: the least
+        (at, row-after-column, arrival, req_id, cmd, req). req_id is unique,
+        so the order is total and one pass finds the minimum."""
         floor_t = max(now, self.dev.blocked_until, self.cmd_bus_free)
-        out = []
-        for bank_idx in sorted(self.bank_q):
-            choice = self._bank_choice(bank_idx)
+        data_free = self.data_bus_free
+        busy = self.bank_busy_extra
+        banks = self.dev.banks
+        prfm_th = self.prfm_th
+        cache = self._choice_cache
+        best = held = None
+        any_col = False
+        for bank_idx in self.bank_q:
+            choice = cache.get(bank_idx, False)
+            if choice is False:
+                choice = cache[bank_idx] = self._bank_choice(bank_idx)
             if choice is None:
                 continue
             local, cmd, req = choice
-            at = max(local, floor_t, self.bank_busy_extra.get(bank_idx, 0))
-            if cmd in (RD, WR):
-                at = max(at, self.data_bus_free)
-            if not self._window_allows(cmd, at):
+            at = max(local, floor_t, busy.get(bank_idx, 0))
+            col = cmd == RD or cmd == WR
+            if col:
+                at = max(at, data_free)
+            if windowed and not self._window_allows(cmd, at):
                 continue
-            out.append((at, 0 if cmd in (RD, WR) else 1, req.arrival, req.req_id, cmd, req))
+            key = (at, 0 if col else 1, req.arrival, req.req_id, cmd, req)
+            if col:
+                any_col = True
+            elif cmd == ACT and prfm_th is not None and banks[bank_idx].raa >= prfm_th:
+                if held is None or key < held:
+                    held = key
+                continue
+            if best is None or key < best:
+                best = key
         # an activation that would first fire an all-bank RFM (closing every
         # open row) waits while any column access is still pending
-        if self.prfm_th is not None and any(c[4] in (RD, WR) for c in out):
-            out = [c for c in out
-                   if not (c[4] == ACT
-                           and self.dev.banks[c[5].bank_idx].raa >= self.prfm_th)]
-        return out
+        if held is not None and not any_col and (best is None or held < best):
+            return held
+        return best
 
     def _in_recovery(self) -> bool:
         return self.dev.fsm is not None and self.dev.fsm.phase == "recovery"
@@ -325,6 +339,12 @@ class MemoryController:
                 self._choice_cache.clear()   # writes become eligible everywhere
             self.stat["reads"] += 1
             self.read_latencies.append(done_at - req.arrival)
+            # reads leave in issue order on a strictly advancing command bus,
+            # so run_cores may deliver completions from the front
+            if done_at < self._last_done:
+                raise RuntimeError(f"read completion at {done_at} ps precedes "
+                                   f"an earlier one at {self._last_done} ps")
+            self._last_done = done_at
             self.completions.append((done_at, req))
 
     # ------------------------------------------------------------- main hooks
@@ -343,17 +363,17 @@ class MemoryController:
                     now = max(now, self._serve_recovery(now))
                 self._issue_ref(self.next_ref)
                 continue
-            candidates = self._candidates(now)
             fsm = self.dev.fsm
-            if (fsm is not None and fsm.phase == "window" and self.bo_deadline is not None
-                    and (not candidates or min(c[0] for c in candidates) > self.bo_deadline)):
+            windowed = (fsm is not None and fsm.phase == "window"
+                        and self.bo_deadline is not None)
+            best = self._select(now, windowed)
+            if windowed and (best is None or best[0] > self.bo_deadline):
                 # nothing more can be served inside the window: recover early
                 now = max(now, self._serve_recovery(now))
                 continue
-            if not candidates:
+            if best is None:
                 return self.next_ref
-            candidates.sort()
-            at, _, _, _, cmd, req = candidates[0]
+            at, _, _, _, cmd, req = best
             if at > now:
                 return min(at, self.next_ref)
             self._execute(cmd, req, at)

@@ -148,7 +148,8 @@ class DisturbanceMonitor:
 
     Every activation of an aggressor disturbs the rows within the blast
     radius; the per-(victim, aggressor) tally resets when the victim row is
-    refreshed. A tally reaching n_rh is a bitflip witness.
+    refreshed. A tally reaching n_rh is a bitflip witness. Rows are
+    bank-local: 0 <= row < rows_per_bank.
     """
 
     def __init__(self, n_rh: int, rows_per_bank: int):
@@ -169,9 +170,10 @@ class DisturbanceMonitor:
                 self.violations.append((bank, victim, row, c))
 
     def on_row_refreshed(self, bank: int, row: int):
-        stale = [k for k in self.pair if k[0] == bank and k[1] == row]
-        for k in stale:
-            del self.pair[k]
+        # the blast radius is symmetric, so the aggressors that tallied this
+        # victim are exactly the rows within it
+        for aggressor in victim_rows(row, self.rows_per_bank):
+            self.pair.pop((bank, row, aggressor), None)
 
 
 class DeviceState:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import gzip
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from .controller import BLOCK_BYTES, MemoryController
@@ -215,30 +216,29 @@ class CoreModel:
     def __init__(self, core_id: int, trace: Trace, max_instructions: Optional[int] = None):
         self.core_id = core_id
         self.records = trace.records
+        # a record wider than the window fills it rather than blocking forever
+        self.footprints = [min(r.instructions, WINDOW_INSTRS) for r in self.records]
         self.max_instructions = max_instructions
         self.idx = 0
         self.frontend_ready = 0
-        self.pending = []            # [size, resp_time or None]
+        self.pending = deque()       # [size, footprint, resp_time or None]
         self.occupancy = 0
         self.retire_clock = 0
         self.retired_instrs = 0
         self.issued_instrs = 0
+        self._update_fetched()
 
-    def fetch_done(self) -> bool:
-        if self.idx >= len(self.records):
-            return True
-        return (self.max_instructions is not None
-                and self.issued_instrs >= self.max_instructions)
+    def _update_fetched(self):
+        self.fetched = (self.idx >= len(self.records)
+                        or (self.max_instructions is not None
+                            and self.issued_instrs >= self.max_instructions))
 
     def done(self) -> bool:
-        return self.fetch_done() and not self.pending
+        return self.fetched and not self.pending
 
     def window_has_room(self) -> bool:
-        if self.fetch_done():
-            return False
-        # a record wider than the window fills it rather than blocking forever
-        footprint = min(self.records[self.idx].instructions, WINDOW_INSTRS)
-        return self.occupancy + footprint <= WINDOW_INSTRS
+        return (not self.fetched
+                and self.occupancy + self.footprints[self.idx] <= WINDOW_INSTRS)
 
     def can_issue(self, now: int) -> bool:
         return self.window_has_room() and self.frontend_ready <= now
@@ -248,15 +248,15 @@ class CoreModel:
 
     def issue(self, now: int, resp_time: Optional[int]):
         """Dispatch the head record; resp_time is None for outstanding reads."""
-        rec = self.records[self.idx]
-        size = rec.instructions
-        footprint = min(size, WINDOW_INSTRS)
+        size = self.records[self.idx].instructions
+        footprint = self.footprints[self.idx]
         at = max(self.frontend_ready, now)
         entry = [size, footprint, resp_time]
         self.pending.append(entry)
         self.occupancy += footprint
         self.issued_instrs += size
         self.idx += 1
+        self._update_fetched()
         self.frontend_ready = at + _ceil_div(max(size, 1), RETIRE_WIDTH) * CPU_CYCLE_PS
         self.drain()
         return entry
@@ -267,7 +267,7 @@ class CoreModel:
 
     def drain(self):
         while self.pending and self.pending[0][2] is not None:
-            size, footprint, resp = self.pending.pop(0)
+            size, footprint, resp = self.pending.popleft()
             self.retire_clock = (max(self.retire_clock, resp)
                                  + _ceil_div(max(size, 1), RETIRE_WIDTH) * CPU_CYCLE_PS)
             self.retired_instrs += size
@@ -319,6 +319,7 @@ def run_cores(traces, controller: MemoryController,
     stop = stop or StopCondition()
     cores = [CoreModel(i, tr, stop.instructions_per_core) for i, tr in enumerate(traces)]
     req_entry = {}
+    completions = controller.completions
     now = 0
     cap = stop.max_ps
     guard = 0
@@ -326,13 +327,11 @@ def run_cores(traces, controller: MemoryController,
         guard += 1
         if guard > 50_000_000:
             raise RuntimeError("run_cores livelock")
-        # deliver read completions due by now
-        if controller.completions:
-            controller.completions.sort(key=lambda c: c[0])
-            while controller.completions and controller.completions[0][0] <= now:
-                done_at, req = controller.completions.pop(0)
-                core, entry = req_entry.pop(req.req_id)
-                cores[core].on_response(entry, done_at)
+        # deliver read completions due by now; they queue in time order
+        while completions and completions[0][0] <= now:
+            done_at, req = completions.popleft()
+            core, entry = req_entry.pop(req.req_id)
+            cores[core].on_response(entry, done_at)
         # cores hand requests to the controller
         for core in cores:
             while core.can_issue(now):
@@ -354,12 +353,12 @@ def run_cores(traces, controller: MemoryController,
         if cap is not None and now >= cap:
             break
         waits = [t_ctrl]
-        if controller.completions:
-            waits.append(min(c[0] for c in controller.completions))
+        if completions:
+            waits.append(completions[0][0])
         for core in cores:
             # cores stalled on a full queue or window wake on those events;
             # only a future frontend time is a wake-up of its own
-            if (not core.fetch_done() and core.window_has_room()
+            if (not core.fetched and core.window_has_room()
                     and core.frontend_ready > now):
                 waits.append(core.frontend_ready)
         nxt = min(w for w in waits if w is not None and w > now) if waits else None

@@ -6,7 +6,6 @@ from pracsim.attack import (
     AttackSpec,
     gen_perf_attack_trace,
     gen_wave_trace,
-    run_wave_attack,
     theoretical_consumption,
 )
 from pracsim.controller import map_address

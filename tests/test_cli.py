@@ -179,23 +179,25 @@ def test_simulate_and_replay_byte_identical(tmp_path):
 
 GOLDEN_WORKLOAD = {"mixes": "6", "seed": "3", "records": "200",
                    "instructions_per_core": "1500", "max_cycles": "1000000"}
-# kind -> (extra [workload] keys, sha256 of reports.csv)
-GOLDEN = {
-    "prac+prfm": ({}, "25237711c6a8f49b2f829724f2030acde3842d85bed6eab71486ba9dee80c8f2"),
-    "hydra": ({}, "7e747051e574b045b03672724b8e9ef426a293b44555e4324404f70c73b5bb1e"),
-    "para": ({}, "2049b4f33e19d230aa040026cc4f9e2fd6afa8a8d5ca60ad19cad7ec102083b2"),
-    "graphene": ({}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f"),
-    "prfm": ({"attacker": "dos"},
-             "c08dec00c4cf934e53e0424e30a083287a4e7f586ddfb244ce9338abdfbe304a"),
-}
+# (kind, n_rh, extra [workload] keys, sha256 of reports.csv)
+GOLDEN = [
+    ("prac+prfm", 32, {}, "25237711c6a8f49b2f829724f2030acde3842d85bed6eab71486ba9dee80c8f2"),
+    ("hydra", 32, {}, "7e747051e574b045b03672724b8e9ef426a293b44555e4324404f70c73b5bb1e"),
+    ("para", 32, {}, "2049b4f33e19d230aa040026cc4f9e2fd6afa8a8d5ca60ad19cad7ec102083b2"),
+    ("graphene", 32, {}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f"),
+    ("prfm", 32, {"attacker": "dos"},
+     "c08dec00c4cf934e53e0424e30a083287a4e7f586ddfb244ce9338abdfbe304a"),
+    # 7-9 back-offs per mix: commands are chosen inside open service windows
+    ("prac", 8, {"attacker": "dos"},
+     "268a9bfd7338330e235ab8e3e1741d573aea82fb806a4cbdfccda70643444b78"),
+]
 
 
-@pytest.mark.parametrize("kind", GOLDEN)
-def test_reports_csv_golden(tmp_path, kind):
+@pytest.mark.parametrize("kind, n_rh, extra, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_reports_csv_golden(tmp_path, kind, n_rh, extra, digest):
     """Pins reports.csv byte for byte on small desk campaigns, so changes
     meant to keep behaviour (refactors, speedups) can show they do."""
-    extra, digest = GOLDEN[kind]
-    ini = _write_ini(tmp_path / "g.ini", {"mitigation": {"kind": kind, "n_rh": "32"},
+    ini = _write_ini(tmp_path / "g.ini", {"mitigation": {"kind": kind, "n_rh": str(n_rh)},
                                           "workload": {**GOLDEN_WORKLOAD, **extra}})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
     assert hashlib.sha256((tmp_path / "o" / "reports.csv").read_bytes()).hexdigest() == digest

@@ -87,6 +87,15 @@ def test_frfcfs_cap_forces_the_old_miss_after_four_hits():
     assert order == [1, 2, 3, 4, 0, 5]
 
 
+def test_out_of_order_read_completion_raises():
+    _, ctrl = make()
+    first = ctrl.enqueue(0, 0, False, 0)
+    second = ctrl.enqueue(0, 64, False, 0)
+    ctrl._finish(first, 2_000_000)
+    with pytest.raises(RuntimeError, match="precedes"):
+        ctrl._finish(second, 1_000_000)
+
+
 def test_ref_happens_on_cadence_when_idle():
     dev, ctrl = make()
     now = 0

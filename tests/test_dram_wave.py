@@ -1,13 +1,12 @@
-from dataclasses import replace
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pracsim.attack import run_wave_attack
 from pracsim.dram import (
     ACT,
     PRE,
     REF,
-    RFMAB,
     DeviceState,
     DisturbanceMonitor,
     ProtocolError,
@@ -142,6 +141,27 @@ def test_monitor_counts_neighbors_and_resets_on_refresh():
     mon.on_act(0, 10)
     assert mon.pair[(0, 11, 10)] == 4
     assert mon.violations  # reached n_rh on an unrefreshed victim
+
+
+class _ScanningMonitor(DisturbanceMonitor):
+    """Reference: a refreshed victim's tallies found by scanning them all."""
+
+    def on_row_refreshed(self, bank, row):
+        for key in [k for k in self.pair if k[0] == bank and k[1] == row]:
+            del self.pair[key]
+
+
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 15)),
+                    max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_monitor_refresh_matches_scanning_reference(ops):
+    fast, ref = DisturbanceMonitor(6, 16), _ScanningMonitor(6, 16)
+    for is_act, bank, row in ops:
+        for mon in (fast, ref):
+            (mon.on_act if is_act else mon.on_row_refreshed)(bank, row)
+        assert fast.pair == ref.pair
+    assert fast.max_pair == ref.max_pair
+    assert fast.violations == ref.violations
 
 
 # ------------------------------------------------------- oracle equivalence

@@ -4,8 +4,6 @@ from pracsim.metrics import (
     DDR5_ENERGY,
     EnergyModel,
     SimReport,
-    SlowdownStats,
-    build_report,
     energy,
     latency_percentiles,
     slowdown_stats,

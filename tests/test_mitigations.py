@@ -13,7 +13,6 @@ from pracsim.mitigations import (
     Para,
     ParaState,
     PracN,
-    PracOptimistic,
     PracPlusPrfm,
     Prfm,
     counter_width,

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pracsim.security import (
-    ActBudget,
     PracParams,
     PrfmParams,
     SweepGrid,
