@@ -40,14 +40,14 @@ from .mitigations import (
     graphene_defaults,
     hydra_defaults,
     para_probability,
+    storage_cost,
 )
 from .security import (
     SWEEP_COLUMNS,
     PracParams,
     PrfmParams,
     SweepGrid,
-    is_secure_prac,
-    is_secure_prfm,
+    is_secure,
     secure_abo_th,
     secure_rfm_th,
     sweep,
@@ -85,34 +85,29 @@ def _gnuplot_stub(csv_path):
 
 def cmd_analyze(args) -> int:
     t = preset(args.preset)
-    ths = tuple(args.thresholds) if args.thresholds is not None else None
-    if args.mech == "prfm":
-        b0s = tuple(args.b0) if args.b0 is not None else SweepGrid("prfm").b0_values
-        grid = SweepGrid("prfm", thresholds=ths, b0_values=b0s)
-    else:
-        refs = tuple(args.bo_n_refs) if args.bo_n_refs is not None else (1, 2, 4)
-        grid = SweepGrid("prac", thresholds=ths, bo_n_refs_values=refs,
-                         bo_n_acts=args.bo_n_acts)
+    given = {"thresholds": args.thresholds, "b0_values": args.b0,
+             "bo_n_refs_values": args.bo_n_refs}
+    grid = SweepGrid(args.mech, bo_n_acts=args.bo_n_acts,
+                     **{k: tuple(v) for k, v in given.items() if v is not None})
     rows = sweep(grid, t)
-    verdicts = {}
-    if args.nrh:
-        for th in sorted({r[1] for r in rows}):
-            if args.mech == "prfm":
-                v = is_secure_prfm(args.nrh, PrfmParams(th), t)
-            else:
-                v = is_secure_prac(args.nrh, PracParams(th, max(args.bo_n_refs or [4]),
-                                                        args.bo_n_acts), t)
-            verdicts[th] = "secure" if v.secure else "insecure"
+    verdicts = {}   # params -> verdict, shared by the PRFM rows of a threshold
     lines = [",".join(SWEEP_COLUMNS + ("verdict_at_nrh",))]
     for mech, th, b0r, mx, sec_at in rows:
-        lines.append(f"{mech},{th},{b0r},{mx},{sec_at},{verdicts.get(th, '')}")
+        verdict = ""
+        if args.nrh:
+            # a PRFM verdict maximizes over b0; a PRAC row is judged with its own refs
+            p = PrfmParams(th) if mech == "prfm" else PracParams(th, b0r, grid.bo_n_acts)
+            if p not in verdicts:
+                verdicts[p] = "secure" if is_secure(args.nrh, p, t).secure else "insecure"
+            verdict = verdicts[p]
+        lines.append(f"{mech},{th},{b0r},{mx},{sec_at},{verdict}")
     out = args.out or f"analyze_{args.mech}.csv"
     _write_lines(out, lines)
     if args.gnuplot_stub:
         _gnuplot_stub(out)
     print(f"wrote {out} ({len(rows)} grid points)")
     if args.require_secure and args.nrh:
-        if not any(v == "secure" for v in verdicts.values()):
+        if "secure" not in verdicts.values():
             print("no grid point is secure at the requested threshold", file=sys.stderr)
             return 3
     return 0
@@ -147,20 +142,12 @@ def cmd_attack_theory(args) -> int:
 
 
 def cmd_storage(args) -> int:
-    from .mitigations import storage_cost
     topo = Topology()
     lines = ["mechanism,n_rh,cpu_bits,dram_bits"]
     for n in args.nrh:
-        configs = [
-            ("prac", PracN(PracParams(max(n - 4, 1), 4, 1))),
-            ("prfm", Prfm(PrfmParams(secure_rfm_th(n, preset("analysis-appendix")) or 1))),
-            ("graphene", graphene_defaults(n, topo)),
-            ("hydra", hydra_defaults(n, topo)),
-            ("para", Para(para_probability(n))),
-        ]
-        for name, cfg in configs:
-            sb = storage_cost(cfg, n, topo)
-            lines.append(f"{name},{n},{sb.cpu_bits},{sb.dram_bits}")
+        for kind in ("prac", "prfm", "graphene", "hydra", "para"):
+            sb = storage_cost(_mechanism(kind, n, {}, topo)[0], n, topo)
+            lines.append(f"{kind},{n},{sb.cpu_bits},{sb.dram_bits}")
     out = args.out or "storage.csv"
     _write_lines(out, lines)
     print(f"wrote {out}")

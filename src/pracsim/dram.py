@@ -190,7 +190,6 @@ class DeviceState:
         self.topo = topo
         self.t = t
         self.banks = [BankState() for _ in range(topo.banks_total)]
-        self.prac_enabled = prac is not None
         self.fsm = None
         if prac is not None:
             self.fsm = BackOffFsm(
@@ -203,7 +202,6 @@ class DeviceState:
         self.blocked_until = 0          # REF/RFM make the channel unavailable
         self.ref_pointer = 0
         self.rows_per_ref = -(-topo.rows_per_bank // (t.tREFW // t.tREFI))
-        self.total_acts = 0
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
         self.saturated_increments = 0   # increments swallowed at saturation
         self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
@@ -253,7 +251,6 @@ class DeviceState:
             b.pre_ok = now + self.t.tRAS
             b.col_ok = now + self.t.tRCD
             b.raa += 1
-            self.total_acts += 1
             if self.monitor is not None:
                 self.monitor.on_act(bank_idx, row)
         elif cmd == PRE:

@@ -95,9 +95,13 @@ MitigationConfig = Union[NoMitigation, Prfm, PracN, PracPlusPrfm, PracOptimistic
                          Graphene, Hydra, Para]
 
 
-def para_probability(n_rh: int, escape_exponent: int = 40) -> float:
-    """p such that an aggressor escaping n_rh samples has probability 2^-e."""
-    return 1.0 - math.exp(math.log(2.0 ** -escape_exponent) / n_rh)
+PARA_ESCAPE_EXPONENT = 40
+
+
+def para_probability(n_rh: int) -> float:
+    """p such that an aggressor escaping n_rh samples has probability
+    2^-PARA_ESCAPE_EXPONENT."""
+    return 1.0 - math.exp(math.log(2.0 ** -PARA_ESCAPE_EXPONENT) / n_rh)
 
 
 def graphene_defaults(n_rh: int, topo: Topology) -> Graphene:
@@ -142,7 +146,6 @@ class GrapheneState:
         self.last_reset = 0
         self.tables = [dict() for _ in range(topo.banks_total)]   # row -> count
         self.spill = [0] * topo.banks_total
-        self.refreshes = 0
 
     def on_activation(self, bank: int, row: int, now: int) -> Action:
         if now - self.last_reset >= self.reset_period:
@@ -164,7 +167,6 @@ class GrapheneState:
             return NONE_ACTION
         if table[row] - self.spill[bank] >= self.cfg.threshold:
             table[row] = self.spill[bank]
-            self.refreshes += 1
             return Action("preventive_refresh", victim_rows(row, self.topo.rows_per_bank))
         return NONE_ACTION
 
@@ -182,7 +184,6 @@ class HydraState:
         self.rcc = []           # cached keys, LRU order
         self.rcc_hits = 0
         self.rcc_misses = 0
-        self.refreshes = 0
         span = max(1, topo.rows_total // cfg.gct_entries)
         self._span = span
 
@@ -212,7 +213,6 @@ class HydraState:
         count = self.row_counters.get(key, self.cfg.group_threshold) + 1
         if count >= self.cfg.row_threshold:
             self.row_counters[key] = 0
-            self.refreshes += 1
             return Action("preventive_refresh", victim_rows(row, self.topo.rows_per_bank))
         self.row_counters[key] = count
         return NONE_ACTION
@@ -225,13 +225,11 @@ class ParaState:
         self.cfg = cfg
         self.topo = topo
         self.rng = random.Random(seed)
-        self.refreshes = 0
 
     def on_activation(self, bank: int, row: int, now: int) -> Action:
         if self.rng.random() < self.cfg.probability:
             step = 1 if self.rng.random() < 0.5 else -1
             victim = min(max(row + step, 0), self.topo.rows_per_bank - 1)
-            self.refreshes += 1
             return Action("preventive_refresh", (victim,))
         return NONE_ACTION
 

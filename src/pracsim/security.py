@@ -10,7 +10,10 @@ clamped at zero, where `removed` rows leave the set per trigger and one
 trigger fires per `divisor` activations. Threshold-triggered refresh
 management maps to removed=1, divisor=rfm_th; the back-off protocol maps to
 removed=bo_n_refs with a divisor of bo_n_acts + tABO_ACT/tRC activations per
-recovery cycle.
+recovery cycle. Each mechanism's wave(t) gives these numbers together with
+`prime`, the activations every decoy takes before the wave (abo_th - 1 under
+back-off, none otherwise), and `block`, the time one trigger blocks the bank
+(tRFM, or a whole recovery of bo_n_refs RFMs).
 
 Counting convention, used consistently by the verdicts, the sweep and the
 event-driven replay in the attack module: a cold row that is still in the
@@ -20,20 +23,28 @@ Everything in this module is exact integer arithmetic.
 
 All budgets are per bank: the refresh window leaves t_available of command
 time, every activation costs tRC, and every trigger additionally blocks the
-bank for the management window, which caps the activations any attack can
-spend (max_act).
+bank for `block`, which caps the activations any attack can spend (max_act).
+
+One kernel, _feasible_rounds, computes the wave rounds behind every verdict,
+maximum and sweep cell. Round i is feasible for a starting size b0 while S,
+the wave activations of rounds 1..i-1, stays at or under a limit fixed by b0
+alone: the set must still be non-empty and the time spent must fit the
+window. S never decreases, so each size's feasible rounds form a prefix, and
+a size that fails a round is dropped for good.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Optional, Union
 
 import numpy as np
 
 from .timing import ConfigError, TimingParams
 
 ROWS_PER_BANK_DEFAULT = 65_536
+RFM_TH_CAP = 80   # largest rfm_th the protocol allows
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,10 @@ class PrfmParams:
     def __post_init__(self):
         if self.rfm_th < 1:
             raise ConfigError("rfm_th must be >= 1")
+
+    def wave(self, t: TimingParams) -> tuple:
+        """(removed, divisor, prime, block) of the wave attack against it."""
+        return 1, self.rfm_th, 0, t.tRFM
 
 
 @dataclass(frozen=True)
@@ -64,17 +79,20 @@ class PracParams:
 
     def divisor(self, t: TimingParams) -> int:
         """Activations per back-off cycle: delay ACTs plus window ACTs."""
-        d = self.bo_n_acts + t.tABO_ACT // t.tRC
-        if d < 1:
-            raise ConfigError("degenerate divisor: no activation fits a back-off cycle")
-        return d
+        return self.bo_n_acts + t.window_acts()
+
+    def wave(self, t: TimingParams) -> tuple:
+        """(removed, divisor, prime, block) of the wave attack against it."""
+        return self.bo_n_refs, self.divisor(t), self.abo_th - 1, self.bo_n_refs * t.tRFM
+
+
+WaveParams = Union[PrfmParams, PracParams]
 
 
 @dataclass(frozen=True)
 class RowSetTrajectory:
-    """Surviving-set sizes per attack round, plus cumulative activation totals."""
+    """Surviving-set sizes per attack round."""
     sizes: tuple
-    cumulative_acts: tuple
 
     def __post_init__(self):
         if any(b < 0 for b in self.sizes):
@@ -99,7 +117,6 @@ def wave_trajectory(r1: int, removed: int, divisor: int,
     if removed < 1 or divisor < 1:
         raise ConfigError("removed and divisor must be >= 1")
     sizes = [r1]
-    cum = [r1]
     s = r1
     while sizes[-1] > 0 and len(sizes) <= max_steps:
         nxt = r1 - removed * (s // divisor)
@@ -107,8 +124,7 @@ def wave_trajectory(r1: int, removed: int, divisor: int,
             nxt = 0
         sizes.append(nxt)
         s += nxt
-        cum.append(s)
-    return RowSetTrajectory(tuple(sizes), tuple(cum))
+    return RowSetTrajectory(tuple(sizes))
 
 
 def prfm_trajectory(r1: int, p: PrfmParams, max_steps: int = 1_000_000) -> RowSetTrajectory:
@@ -149,7 +165,7 @@ def recinit_series(b0: int, rfm_th: int, steps: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# activation budgets
+# activation budget
 
 
 @dataclass(frozen=True)
@@ -165,162 +181,105 @@ def t_available(t: TimingParams) -> int:
     return t.tREFW - (t.tREFW // t.tREFI) * t.tRFC
 
 
-def max_act_budget(t: TimingParams, p: PrfmParams) -> ActBudget:
+def act_budget(t: TimingParams, p: WaveParams) -> ActBudget:
+    """Triggers and activations that fit in the window when each trigger
+    costs divisor activations plus the time it blocks the bank."""
+    _, divisor, _, block = p.wave(t)
     avail = t_available(t)
-    period = p.rfm_th * t.tRC + t.tRFM
-    max_rfm = avail // period
-    return ActBudget(t.tREFW - avail, period, max_rfm, max_rfm * p.rfm_th)
-
-
-def prac_act_budget(t: TimingParams, p: PracParams) -> ActBudget:
-    """Back-off analog: one recovery of bo_n_refs RFMs per divisor activations."""
-    avail = t_available(t)
-    divisor = p.divisor(t)
-    period = divisor * t.tRC + p.bo_n_refs * t.tRFM
-    cycles = avail // period
-    return ActBudget(t.tREFW - avail, period, cycles, cycles * divisor)
+    period = divisor * t.tRC + block
+    triggers = avail // period
+    return ActBudget(t.tREFW - avail, period, triggers, triggers * divisor)
 
 
 # ---------------------------------------------------------------------------
-# security verdicts
+# wave rounds: the kernel behind verdicts, maxima and sweep cells
+
+
+def _feasible_rounds(p: WaveParams, t: TimingParams, b0s):
+    """Yield, for round 1, 2, ..., the starting sizes among b0s (in their
+    order) whose survivors still complete that round inside the window.
+
+    limit(b0) is the largest S for which round i is feasible, the smaller of
+      - the set is still non-empty: removed * (S // divisor) < b0;
+      - the time fits: priming and wave activations cost tRC each and every
+        completed trigger blocks the bank for `block`. With room the window
+        left after the priming and the round's first activation, and
+        q, r = divmod(room, divisor * tRC + block), the last S that fits is
+        q * divisor + min(r // tRC, divisor - 1), negative when room is.
+    """
+    removed, divisor, prime, block = p.wave(t)
+    b0 = np.asarray(b0s, dtype=np.int64)
+    # in place: a full-size bank has 64K sizes, so every temporary array counts
+    limit, r = np.divmod(t_available(t) - (prime * b0 + 1) * t.tRC, divisor * t.tRC + block)
+    r //= t.tRC
+    limit *= divisor
+    limit += np.minimum(r, divisor - 1, out=r)
+    del r
+    np.minimum(limit, divisor * -(-b0 // removed) - 1, out=limit)
+    s = np.zeros_like(b0)
+    while True:
+        keep = s <= limit
+        if not keep.all():
+            b0 = b0[keep]
+            limit = limit[keep]
+            s = s[keep]
+        if not b0.size:
+            return
+        yield b0
+        s += b0 - removed * (s // divisor)   # > 0: s <= limit keeps the set non-empty
+
+
+def _starting_sizes(p: WaveParams, t: TimingParams, rows_per_bank: int):
+    # an attacker cannot touch more distinct rows than it has activations
+    return np.arange(1, max(1, min(rows_per_bank, act_budget(t, p).max_act)) + 1)
+
+
+# ---------------------------------------------------------------------------
+# security verdicts and maximum activation counts
 
 
 @dataclass(frozen=True)
 class Verdict:
     secure: bool
     witness_b0: Optional[int] = None
-    max_act: int = 0
-
-    def __bool__(self):
-        return self.secure
 
 
-def _reach_rounds(b0_max: int, removed: int, divisor: int, rounds_needed: int,
-                  prime_per_row: int, t_avail: int, trc: int,
-                  trigger_block: int) -> Optional[int]:
-    """Smallest starting set size whose survivor completes `rounds_needed`
-    wave rounds inside the refresh-window time budget, or None.
-
-    Round i is feasible for a starting size b0 when the set is non-empty
-    entering the round (B_{i-1} > 0) and the time already spent fits the
-    window: priming and wave activations cost tRC each, and every completed
-    trigger blocks the bank for `trigger_block` (tRFM, or a whole recovery).
-    """
-    if rounds_needed < 1:
-        rounds_needed = 1
-    b0 = np.arange(1, b0_max + 1, dtype=np.int64)
-    b_prev = b0.copy()                  # B_{i-1}, starting with B_0
-    s_prev = np.zeros_like(b0)          # S_{i-1} = activations in rounds 1..i-1
-    alive_mask = np.ones(b0_max, dtype=bool)
-    for _ in range(1, rounds_needed):
-        s_prev = s_prev + b_prev        # S_i
-        b_prev = np.maximum(b0 - removed * (s_prev // divisor), 0)
-        alive_mask &= b_prev > 0
-        if not alive_mask.any():
-            return None
-    spent = ((prime_per_row * b0 + s_prev + 1) * trc
-             + (s_prev // divisor) * trigger_block)
-    feasible = (b_prev > 0) & (spent <= t_avail)
-    if not feasible.any():
-        return None
-    return int(b0[int(np.argmax(feasible))])
-
-
-def _default_b0_max(max_act: int, rows_per_bank: int) -> int:
-    # an attacker cannot touch more distinct rows than it has activations
-    return max(1, min(rows_per_bank, max_act))
-
-
-def is_secure_prfm(n_rh: int, p: PrfmParams, t: TimingParams,
-                   b0_max: Optional[int] = None,
-                   rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Verdict:
+def is_secure(n_rh: int, p: WaveParams, t: TimingParams,
+              rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Verdict:
     """Secure iff no starting set size lets any row collect n_rh activations
-    between refreshes of its victims, within the refresh-window time budget."""
+    between refreshes of its victims, within the refresh-window time budget;
+    otherwise the smallest such size is the witness.
+
+    Under back-off the attacker primes every decoy row to abo_th - 1
+    activations first, so abo_th - 1 + i activations land by round i.
+    Priming costs tRC per activation only (no threshold crossing can fire)."""
     if n_rh < 1:
         raise ConfigError("n_rh must be >= 1")
-    budget = max_act_budget(t, p)
-    if b0_max is None:
-        b0_max = _default_b0_max(budget.max_act, rows_per_bank)
-    witness = _reach_rounds(b0_max, 1, p.rfm_th, n_rh, 0,
-                            t_available(t), t.tRC, t.tRFM)
-    return Verdict(witness is None, witness, budget.max_act)
-
-
-def is_secure_prac(n_rh: int, p: PracParams, t: TimingParams,
-                   b0_max: Optional[int] = None,
-                   rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Verdict:
-    """Back-off verdict; the attacker primes every decoy row to abo_th - 1
-    activations before waving, so abo_th - 1 + i activations land by round i.
-
-    Priming activations cost tRC only (no threshold crossing can fire), so
-    the time budget books them separately from the recovery-laden wave."""
-    if n_rh < 1:
-        raise ConfigError("n_rh must be >= 1")
-    budget = prac_act_budget(t, p)
-    if b0_max is None:
-        b0_max = _default_b0_max(budget.max_act, rows_per_bank)
-    if p.abo_th - 1 >= n_rh:
+    needed = n_rh - p.wave(t)[2]
+    if needed <= 0:
         # priming alone reaches the threshold before any back-off can fire
-        return Verdict(False, 1, budget.max_act)
-    rounds_needed = n_rh - (p.abo_th - 1)
-    witness = _reach_rounds(b0_max, p.bo_n_refs, p.divisor(t), rounds_needed,
-                            p.abo_th - 1, t_available(t), t.tRC,
-                            p.bo_n_refs * t.tRFM)
-    return Verdict(witness is None, witness, budget.max_act)
+        return Verdict(False, 1)
+    rounds = _feasible_rounds(p, t, _starting_sizes(p, t, rows_per_bank))
+    alive = next(islice(rounds, needed - 1, None), None)
+    return Verdict(True) if alive is None else Verdict(False, int(alive[0]))
 
 
-# ---------------------------------------------------------------------------
-# maximum achievable activation counts (sweep cells)
-
-
-def max_activations_prfm(p: PrfmParams, t: TimingParams, b0: int) -> int:
-    """Highest activation count one aggressor reaches before its victims are
-    refreshed, starting from a decoy set of exactly b0 rows."""
-    t_avail = t_available(t)
-    reach = 0
-    b_prev, s_prev = b0, 0
-    while b_prev > 0:
-        spent = (s_prev + 1) * t.tRC + (s_prev // p.rfm_th) * t.tRFM
-        if spent > t_avail:
-            break
-        reach += 1
-        s_prev += b_prev
-        b_prev = max(b0 - (s_prev // p.rfm_th), 0)
-    return reach
+is_secure_prfm = is_secure_prac = is_secure
 
 
 def max_activations_prac(p: PracParams, t: TimingParams,
-                         b0_max: Optional[int] = None,
                          rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> int:
     """Highest activation count under the back-off protocol, maximized over
     the starting set size (decoys are primed to abo_th - 1 first)."""
-    budget = prac_act_budget(t, p)
-    if b0_max is None:
-        b0_max = _default_b0_max(budget.max_act, rows_per_bank)
-    divisor = p.divisor(t)
-    t_avail = t_available(t)
-    block = p.bo_n_refs * t.tRFM
-    b0 = np.arange(1, b0_max + 1, dtype=np.int64)
-    b_prev = b0.copy()
-    s_prev = np.zeros_like(b0)
-    prime = p.abo_th - 1
-    rounds = np.zeros_like(b0)
-    live = np.ones(b0_max, dtype=bool)
-    while live.any():
-        spent = (prime * b0 + s_prev + 1) * t.tRC + (s_prev // divisor) * block
-        feasible = live & (b_prev > 0) & (spent <= t_avail)
-        rounds = np.where(feasible, rounds + 1, rounds)
-        live = feasible
-        s_prev = s_prev + b_prev
-        b_prev = np.maximum(b0 - p.bo_n_refs * (s_prev // divisor), 0)
-    return prime + int(rounds.max())
+    rounds = _feasible_rounds(p, t, _starting_sizes(p, t, rows_per_bank))
+    return p.abo_th - 1 + sum(1 for _ in rounds)
 
 
-def secure_rfm_th(n_rh: int, t: TimingParams, cap: int = 80,
+def secure_rfm_th(n_rh: int, t: TimingParams,
                   rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Optional[int]:
     """Largest rfm_th (up to the protocol cap) secure at n_rh, None if even 1 fails."""
-    for th in range(min(cap, max(n_rh - 1, 1)), 0, -1):
-        if is_secure_prfm(n_rh, PrfmParams(th), t, rows_per_bank=rows_per_bank).secure:
+    for th in range(min(RFM_TH_CAP, max(n_rh - 1, 1)), 0, -1):
+        if is_secure(n_rh, PrfmParams(th), t, rows_per_bank).secure:
             return th
     return None
 
@@ -330,7 +289,7 @@ def secure_abo_th(n_rh: int, t: TimingParams, bo_n_refs: int = 4, bo_n_acts: int
     """Largest abo_th secure at n_rh for the given recovery settings."""
     for th in range(n_rh - 1, 0, -1):
         p = PracParams(th, bo_n_refs, bo_n_acts)
-        if is_secure_prac(n_rh, p, t, rows_per_bank=rows_per_bank).secure:
+        if is_secure(n_rh, p, t, rows_per_bank).secure:
             return th
     return None
 
@@ -363,7 +322,8 @@ class SweepGrid:
 def sweep(grid: SweepGrid, t: TimingParams,
           rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> list:
     """One row per grid point: the worst-case activation count and the
-    smallest RowHammer threshold the point is secure against."""
+    smallest RowHammer threshold the point is secure against. A PRFM cell
+    counts the rounds its own decoy set size b0 completes."""
     if grid.thresholds is not None:
         thresholds = grid.thresholds
     else:
@@ -374,10 +334,10 @@ def sweep(grid: SweepGrid, t: TimingParams,
         if not thresholds or not grid.b0_values:
             raise ConfigError("empty sweep grid")
         for th in thresholds:
-            p = PrfmParams(th)
-            for b0 in grid.b0_values:
-                m = max_activations_prfm(p, t, b0)
-                rows.append(("prfm", th, b0, m, m + 1))
+            reach = dict.fromkeys(grid.b0_values, 0)
+            for i, alive in enumerate(_feasible_rounds(PrfmParams(th), t, tuple(reach)), 1):
+                reach.update(dict.fromkeys(alive.tolist(), i))
+            rows += [("prfm", th, b0, reach[b0], reach[b0] + 1) for b0 in grid.b0_values]
     else:
         if not thresholds or not grid.bo_n_refs_values:
             raise ConfigError("empty sweep grid")

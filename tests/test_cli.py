@@ -44,6 +44,44 @@ def test_analyze_require_secure_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_analyze_prac_verdict_is_per_row(tmp_path):
+    # each row is judged with its own bo_n_refs: insecure exactly when its
+    # maximum reaches n_rh
+    out = tmp_path / "prac.csv"
+    assert main(["analyze", "--mech", "prac", "--nrh", "64", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    assert {(r[1], r[2]): r[5] for r in rows}[("57", "1")] == "insecure"
+    for r in rows:
+        assert r[5] == ("secure" if int(r[3]) < 64 else "insecure"), r
+
+
+def test_storage_without_secure_threshold_is_config_error(tmp_path):
+    # no rfm_th or abo_th is secure at n_rh = 4, as simulate reports for it
+    assert main(["storage", "--nrh", "4", "--out", str(tmp_path / "s.csv")]) == 2
+
+
+# sha256 of the analyzer CSVs, so analyzer refactors and speedups can show
+# they keep every byte
+ANALYZER_GOLDEN = {
+    "analyze-prfm-nrh64": (["analyze", "--mech", "prfm", "--nrh", "64"],
+                           "a8a4878dc51d16742e95988e4e94e9879be93b76f91c5e07494af8efa5b6ab10"),
+    "analyze-prac": (["analyze", "--mech", "prac"],
+                     "e41206ec6a4dc3f5a5bc563e49054e5e7b597b6114498154bdf7d68d00a0c137"),
+    "attack-theory": (["attack-theory"],
+                      "6ba76685d124c2a978b90f0156a9a2ec300b0c23f0a95ad07b1aadfadebad8bb"),
+    "storage-64-16": (["storage", "--nrh", "64", "16"],
+                      "cf607fc60e15e5906e961279ee91ad4d4c2e0d78302f5924e4c8b528759d40c2"),
+}
+
+
+@pytest.mark.parametrize("name", ANALYZER_GOLDEN)
+def test_analyzer_csv_golden(tmp_path, name):
+    argv, digest = ANALYZER_GOLDEN[name]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_attack_theory_defaults(tmp_path):
     out = tmp_path / "at.csv"
     assert main(["attack-theory", "--out", str(out)]) == 0

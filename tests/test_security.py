@@ -8,21 +8,22 @@ from pracsim.security import (
     PracParams,
     PrfmParams,
     SweepGrid,
+    act_budget,
+    is_secure,
     is_secure_prac,
     is_secure_prfm,
-    max_act_budget,
     max_activations_prac,
-    max_activations_prfm,
-    prac_act_budget,
     prac_trajectory,
     prfm_trajectory,
     recinit_series,
     secure_abo_th,
     secure_rfm_th,
     sweep,
+    t_available,
     wave_trajectory,
 )
 from pracsim.timing import ConfigError, preset
+from pracsim.workloads import desk_timing
 
 APP = preset("analysis-appendix")
 PRAC_T = preset("ddr5-3200an-prac")
@@ -108,7 +109,7 @@ def test_param_validation():
 # ---------------------------------------------------------------- budgets
 
 def test_budget_appendix_numbers_exact():
-    b = max_act_budget(APP, PrfmParams(6))
+    b = act_budget(APP, PrfmParams(6))
     assert b.d_allref == 2_420_475_000                    # ~2.42 ms
     assert APP.tREFW - b.d_allref == 29_579_525_000       # ~29.58 ms
     assert b.t_rfm_period == 577_000                      # 577 ns exact
@@ -117,14 +118,14 @@ def test_budget_appendix_numbers_exact():
 
 
 def test_budget_other_thresholds():
-    b = max_act_budget(APP, PrfmParams(5))
+    b = act_budget(APP, PrfmParams(5))
     assert b.t_rfm_period == 5 * 47_000 + 295_000
     assert b.max_act == (29_579_525_000 // b.t_rfm_period) * 5
 
 
 def test_prac_budget_period():
     p = PracParams(abo_th=60, bo_n_refs=4, bo_n_acts=1)
-    b = prac_act_budget(PRAC_T, p)
+    b = act_budget(PRAC_T, p)
     assert b.t_rfm_period == 4 * 52_000 + 4 * 350_000
     assert b.max_act == (29_579_525_000 // b.t_rfm_period) * 4
 
@@ -194,14 +195,14 @@ def test_prac_max_activations_most_aggressive_is_nine():
 
 
 def test_prfm_max_count_minimal_at_threshold_one():
-    for b0 in (1, 7, 64, 256):
-        assert max_activations_prfm(PrfmParams(1), APP, b0) == 1
+    rows = sweep(SweepGrid("prfm", thresholds=(1,), b0_values=(1, 7, 64, 256)), APP)
+    assert [r[3] for r in rows] == [1, 1, 1, 1]
 
 
 def test_prfm_max_count_matches_first_zero():
-    p = PrfmParams(4)
-    traj = prfm_trajectory(8, p)
-    assert max_activations_prfm(p, APP, 8) == traj.first_zero == 10
+    traj = prfm_trajectory(8, PrfmParams(4))
+    [row] = sweep(SweepGrid("prfm", thresholds=(4,), b0_values=(8,)), APP)
+    assert row[3] == traj.first_zero == 10
 
 
 def test_secure_threshold_derivations():
@@ -210,6 +211,60 @@ def test_secure_threshold_derivations():
     assert secure_rfm_th(16, APP) == 1
     assert secure_abo_th(10, PRAC_T) == 6
     assert secure_abo_th(16, PRAC_T) == 12
+
+
+# ------------------------------------------------ kernel against a scalar loop
+
+KERNEL_TIMINGS = (APP, PRAC_T, desk_timing(preset("ddr5-3200an-base")), desk_timing(PRAC_T),
+                  replace(PRAC_T, tABO_ACT=10_000))
+WAVE_PARAMS = st.one_of(
+    st.builds(PrfmParams, st.integers(1, 32)),
+    st.builds(PracParams, st.integers(1, 40), st.sampled_from([1, 2, 4]),
+              st.sampled_from([1, 2, 4])))
+
+
+def _wave(p, t):
+    """(removed, divisor, prime, block), written out from the protocol."""
+    if isinstance(p, PrfmParams):
+        return 1, p.rfm_th, 0, t.tRFM
+    return p.bo_n_refs, p.bo_n_acts + t.tABO_ACT // t.tRC, p.abo_th - 1, p.bo_n_refs * t.tRFM
+
+
+def _scalar_rounds(p, t, b0):
+    """Wave rounds a starting set of b0 rows completes, one round at a time:
+    round i runs while the set is non-empty and its first activation, after
+    the priming and the wave so far (tRC each) and every trigger's block,
+    still fits the refresh window."""
+    removed, divisor, prime, block = _wave(p, t)
+    rounds, b, s = 0, b0, 0
+    while b > 0 and (prime * b0 + s + 1) * t.tRC + (s // divisor) * block <= t_available(t):
+        rounds += 1
+        s += b
+        b = max(b0 - removed * (s // divisor), 0)
+    return rounds
+
+
+def _scalar_sizes(p, t, rows_per_bank):
+    _, divisor, _, block = _wave(p, t)
+    max_act = t_available(t) // (divisor * t.tRC + block) * divisor
+    return range(1, max(1, min(rows_per_bank, max_act)) + 1)
+
+
+@given(p=WAVE_PARAMS, t=st.sampled_from(KERNEL_TIMINGS), n_rh=st.integers(1, 80),
+       rows=st.integers(1, 128))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_scalar_loop(p, t, n_rh, rows):
+    prime = _wave(p, t)[2]
+    reach = {b0: _scalar_rounds(p, t, b0) for b0 in _scalar_sizes(p, t, rows)}
+    witnesses = [b0 for b0, r in reach.items() if prime + r >= n_rh]
+    v = is_secure(n_rh, p, t, rows_per_bank=rows)
+    assert (v.secure, v.witness_b0) == ((False, 1) if n_rh <= prime else
+                                        (not witnesses, min(witnesses, default=None)))
+    if isinstance(p, PracParams):
+        assert max_activations_prac(p, t, rows_per_bank=rows) == prime + max(reach.values())
+    else:
+        cells = sweep(SweepGrid("prfm", thresholds=(p.rfm_th,), b0_values=tuple(reach)), t)
+        assert [r[3] for r in cells] == list(reach.values())
 
 
 # ---------------------------------------------------------------- sweep
