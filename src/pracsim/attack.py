@@ -88,9 +88,9 @@ class WaveAttacker:
         self.priming = priming
         self.sizes = [rows]
 
-    def on_refresh(self, bank: int, aggressor: int):
-        if bank == self.bank:
-            self.live.discard(aggressor)
+    def on_refresh(self, aggressor: int):
+        """An RFM refreshed the victims of `aggressor` on this bank."""
+        self.live.discard(aggressor)
 
     def prime_rows(self):
         for row in sorted(self.live):
@@ -177,22 +177,21 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
         realized = max(realized, dev.banks[bank].counters.get(row, 0))
         tick(t.tRC)
 
-    def drain_obligations():
+    def rfm(addr):
         nonlocal rfms
+        events = dev.issue(RFMAB, addr, max(now, dev.blocked_until))
+        # one ('refreshed', bank, aggressor, victims) event per bank, in bank order
+        attacker.on_refresh(events[bank][2])
+        tick(t.tRFM)
+        rfms += 1
+
+    def drain_obligations():
         if dev.fsm is not None:
             while dev.fsm.phase == "recovery":
-                for ev in dev.issue(RFMAB, None, max(now, dev.blocked_until)):
-                    if ev[0] == "refreshed":
-                        attacker.on_refresh(ev[1], ev[2])
-                tick(t.tRFM)
-                rfms += 1
+                rfm(None)
         elif prfm_th is not None:
             while dev.banks[bank].raa >= prfm_th:
-                for ev in dev.issue(RFMAB, (bank, -1), max(now, dev.blocked_until)):
-                    if ev[0] == "refreshed":
-                        attacker.on_refresh(ev[1], ev[2])
-                tick(t.tRFM)
-                rfms += 1
+                rfm((bank, -1))
 
     for row in attacker.prime_rows():
         act_pre(row)   # priming stays below any threshold, no obligations fire

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -85,9 +84,13 @@ def _gnuplot_stub(csv_path):
 
 def cmd_analyze(args) -> int:
     t = preset(args.preset)
+    # an option the mechanism never reads is rejected, like a config key
+    unread = {"prac": ("b0",), "prfm": ("bo_n_refs", "bo_n_acts")}[args.mech]
+    _reject("analyze", [f"--{k.replace('_', '-')}" for k in unread
+                        if getattr(args, k) is not None], f"with --mech {args.mech}")
     given = {"thresholds": args.thresholds, "b0_values": args.b0,
              "bo_n_refs_values": args.bo_n_refs}
-    grid = SweepGrid(args.mech, bo_n_acts=args.bo_n_acts,
+    grid = SweepGrid(args.mech, bo_n_acts=1 if args.bo_n_acts is None else args.bo_n_acts,
                      **{k: tuple(v) for k, v in given.items() if v is not None})
     rows = sweep(grid, t)
     verdicts = {}   # params -> verdict, shared by the PRFM rows of a threshold
@@ -146,7 +149,8 @@ def cmd_storage(args) -> int:
     lines = ["mechanism,n_rh,cpu_bits,dram_bits"]
     for n in args.nrh:
         for kind in ("prac", "prfm", "graphene", "hydra", "para"):
-            sb = storage_cost(_mechanism(kind, n, {}, topo)[0], n, topo)
+            t = preset(MECHANISMS[kind][0])
+            sb = storage_cost(_mechanism(kind, n, {}, topo, t)[0], n, topo)
             lines.append(f"{kind},{n},{sb.cpu_bits},{sb.dram_bits}")
     out = args.out or "storage.csv"
     _write_lines(out, lines)
@@ -231,6 +235,7 @@ class RunSpec:
     attacker: Optional[AttackSpec]  # core 0's row-conflict hammer (attacker = dos)
     first_benign: int               # 1 with the attacker on core 0, else 0
     baseline: Optional["RunSpec"]   # the same config with kind = none; None if it is
+    derived_secure: bool            # analyzer-derived thresholds: no violation allowed
 
 
 def _reject(section: str, keys, why: str):
@@ -246,17 +251,16 @@ def _setting(sec: dict, key: str, derive, n_rh: int, *args):
     return value
 
 
-def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology):
+def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology, t: TimingParams):
     """Mechanism config and device prac dict; thresholds not set in the config
-    are derived from the security analysis at full size."""
+    are derived from the security analysis at timing t and full size."""
     refs, acts = sec.get("bo_n_refs", 4), sec.get("bo_n_acts", 1)
     prfm = prac = None
     if "rfm_th" in MECHANISMS[kind][1]:
-        prfm = PrfmParams(_setting(sec, "rfm_th", secure_rfm_th, n_rh,
-                                   preset("analysis-appendix")))
+        prfm = PrfmParams(_setting(sec, "rfm_th", secure_rfm_th, n_rh, t))
     if "abo_th" in MECHANISMS[kind][1]:
-        prac = PracParams(_setting(sec, "abo_th", secure_abo_th, n_rh,
-                                   preset("ddr5-3200an-prac"), refs, acts), refs, acts)
+        prac = PracParams(_setting(sec, "abo_th", secure_abo_th, n_rh, t, refs, acts),
+                          refs, acts)
     mit = {
         "none": NoMitigation,
         "prfm": lambda: Prfm(prfm),
@@ -292,8 +296,11 @@ def resolve_spec(cfg: dict) -> RunSpec:
     _reject("workload", {"attacker_rows", "attacker_banks"} & set(wl) if attacker == "none"
             else (), "without attacker = dos")
     t = timing_from_config(cfg, preset_name)
-    topo, t = (Topology.desk(), desk_timing(t)) if desk else (Topology(), t)
-    mit, prac = _mechanism(kind, n_rh, sec, topo)
+    topo = Topology.desk() if desk else Topology()
+    # thresholds are derived at the run's own timing, before desk scaling
+    mit, prac = _mechanism(kind, n_rh, sec, topo, t)
+    if desk:
+        t = desk_timing(t)
     return RunSpec(
         n_rh=n_rh, topo=topo, timing=t, mitigation=mit, prac=prac,
         counter_bits=counter_width(max(n_rh, 2)),
@@ -305,7 +312,9 @@ def resolve_spec(cfg: dict) -> RunSpec:
             banks=wl.get("attacker_banks", 4)),
         first_benign=int(attacker == "dos"),
         baseline=None if kind == "none" else resolve_spec(
-            {**cfg, "mitigation": {"kind": "none", "n_rh": n_rh}}))
+            {**cfg, "mitigation": {"kind": "none", "n_rh": n_rh}}),
+        derived_secure=kind in ("prfm", "prac", "prac+prfm")
+        and not {"rfm_th", "abo_th"} & set(sec))
 
 
 @lru_cache(maxsize=2)
@@ -317,7 +326,10 @@ def _run(spec: RunSpec, traces, monitor: Optional[DisturbanceMonitor] = None):
     dev = DeviceState(spec.topo, spec.timing, prac=spec.prac, monitor=monitor,
                       counter_bits=spec.counter_bits)
     ctrl = MemoryController(spec.topo, spec.timing, dev, spec.mitigation, seed=spec.seed)
-    return run_cores(traces, ctrl, spec.stop)
+    result = run_cores(traces, ctrl, spec.stop)
+    if not dev.conservation_holds():
+        raise RuntimeError(f"counter conservation broken after {dev.counts['PRE']} closes")
+    return result
 
 
 def alone_ipcs(spec: RunSpec, mix: MixSpec, traces, cache: Optional[dict] = None) -> list:
@@ -338,7 +350,9 @@ def run_mix(spec: RunSpec, mix_index: int, traces=None,
             solo_cache: Optional[dict] = None) -> SimReport:
     """Run one mix under spec with the safety monitor on; core 0 becomes the
     attacker under attacker = dos. `traces` may carry the mix's materialized
-    traces. The report's weighted speedup covers the benign cores only."""
+    traces. The report's weighted speedup covers the benign cores only.
+    Raises RuntimeError if counter conservation breaks, or if the monitor
+    sees n_rh activations under analyzer-derived thresholds."""
     mix = build_mixes(spec.mixes, spec.seed)[mix_index]
     traces = list(traces or materialize_mix(mix, spec.records, spec.topo))
     if spec.attacker is not None:
@@ -347,6 +361,10 @@ def run_mix(spec: RunSpec, mix_index: int, traces=None,
     alone = alone_ipcs(spec, mix, traces, solo_cache)
     result = _run(spec, traces, DisturbanceMonitor(spec.n_rh, spec.topo.rows_per_bank))
     label = f"{mix.name}-{mix_index}-{spec.mitigation.name}-{spec.n_rh}"
+    if spec.derived_secure and result.monitor_violations:
+        raise RuntimeError(f"{label}: (bank, victim, aggressor, count) "
+                           f"{result.monitor_violations[0]} reached n_rh under "
+                           "analyzer-derived thresholds")
     return build_report(label, spec.seed, result, alone, first_benign=spec.first_benign)
 
 
@@ -354,6 +372,8 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
     spec = resolve_spec(cfg)
     workers = int(os.environ.get("PRACSIM_WORKERS", "1"))
     if workers > 1:
+        # imported here: multiprocessing costs every single-worker run ~2.5 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_mix, repeat(spec), range(spec.mixes)))
     else:
@@ -401,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--thresholds", type=int, nargs="*", default=None)
     a.add_argument("--b0", type=int, nargs="*", default=None)
     a.add_argument("--bo-n-refs", type=int, nargs="*", default=None)
-    a.add_argument("--bo-n-acts", type=int, default=1)
+    a.add_argument("--bo-n-acts", type=int, default=None)
     a.add_argument("--nrh", type=int)
     a.add_argument("--require-secure", action="store_true")
     a.add_argument("--gnuplot-stub", action="store_true")

@@ -142,21 +142,15 @@ class MemoryController:
         self._choice_cache.pop(bank_idx, None)
         return req
 
-    def pending(self) -> int:
-        return len(self.read_q) + len(self.write_q)
-
     # --------------------------------------------------------- device helpers
-
-    def _handle_events(self, events):
-        for ev in events:
-            if ev[0] == "backoff_assert":
-                self.bo_deadline = ev[1] + self.t.tABO_ACT
-                self.stat["backoffs"] += 1
 
     def _close_row(self, bank_idx: int, at: int) -> int:
         b = self.dev.banks[bank_idx]
         pre_at = max(at, b.pre_ok, self.cmd_bus_free, self.dev.blocked_until)
-        self._handle_events(self.dev.issue(PRE, (bank_idx, b.open_row), pre_at))
+        # a precharge's only event is the back-off assert
+        for _, assert_ts in self.dev.issue(PRE, (bank_idx, b.open_row), pre_at):
+            self.bo_deadline = assert_ts + self.t.tABO_ACT
+            self.stat["backoffs"] += 1
         self.cmd_bus_free = pre_at + self.t.clock_period
         self._choice_cache.pop(bank_idx, None)
         return pre_at
@@ -176,7 +170,7 @@ class MemoryController:
             # the recovery cannot wait out a whole tRFC, so it goes first
             at = max(at, self._serve_recovery(at))
         at = max(at, self.dev.blocked_until, self.cmd_bus_free)
-        self._handle_events(self.dev.issue(REF, None, at))
+        self.dev.issue(REF, None, at)
         self.stat["refs"] += 1
         self.next_ref += self.t.tREFI
         self.cmd_bus_free = at + self.t.clock_period
@@ -185,7 +179,7 @@ class MemoryController:
         at = self._close_all_rows(at)
         at = max(at, self.dev.blocked_until, self.cmd_bus_free)
         addr = (triggered_bank, -1) if triggered_bank is not None else None
-        self._handle_events(self.dev.issue(RFMAB, addr, at))
+        self.dev.issue(RFMAB, addr, at)   # its refresh reports need no action here
         self.stat["rfms"] += 1
         self.cmd_bus_free = at + self.t.clock_period
         return at
@@ -388,7 +382,7 @@ class MemoryController:
                 # periodic refresh management fires before the next activation
                 self._issue_rfm(at, triggered_bank=req.bank_idx)
                 return
-            self._handle_events(self.dev.issue(ACT, (req.bank_idx, req.row), at))
+            self.dev.issue(ACT, (req.bank_idx, req.row), at)
             self.stat["acts"] += 1
             self.cmd_bus_free = at + self.t.clock_period
             self._choice_cache.pop(req.bank_idx, None)
@@ -396,7 +390,7 @@ class MemoryController:
                 self._apply_action(self.mech.on_activation(req.bank_idx, req.row, at),
                                    req.bank_idx, at)
         else:  # RD / WR
-            self._handle_events(self.dev.issue(cmd, (req.bank_idx, req.row), at))
+            self.dev.issue(cmd, (req.bank_idx, req.row), at)
             self.cmd_bus_free = at + self.t.clock_period
             # consecutive column commands keep their bursts apart on the bus
             self.data_bus_free = at + BURST_PS

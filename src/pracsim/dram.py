@@ -19,6 +19,7 @@ fatal, the fuzz tests treat it as a failed property.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -150,30 +151,42 @@ class DisturbanceMonitor:
     radius; the per-(victim, aggressor) tally resets when the victim row is
     refreshed. A tally reaching n_rh is a bitflip witness. Rows are
     bank-local: 0 <= row < rows_per_bank.
+
+    `tallies` counts each bank's `pair` keys; the device skips the refresh
+    call for a bank with none, which could not change anything here.
     """
 
     def __init__(self, n_rh: int, rows_per_bank: int):
         self.n_rh = n_rh
         self.rows_per_bank = rows_per_bank
         self.pair: dict = {}      # (bank, victim, aggressor) -> count
+        self.tallies = defaultdict(int)   # bank -> number of its keys in pair
         self.max_pair = 0
         self.violations: list = []
 
     def on_act(self, bank: int, row: int):
+        pair = self.pair
         for victim in victim_rows(row, self.rows_per_bank):
             key = (bank, victim, row)
-            c = self.pair.get(key, 0) + 1
-            self.pair[key] = c
+            c = pair.get(key, 0) + 1
+            pair[key] = c
+            if c == 1:
+                self.tallies[bank] += 1
             if c > self.max_pair:
                 self.max_pair = c
             if c >= self.n_rh:
                 self.violations.append((bank, victim, row, c))
 
-    def on_row_refreshed(self, bank: int, row: int):
-        # the blast radius is symmetric, so the aggressors that tallied this
-        # victim are exactly the rows within it
-        for aggressor in victim_rows(row, self.rows_per_bank):
-            self.pair.pop((bank, row, aggressor), None)
+    def on_row_refreshed(self, bank: int, *rows: int):
+        """The victim rows `rows` of `bank` were refreshed: drop their tallies."""
+        pair = self.pair
+        before = len(pair)
+        for row in rows:
+            # the blast radius is symmetric, so the aggressors that tallied
+            # this victim are exactly the rows within it
+            for aggressor in victim_rows(row, self.rows_per_bank):
+                pair.pop((bank, row, aggressor), None)
+        self.tallies[bank] -= before - len(pair)
 
 
 class DeviceState:
@@ -230,8 +243,9 @@ class DeviceState:
     def issue(self, cmd: str, addr, now: int) -> list:
         """Apply one command; addr is (bank_index, row) or None for REF/RFMab.
 
-        Returns a list of event tuples, e.g. ('backoff_assert', ts) or
-        ('refreshed', bank, aggressor_row, victims).
+        Returns a list of event tuples: PRE may return ('backoff_assert', ts),
+        REF returns ('ref', rows), RFMab one ('refreshed', bank, aggressor_row,
+        victims) per bank; ACT, RD and WR return none.
         """
         events = []
         self._check(self.blocked_until, now, "tRFC/tRFM busy")
@@ -302,23 +316,24 @@ class DeviceState:
         """All-bank RFM: refresh the victims of every bank's hottest row, and
         reset the activation count of the bank that triggered it, if any.
 
-        Returns ('refreshed', bank, aggressor, victims) events; the aggressor
-        report is the attacker feedback channel.
+        Returns one ('refreshed', bank, aggressor, victims) event per bank,
+        in bank order; the aggressor report is the attacker feedback channel.
+        A bank with no counters refreshes the victims of row 0.
         """
         events = []
+        idle = victim_rows(0, self.topo.rows_per_bank)
+        monitor = self.monitor
+        tallies = {} if monitor is None else monitor.tallies
         for bi, b in enumerate(self.banks):
+            aggressor, victims = 0, idle
             if b.counters:
                 best = max(b.counters.values())
                 rows = [r for r, c in b.counters.items() if c == best]
                 aggressor = min(rows) if self.tie_break == "low" else max(rows)
-            else:
-                aggressor = 0  # deterministic fallback, no-op security-wise
-            victims = victim_rows(aggressor, self.topo.rows_per_bank)
-            cleared = b.counters.pop(aggressor, 0)
-            self.cleared_counts += cleared
-            if self.monitor is not None:
-                for v in victims:
-                    self.monitor.on_row_refreshed(bi, v)
+                victims = victim_rows(aggressor, self.topo.rows_per_bank)
+                self.cleared_counts += b.counters.pop(aggressor)
+            if tallies.get(bi):
+                monitor.on_row_refreshed(bi, *victims)
             events.append(("refreshed", bi, aggressor, victims))
         if triggered_bank is not None:
             self.banks[triggered_bank].raa = 0
@@ -326,25 +341,29 @@ class DeviceState:
 
     def refresh_rows(self, bank_idx: int, rows) -> None:
         """Targeted row refreshes (controller-side preventive actions)."""
-        b = self.banks[bank_idx]
+        counters = self.banks[bank_idx].counters
         for r in rows:
-            if r in b.counters:
-                self.cleared_counts += b.counters.pop(r)
-            if self.monitor is not None:
-                self.monitor.on_row_refreshed(bank_idx, r)
+            if r in counters:
+                self.cleared_counts += counters.pop(r)
+        if self.monitor is not None and self.monitor.tallies.get(bank_idx):
+            self.monitor.on_row_refreshed(bank_idx, *rows)
 
     def _serve_ref(self, now: int) -> list:
         start = self.ref_pointer
         rows = [(start + i) % self.topo.rows_per_bank for i in range(self.rows_per_ref)]
         self.ref_pointer = (start + self.rows_per_ref) % self.topo.rows_per_bank
-        for bi, b in enumerate(self.banks):
+        for b in self.banks:
             if b.open_row is not None:
                 raise ProtocolError("ref-open-row", 0, "REF with an open row")
-            for r in rows:
-                if self.ref_resets_counters and r in b.counters:
-                    self.cleared_counts += b.counters.pop(r)
-                if self.monitor is not None:
-                    self.monitor.on_row_refreshed(bi, r)
+            if self.ref_resets_counters and b.counters:
+                for r in rows:
+                    if r in b.counters:
+                        self.cleared_counts += b.counters.pop(r)
+        if self.monitor is not None:
+            # only banks with tallies can change; the walk updates counts in place
+            for bi, n in self.monitor.tallies.items():
+                if n:
+                    self.monitor.on_row_refreshed(bi, *rows)
         return [("ref", tuple(rows))]
 
     # ------------------------------------------------------------- accounting

@@ -1,5 +1,5 @@
-"""Weighted speedup, per-command energy accounting, latency percentiles,
-slowdown statistics and report assembly.
+"""Weighted speedup, per-command energy accounting, latency percentiles
+and report assembly.
 
 The energy model is a flat per-command table plus background power
 (DDR5_ENERGY). It deliberately replaces a current-waveform model; every
@@ -133,32 +133,4 @@ def build_report(label: str, seed: int, result: RunResult, alone_ipcs,
         latency_ps=latency_percentiles(result.read_latencies),
         max_row_activation_between_refreshes=result.max_pair_disturbance,
         min_deadline_slack=result.min_deadline_slack,
-    )
-
-
-@dataclass(frozen=True)
-class SlowdownStats:
-    avg_ws_loss_pct: float
-    max_ws_loss_pct: float
-    max_single_app_slowdown_pct: float
-
-
-def slowdown_stats(baseline: list, treated: list) -> SlowdownStats:
-    """Percentage weighted-speedup losses and the worst per-core IPC ratio
-    across matched (same label) report pairs."""
-    if len(baseline) != len(treated):
-        raise ConfigError("mismatched report lists")
-    losses = []
-    worst_app = 0.0
-    for b, tr in zip(baseline, treated):
-        if b.label != tr.label:
-            raise ConfigError(f"mismatched mixes: {b.label} vs {tr.label}")
-        losses.append(100.0 * (1.0 - tr.weighted_speedup / b.weighted_speedup))
-        for bi, ti in zip(b.shared_ipcs, tr.shared_ipcs):
-            if bi > 0:
-                worst_app = max(worst_app, 100.0 * (1.0 - ti / bi))
-    return SlowdownStats(
-        avg_ws_loss_pct=sum(losses) / len(losses),
-        max_ws_loss_pct=max(losses),
-        max_single_app_slowdown_pct=worst_app,
     )

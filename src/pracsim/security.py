@@ -31,6 +31,13 @@ the wave activations of rounds 1..i-1, stays at or under a limit fixed by b0
 alone: the set must still be non-empty and the time spent must fit the
 window. S never decreases, so each size's feasible rounds form a prefix, and
 a size that fails a round is dropped for good.
+
+A smaller threshold triggers refresh management sooner, so the secure
+thresholds are almost always a prefix 1..th*; but where the window binds,
+priming can cost a larger threshold's attack a round (analysis-appendix,
+n_rh 38, bo_n_refs 2: abo_th 21 is insecure, 22 secure). secure_rfm_th and
+secure_abo_th therefore bisect to a secure threshold whose successor is not,
+then judge every larger one, first against sizes that broke another.
 """
 
 from __future__ import annotations
@@ -255,13 +262,18 @@ def is_secure(n_rh: int, p: WaveParams, t: TimingParams,
     Priming costs tRC per activation only (no threshold crossing can fire)."""
     if n_rh < 1:
         raise ConfigError("n_rh must be >= 1")
+    witness = _witness(n_rh, p, t, _starting_sizes(p, t, rows_per_bank))
+    return Verdict(witness is None, witness)
+
+
+def _witness(n_rh: int, p: WaveParams, t: TimingParams, b0s) -> Optional[int]:
+    """The first starting size in b0s that gives some row n_rh activations."""
     needed = n_rh - p.wave(t)[2]
     if needed <= 0:
         # priming alone reaches the threshold before any back-off can fire
-        return Verdict(False, 1)
-    rounds = _feasible_rounds(p, t, _starting_sizes(p, t, rows_per_bank))
-    alive = next(islice(rounds, needed - 1, None), None)
-    return Verdict(True) if alive is None else Verdict(False, int(alive[0]))
+        return int(b0s[0])
+    alive = next(islice(_feasible_rounds(p, t, b0s), needed - 1, None), None)
+    return None if alive is None else int(alive[0])
 
 
 is_secure_prfm = is_secure_prac = is_secure
@@ -275,23 +287,47 @@ def max_activations_prac(p: PracParams, t: TimingParams,
     return p.abo_th - 1 + sum(1 for _ in rounds)
 
 
+def _largest_secure(n_rh: int, params, top: int, t: TimingParams,
+                    rows_per_bank: int) -> Optional[int]:
+    """Largest th in 1..top with params(th) secure at n_rh, None if there is
+    none; exact although the verdict need not be monotone in th."""
+    broke = set()   # starting sizes that witnessed some threshold insecure
+
+    def secure(th):
+        p = params(th)
+        sizes = _starting_sizes(p, t, rows_per_bank)
+        known = [w for w in broke if w <= sizes[-1]]
+        if known and _witness(n_rh, p, t, known) is not None:
+            return False
+        witness = _witness(n_rh, p, t, sizes)
+        if witness is not None:
+            broke.add(witness)
+        return witness is None
+
+    if top > 0 and secure(top):
+        return top
+    lo, hi = 0, top   # bisect to a secure lo (or 0) whose successor hi is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if secure(mid) else (lo, mid)
+    for th in range(hi + 1, top + 1):
+        if secure(th):
+            lo = th
+    return lo or None
+
+
 def secure_rfm_th(n_rh: int, t: TimingParams,
                   rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Optional[int]:
     """Largest rfm_th (up to the protocol cap) secure at n_rh, None if even 1 fails."""
-    for th in range(min(RFM_TH_CAP, max(n_rh - 1, 1)), 0, -1):
-        if is_secure(n_rh, PrfmParams(th), t, rows_per_bank).secure:
-            return th
-    return None
+    return _largest_secure(n_rh, PrfmParams, min(RFM_TH_CAP, max(n_rh - 1, 1)), t,
+                           rows_per_bank)
 
 
 def secure_abo_th(n_rh: int, t: TimingParams, bo_n_refs: int = 4, bo_n_acts: int = 1,
                   rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Optional[int]:
     """Largest abo_th secure at n_rh for the given recovery settings."""
-    for th in range(n_rh - 1, 0, -1):
-        p = PracParams(th, bo_n_refs, bo_n_acts)
-        if is_secure(n_rh, p, t, rows_per_bank).secure:
-            return th
-    return None
+    return _largest_secure(n_rh, lambda th: PracParams(th, bo_n_refs, bo_n_acts), n_rh - 1,
+                           t, rows_per_bank)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .controller import BLOCK_BYTES, MemoryController
-from .dram import DeviceState, Topology
-from .mitigations import NoMitigation
-from .timing import ConfigError, TimingParams, preset
+from .dram import Topology
+from .timing import ConfigError, TimingParams
 
 CPU_CYCLE_PS = 238          # ~4.2 GHz
 RETIRE_WIDTH = 4
@@ -68,19 +67,6 @@ class Trace:
             fh.write("bubble_count,op,address\n")
             for r in self.records:
                 fh.write(f"{r.bubble_count},{r.op},{r.address:#x}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        opener = gzip.open if str(path).endswith(".gz") else open
-        records = []
-        with opener(path, "rt") as fh:
-            header = fh.readline().strip()
-            if header != "bubble_count,op,address":
-                raise ConfigError(f"unrecognized trace header {header!r}")
-            for line in fh:
-                bubble, op, addr = line.strip().split(",")
-                records.append(TraceRecord(int(bubble), op, int(addr, 16)))
-        return cls(records)
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +373,3 @@ def run_cores(traces, controller: MemoryController,
         preventive_refreshes=controller.stat["preventive_refreshes"],
         backoffs=controller.stat["backoffs"],
     )
-
-
-def measure_rbmpki(trace: Trace, topo: Optional[Topology] = None,
-                   t: Optional[TimingParams] = None) -> float:
-    """Row-buffer misses per kilo-instruction on the reference controller,
-    measured solo with no mitigation."""
-    topo = topo or Topology()
-    t = t or preset("ddr5-3200an-base")
-    dev = DeviceState(topo, t)
-    ctrl = MemoryController(topo, t, dev, NoMitigation())
-    result = run_cores([trace], ctrl, StopCondition(None, 30_000_000))
-    instrs = result.instructions[0]
-    if instrs == 0:
-        return 0.0
-    return 1000.0 * result.controller_stat["acts"] / instrs

@@ -1,9 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from pracsim import cli
 from pracsim.cli import main, resolve_spec
-from pracsim.configfile import SCHEMA, RunManifest, parse_config
+from pracsim.configfile import SCHEMA, RunManifest, parse_config, timing_from_config
+from pracsim.dram import DeviceState
+from pracsim.security import is_secure
 from pracsim.timing import ConfigError
 
 TINY_WORKLOAD = {"mixes": "6", "records": "64", "instructions_per_core": "100",
@@ -53,6 +57,15 @@ def test_analyze_prac_verdict_is_per_row(tmp_path):
     assert {(r[1], r[2]): r[5] for r in rows}[("57", "1")] == "insecure"
     for r in rows:
         assert r[5] == ("secure" if int(r[3]) < 64 else "insecure"), r
+
+
+@pytest.mark.parametrize("mech, unread", [
+    ("prac", ["--b0", "8"]), ("prfm", ["--bo-n-refs", "2"]), ("prfm", ["--bo-n-acts", "2"])])
+def test_analyze_rejects_options_the_mechanism_never_reads(tmp_path, mech, unread):
+    out = tmp_path / "a.csv"
+    assert main(["analyze", "--mech", mech, "--thresholds", "4", *unread,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_storage_without_secure_threshold_is_config_error(tmp_path):
@@ -265,3 +278,67 @@ def test_manifest_round_trip(tmp_path):
 
 def test_bad_subcommand_usage_exit():
     assert main(["frobnicate"]) == 2
+
+
+# a value for every [timing] duration key, each far enough from the preset
+# to move the secure thresholds of some mechanism
+TIMING_OVERRIDES = {
+    "tras": "40ns", "trp": "20ns", "trcd": "15ns", "tcl": "15ns", "trtp": "10ns",
+    "twr": "40ns", "trefw": "128ms", "trefi": "7.8us", "trfc": "410ns", "trfm": "295ns",
+    "tabo_act": "720ns", "tbackoffsignal": "10ns", "clock_period": "500ps"}
+
+
+@pytest.mark.parametrize("key", sorted(set(SCHEMA["timing"]) - {"preset"}))
+def test_derived_thresholds_are_secure_at_the_run_timing(tmp_path, key):
+    """rfm_th and abo_th are derived at the preset plus the [timing]
+    overrides: secure there, and the largest secure values."""
+    cfg = parse_config(_write_ini(tmp_path / "t.ini", {
+        "topology": {"desk": "false"}, "mitigation": {"kind": "prac+prfm", "n_rh": "64"},
+        "timing": {key: TIMING_OVERRIDES[key]}}))
+    mit = resolve_spec(cfg).mitigation
+    t = timing_from_config(cfg, "ddr5-3200an-prac")
+    assert is_secure(64, mit.prfm, t).secure and is_secure(64, mit.prac, t).secure
+    assert not is_secure(64, replace(mit.prfm, rfm_th=mit.prfm.rfm_th + 1), t).secure
+    assert not is_secure(64, replace(mit.prac, abo_th=mit.prac.abo_th + 1), t).secure
+
+
+def test_derivation_sees_the_timing_overrides():
+    # both thresholds derived at the fixed presets were insecure here
+    spec = resolve_spec({"topology": {"desk": False}, "timing": {"tabo_act": 720_000},
+                         "mitigation": {"kind": "prac", "n_rh": 64}})
+    assert spec.mitigation.params.abo_th == 26
+    spec = resolve_spec({"topology": {"desk": False}, "timing": {"trefw": 128_000_000_000},
+                         "mitigation": {"kind": "prfm", "n_rh": 64}})
+    assert spec.mitigation.params.rfm_th == 5
+
+
+def _simulate_tiny(tmp_path, mitigation, **workload):
+    ini = _write_ini(tmp_path / "s.ini", {"mitigation": mitigation,
+                                          "workload": {**TINY_WORKLOAD, "max_cycles": "200000",
+                                                       "instructions_per_core": "1500",
+                                                       **workload}})
+    return main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")])
+
+
+def test_simulate_exits_1_when_counter_conservation_breaks(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(DeviceState, "conservation_holds", lambda self: False)
+    assert _simulate_tiny(tmp_path, {"kind": "none"}) == 1
+    assert "conservation" in capsys.readouterr().err
+
+
+def test_simulate_exits_1_on_a_violation_under_derived_thresholds(tmp_path, monkeypatch,
+                                                                  capsys):
+    # an analyzer that derived a threshold too weak to ever fire: the monitor
+    # sees the attacker reach n_rh, a soundness failure
+    monkeypatch.setattr(cli, "secure_rfm_th", lambda *args: 10 ** 6)
+    assert _simulate_tiny(tmp_path, {"kind": "prfm", "n_rh": "8"}, attacker="dos") == 1
+    assert "analyzer-derived" in capsys.readouterr().err
+
+
+def test_explicit_thresholds_are_exempt_from_the_violation_check(tmp_path):
+    assert _simulate_tiny(tmp_path, {"kind": "prfm", "n_rh": "8", "rfm_th": str(10 ** 6)},
+                          attacker="dos") == 0
+    rows = (tmp_path / "o" / "reports.csv").read_text().splitlines()
+    col = rows[0].split(",").index("max_row_activation")
+    assert max(int(r.split(",")[col]) for r in rows[1:]) >= 8
+

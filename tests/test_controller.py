@@ -79,7 +79,7 @@ def test_frfcfs_cap_forces_the_old_miss_after_four_hits():
     now = 1_000_000
     for _ in range(60):
         now = max(ctrl.step(now), now + 1)
-        if not ctrl.pending():
+        if not ctrl.read_q and not ctrl.write_q:
             break
     assert ctrl.stat["reads"] == 6
     order = [req.req_id for _, req in sorted(ctrl.completions, key=lambda c: c[0])]

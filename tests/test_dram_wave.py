@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,16 @@ from pracsim.dram import (
     ACT,
     PRE,
     REF,
+    RFMAB,
     DeviceState,
     DisturbanceMonitor,
     ProtocolError,
     Topology,
+    victim_rows,
 )
 from pracsim.security import PracParams, PrfmParams, prac_trajectory, prfm_trajectory
 from pracsim.timing import ConfigError, preset
+from pracsim.workloads import desk_timing
 
 PRAC_T = preset("ddr5-3200an-prac")
 BASE_T = preset("ddr5-3200an-base")
@@ -90,7 +95,6 @@ def test_serve_rfm_tie_break_orders():
 
 
 def test_ref_covers_the_bank_in_one_window():
-    from pracsim.workloads import desk_timing
     t = desk_timing(BASE_T)
     dev = DeviceState(DESK, t)
     assert dev.rows_per_ref == 8  # 64 rows / (tREFW/tREFI = 8)
@@ -104,7 +108,6 @@ def test_ref_covers_the_bank_in_one_window():
 
 
 def test_ref_resets_prac_counters_of_refreshed_rows():
-    from pracsim.workloads import desk_timing
     t = desk_timing(BASE_T)
     dev = DeviceState(DESK, t)
     dev.issue(ACT, (0, 2), 1_000_000)
@@ -146,22 +149,68 @@ def test_monitor_counts_neighbors_and_resets_on_refresh():
 class _ScanningMonitor(DisturbanceMonitor):
     """Reference: a refreshed victim's tallies found by scanning them all."""
 
-    def on_row_refreshed(self, bank, row):
-        for key in [k for k in self.pair if k[0] == bank and k[1] == row]:
+    def on_row_refreshed(self, bank, *rows):
+        for key in [k for k in self.pair if k[0] == bank and k[1] in rows]:
             del self.pair[key]
 
 
-@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 15)),
+def _assert_tallies_count_pairs(mon):
+    # each bank's tally count equals its number of pair keys
+    assert {b: n for b, n in mon.tallies.items() if n} == Counter(k[0] for k in mon.pair)
+
+
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                              st.lists(st.integers(0, 15), min_size=1, max_size=3)),
                     max_size=300))
 @settings(max_examples=200, deadline=None)
 def test_monitor_refresh_matches_scanning_reference(ops):
     fast, ref = DisturbanceMonitor(6, 16), _ScanningMonitor(6, 16)
-    for is_act, bank, row in ops:
+    for is_act, bank, rows in ops:
         for mon in (fast, ref):
-            (mon.on_act if is_act else mon.on_row_refreshed)(bank, row)
+            if is_act:
+                mon.on_act(bank, rows[0])
+            else:
+                mon.on_row_refreshed(bank, *rows)
         assert fast.pair == ref.pair
+        _assert_tallies_count_pairs(fast)
     assert fast.max_pair == ref.max_pair
     assert fast.violations == ref.violations
+
+
+@given(ops=st.lists(st.tuples(st.sampled_from(["act", "act", "ref", "rfm", "rows"]),
+                              st.integers(0, 3), st.integers(0, 63)), max_size=150),
+       ref_resets=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
+    """REF, RFM and targeted refreshes skip banks without tallies; the monitor
+    ends up as if every refreshed row of every bank had been reported."""
+    t = desk_timing(BASE_T)
+    mon, ref = DisturbanceMonitor(5, 64), _ScanningMonitor(5, 64)
+    dev = DeviceState(DESK, t, monitor=mon, ref_resets_counters=ref_resets)
+    now = 1_000_000
+    for op, bank, row in ops:
+        now = max(now, dev.blocked_until)
+        if op == "act":
+            dev.issue(ACT, (bank, row), now)
+            dev.issue(PRE, (bank, row), now + t.tRAS)
+            ref.on_act(bank, row)
+            now += t.tRC
+        elif op == "ref":
+            [(_, rows)] = dev.issue(REF, None, now)
+            for bi in range(DESK.banks_total):
+                ref.on_row_refreshed(bi, *rows)
+        elif op == "rfm":
+            events = dev.issue(RFMAB, None, now)
+            assert [e[1] for e in events] == list(range(DESK.banks_total))
+            for _, bi, _, victims in events:
+                ref.on_row_refreshed(bi, *victims)
+        else:
+            dev.refresh_rows(bank, victim_rows(row, 64))
+            ref.on_row_refreshed(bank, *victim_rows(row, 64))
+        assert mon.pair == ref.pair
+        _assert_tallies_count_pairs(mon)
+        assert dev.conservation_holds()
+    assert mon.violations == ref.violations
 
 
 # ------------------------------------------------------- oracle equivalence
@@ -206,7 +255,6 @@ def test_backoff_liveness_recovery_always_completes():
 
 
 def test_wave_with_periodic_refresh_never_exceeds_prediction():
-    from pracsim.workloads import desk_timing
     t = desk_timing(PRAC_T)
     p = PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1)
     res = run_wave_attack(32, p, t, with_ref=True)

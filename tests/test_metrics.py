@@ -6,7 +6,6 @@ from pracsim.metrics import (
     SimReport,
     energy,
     latency_percentiles,
-    slowdown_stats,
     weighted_speedup,
 )
 from pracsim.timing import ConfigError
@@ -77,27 +76,6 @@ def _report(label, ws, ipcs):
                      energy_pj=5.0, command_counts={}, preventive_refreshes=0,
                      backoffs=0, latency_ps={50: 1, 90: 2, 95: 3, 99: 4, 100: 5},
                      max_row_activation_between_refreshes=0, min_deadline_slack=None)
-
-
-def test_slowdown_identical_reports_zero():
-    base = [_report("a", 3.0, [1.0, 0.5])]
-    stats = slowdown_stats(base, base)
-    assert stats.avg_ws_loss_pct == 0.0
-    assert stats.max_ws_loss_pct == 0.0
-    assert stats.max_single_app_slowdown_pct == 0.0
-
-
-def test_slowdown_uniform_half():
-    base = [_report("a", 4.0, [1.0, 1.0])]
-    treated = [_report("a", 2.0, [0.5, 0.5])]
-    stats = slowdown_stats(base, treated)
-    assert stats.avg_ws_loss_pct == pytest.approx(50.0)
-    assert stats.max_single_app_slowdown_pct == pytest.approx(50.0)
-
-
-def test_slowdown_mismatched_mixes_rejected():
-    with pytest.raises(ConfigError):
-        slowdown_stats([_report("a", 1.0, [1.0])], [_report("b", 1.0, [1.0])])
 
 
 def test_report_csv_round_trip_stability():

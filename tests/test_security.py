@@ -1,10 +1,11 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pracsim.security import (
+    RFM_TH_CAP,
     PracParams,
     PrfmParams,
     SweepGrid,
@@ -265,6 +266,38 @@ def test_kernel_matches_scalar_loop(p, t, n_rh, rows):
     else:
         cells = sweep(SweepGrid("prfm", thresholds=(p.rfm_th,), b0_values=tuple(reach)), t)
         assert [r[3] for r in cells] == list(reach.values())
+
+
+def _scanned_threshold(n_rh, params, top, t, rows=65_536):
+    """The largest secure threshold, scanning down one threshold at a time."""
+    return next((th for th in range(top, 0, -1)
+                 if is_secure(n_rh, params(th), t, rows).secure), None)
+
+
+@given(mech=st.sampled_from(["prfm", 1, 2, 4]), acts=st.sampled_from([1, 2, 4]),
+       t=st.sampled_from(KERNEL_TIMINGS), n_rh=st.integers(1, 80),
+       rows=st.sampled_from([64, 1024]))
+@example(mech=2, acts=1, t=desk_timing(PRAC_T), n_rh=25, rows=1024)
+@settings(max_examples=150, deadline=None)
+def test_derived_threshold_matches_a_linear_scan(mech, acts, t, n_rh, rows):
+    if mech == "prfm":
+        scanned = _scanned_threshold(n_rh, PrfmParams, min(RFM_TH_CAP, max(n_rh - 1, 1)),
+                                     t, rows)
+        assert secure_rfm_th(n_rh, t, rows_per_bank=rows) == scanned
+    else:
+        scanned = _scanned_threshold(n_rh, lambda th: PracParams(th, mech, acts), n_rh - 1,
+                                     t, rows)
+        assert secure_abo_th(n_rh, t, mech, acts, rows_per_bank=rows) == scanned
+
+
+@pytest.mark.parametrize("t, n_rh, rows", [(APP, 38, 65_536), (desk_timing(PRAC_T), 25, 1024)])
+def test_secure_abo_thresholds_need_not_be_a_prefix(t, n_rh, rows):
+    # where the window binds, a larger abo_th can spend a round's time on
+    # priming: the one below the largest secure threshold is insecure
+    th = secure_abo_th(n_rh, t, 2, 1, rows_per_bank=rows)
+    assert is_secure(n_rh, PracParams(th, 2, 1), t, rows).secure
+    assert not is_secure(n_rh, PracParams(th - 1, 2, 1), t, rows).secure
+    assert th == _scanned_threshold(n_rh, lambda x: PracParams(x, 2, 1), n_rh - 1, t, rows)
 
 
 # ---------------------------------------------------------------- sweep
