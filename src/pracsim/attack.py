@@ -29,13 +29,13 @@ from .timing import ConfigError, TimingParams
 
 @dataclass(frozen=True)
 class AttackSpec:
-    kind: str                      # "wave" or "perf_degradation"
+    kind: str                      # "perf_degradation"; wave runs closed-loop instead
     rows_per_bank: int = 8
     banks: int = 4
 
     def __post_init__(self):
-        if self.kind not in ("wave", "perf_degradation"):
-            raise ConfigError("attack kind must be 'wave' or 'perf_degradation'")
+        if self.kind != "perf_degradation":
+            raise ConfigError(f"attack kind must be 'perf_degradation', got {self.kind!r}")
         if self.rows_per_bank < 1 or self.banks < 1:
             raise ConfigError("attack spec rows_per_bank and banks must be >= 1")
 
@@ -207,40 +207,16 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
 
 
 # ---------------------------------------------------------------------------
-# trace emission (file-format types live in the workloads module)
-
-
-def gen_wave_trace(spec: AttackSpec, sec: Union[PrfmParams, PracParams],
-                   t: TimingParams, topo: Optional[Topology] = None):
-    """Realize the closed-loop wave attack and emit it as a replayable trace.
-
-    The replay is deterministic, so the recorded open-loop trace reproduces
-    the timeline the feedback loop produced.
-    """
-    from .controller import inverse_map_address
-    from .workloads import Trace, TraceRecord
-
-    if spec.kind != "wave":
-        raise ConfigError("spec/mechanism mismatch: gen_wave_trace needs kind='wave'")
-    topo = topo or Topology.desk()
-    result = run_wave_attack(spec.rows_per_bank, sec, t, topo=topo)
-    records = []
-    for row in result.access_rows:
-        addr = inverse_map_address(topo, rank=0, bankgroup=0, bank=0,
-                                   row=row, column=0)
-        records.append(TraceRecord(bubble_count=0, op="read", address=addr))
-    return Trace(records), result
+# performance attack
 
 
 def gen_perf_attack_trace(spec: AttackSpec, t: TimingParams, duration_ps: int,
-                          topo: Optional[Topology] = None):
+                          topo: Optional[Topology] = None) -> list:
     """Single-core row-conflict hammer: banks rotate fastest so every bank
     sees a conflict stream; rows rotate per bank visit."""
     from .controller import inverse_map_address
-    from .workloads import Trace, TraceRecord
+    from .workloads import TraceRecord
 
-    if spec.kind != "perf_degradation":
-        raise ConfigError("spec/mechanism mismatch: need kind='perf_degradation'")
     topo = topo or Topology()
     rotation = spec.banks * spec.rows_per_bank
     if duration_ps < rotation * t.tRC:
@@ -255,4 +231,4 @@ def gen_perf_attack_trace(spec: AttackSpec, t: TimingParams, duration_ps: int,
         addr = inverse_map_address(topo, rank=0, bankgroup=bg, bank=0,
                                    row=row, column=0)
         records.append(TraceRecord(bubble_count=0, op="read", address=addr))
-    return Trace(records)
+    return records

@@ -1,5 +1,5 @@
-"""Command-line frontend: security sweeps, theoretical attack math, trace
-generation, simulation campaigns, storage tables, and CSV emission.
+"""Command-line frontend: security sweeps, theoretical attack math,
+simulation campaigns, storage tables, and CSV emission.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error,
 3 security requirement violated under --require-secure. The PRACSIM_WORKERS
@@ -22,7 +22,7 @@ from itertools import repeat
 from typing import Optional
 
 from . import __version__
-from .attack import AttackSpec, gen_perf_attack_trace, gen_wave_trace, theoretical_consumption
+from .attack import AttackSpec, gen_perf_attack_trace, theoretical_consumption
 from .configfile import RunManifest, check_schema, parse_config, timing_from_config
 from .controller import MemoryController
 from .dram import DeviceState, DisturbanceMonitor, Topology
@@ -57,7 +57,6 @@ from .workloads import (
     StopCondition,
     build_mixes,
     desk_timing,
-    gen_synthetic,
     materialize_mix,
     run_cores,
 )
@@ -88,6 +87,8 @@ def cmd_analyze(args) -> int:
     unread = {"prac": ("b0",), "prfm": ("bo_n_refs", "bo_n_acts")}[args.mech]
     _reject("analyze", [f"--{k.replace('_', '-')}" for k in unread
                         if getattr(args, k) is not None], f"with --mech {args.mech}")
+    _reject("analyze", ["--require-secure"] if args.require_secure and not args.nrh else [],
+            "without --nrh")
     given = {"thresholds": args.thresholds, "b0_values": args.b0,
              "bo_n_refs_values": args.bo_n_refs}
     grid = SweepGrid(args.mech, bo_n_acts=1 if args.bo_n_acts is None else args.bo_n_acts,
@@ -109,10 +110,9 @@ def cmd_analyze(args) -> int:
     if args.gnuplot_stub:
         _gnuplot_stub(out)
     print(f"wrote {out} ({len(rows)} grid points)")
-    if args.require_secure and args.nrh:
-        if "secure" not in verdicts.values():
-            print("no grid point is secure at the requested threshold", file=sys.stderr)
-            return 3
+    if args.require_secure and "secure" not in verdicts.values():
+        print("no grid point is secure at the requested threshold", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -126,7 +126,7 @@ def cmd_attack_theory(args) -> int:
         rep = theoretical_consumption(t, PrfmParams(th))
         rows.append(("prfm", args.preset, th, rep))
     for th in args.abo_th:
-        rep = theoretical_consumption(t, PracParams(th, args.bo_n_refs, args.bo_n_acts))
+        rep = theoretical_consumption(t, PracParams(th, args.bo_n_refs))
         rows.append(("prac", args.preset, th, rep))
     lines = ["mechanism,preset,threshold,t_available_ms,period_ns,t_prevent_ms,"
              "fraction,steady_fraction"]
@@ -155,49 +155,6 @@ def cmd_storage(args) -> int:
     out = args.out or "storage.csv"
     _write_lines(out, lines)
     print(f"wrote {out}")
-    return 0
-
-
-# ---------------------------------------------------------------- gen-traces
-
-
-def cmd_gen_traces(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    topo = Topology.desk() if args.desk else Topology()
-    written = []
-    if args.attack == "wave":
-        t = preset("ddr5-3200an-prac")
-        sec = PracParams(args.abo_th, args.bo_n_refs, args.bo_n_acts)
-        spec = AttackSpec("wave", rows_per_bank=args.b0, banks=1)
-        trace, result = gen_wave_trace(spec, sec, t, topo=topo)
-        path = os.path.join(args.out_dir, "wave.trace")
-        trace.save(path)
-        written.append(path)
-        print(f"wave attack: {len(trace)} accesses, realized max "
-              f"{result.realized_max} activations")
-    elif args.attack == "dos":
-        t = preset("ddr5-3200an-prac")
-        spec = AttackSpec("perf_degradation", rows_per_bank=args.rows, banks=args.banks)
-        trace = gen_perf_attack_trace(spec, t, args.duration, topo=topo)
-        path = os.path.join(args.out_dir, "dos.trace")
-        trace.save(path)
-        written.append(path)
-    else:
-        for cls in args.classes:
-            tr = gen_synthetic(cls, args.seed, args.records, topo=topo)
-            path = os.path.join(args.out_dir, f"synthetic_{cls}_{args.seed}.trace")
-            tr.save(path)
-            written.append(path)
-        if args.mixes:
-            manifest = os.path.join(args.out_dir, "mix_manifest.csv")
-            lines = ["mix,slot,workload_class,member_seed"]
-            for mi, mix in enumerate(build_mixes(args.mixes, args.seed)):
-                for slot, (cls, ms) in enumerate(zip(mix.classes, mix.member_seeds)):
-                    lines.append(f"{mix.name}-{mi},{slot},{cls},{ms}")
-            _write_lines(manifest, lines)
-            written.append(manifest)
-    for p in written:
-        print(f"wrote {p}")
     return 0
 
 
@@ -276,8 +233,8 @@ def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology, t: TimingParams)
 
 def resolve_spec(cfg: dict) -> RunSpec:
     """Resolve a parsed config, or a manifest's, into the run it describes.
-    Every key it accepts changes the spec ([output] keys change the files
-    written instead); a key with no effect is rejected."""
+    Every key it accepts changes the spec ([output] dir changes where the
+    files are written instead); a key with no effect is rejected."""
     check_schema(cfg)
     sec, wl = cfg.get("mitigation", {}), cfg.get("workload", {})
     kind, n_rh = sec.get("kind", "none"), sec.get("n_rh", 1024)
@@ -388,8 +345,6 @@ def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
                            outputs=[csv_path])
     man_path = os.path.join(out_dir, "manifest.json")
     manifest.save(man_path)
-    if cfg.get("output", {}).get("gnuplot_stub"):
-        _gnuplot_stub(csv_path)
     print(f"wrote {csv_path} and {man_path}")
     return 0
 
@@ -433,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--rfm-th", type=int, nargs="*", default=[6])
     at.add_argument("--abo-th", type=int, nargs="*", default=[57])
     at.add_argument("--bo-n-refs", type=int, default=4)
-    at.add_argument("--bo-n-acts", type=int, default=4)
     at.add_argument("--out")
     at.set_defaults(func=cmd_attack_theory)
 
@@ -441,23 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--nrh", type=int, nargs="*", default=[1024, 256, 64, 16])
     st.add_argument("--out")
     st.set_defaults(func=cmd_storage)
-
-    g = sub.add_parser("gen-traces", help="emit synthetic or adversarial traces")
-    g.add_argument("--out-dir", default="traces")
-    g.add_argument("--attack", choices=["wave", "dos", "none"], default="none")
-    g.add_argument("--classes", nargs="*", default=["H", "M", "L"])
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--records", type=int, default=1000)
-    g.add_argument("--mixes", type=int, default=0)
-    g.add_argument("--desk", action="store_true")
-    g.add_argument("--b0", type=int, default=8)
-    g.add_argument("--abo-th", type=int, default=6)
-    g.add_argument("--bo-n-refs", type=int, default=4)
-    g.add_argument("--bo-n-acts", type=int, default=1)
-    g.add_argument("--rows", type=int, default=8)
-    g.add_argument("--banks", type=int, default=4)
-    g.add_argument("--duration", type=lambda s: int(s), default=5_000_000)
-    g.set_defaults(func=cmd_gen_traces)
 
     s = sub.add_parser("simulate", help="run a simulation campaign from a config file")
     s.add_argument("--config", required=True)

@@ -39,7 +39,7 @@ SCHEMA = {
     "workload": {"mixes": int, "seed": int, "records": int,
                  "instructions_per_core": int, "max_cycles": int,
                  "attacker": str, "attacker_rows": int, "attacker_banks": int},
-    "output": {"dir": str, "gnuplot_stub": _bool},
+    "output": {"dir": str},
 }
 
 

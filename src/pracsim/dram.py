@@ -195,7 +195,7 @@ class DeviceState:
     def __init__(self, topo: Topology, t: TimingParams, prac: Optional[dict] = None,
                  ref_resets_counters: bool = True, tie_break: str = "low",
                  monitor: Optional[DisturbanceMonitor] = None,
-                 log_commands: bool = False, counter_bits: Optional[int] = None):
+                 counter_bits: Optional[int] = None):
         if tie_break not in ("low", "high"):
             raise ConfigError("tie_break must be 'low' or 'high'")
         if counter_bits is not None and counter_bits < 1:
@@ -218,7 +218,6 @@ class DeviceState:
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
         self.saturated_increments = 0   # increments swallowed at saturation
         self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
-        self.log: Optional[list] = [] if log_commands else None
 
     # ------------------------------------------------------------- helpers
 
@@ -229,14 +228,6 @@ class DeviceState:
     def _check(self, ok_at: int, now: int, constraint: str):
         if now < ok_at:
             raise ProtocolError(constraint, ok_at - now)
-
-    def _log(self, now, cmd, bank_idx, row):
-        if self.log is not None:
-            topo = self.topo
-            per_rank = topo.banks_per_rank
-            rank, rem = divmod(bank_idx, per_rank)
-            bg, bank = divmod(rem, topo.banks_per_bankgroup)
-            self.log.append((now, cmd, rank, bg, bank, row))
 
     # ------------------------------------------------------------- commands
 
@@ -307,7 +298,6 @@ class DeviceState:
         else:
             raise ConfigError(f"unknown command {cmd!r}")
         self.counts[cmd] += 1
-        self._log(now, cmd, addr[0] if addr else -1, addr[1] if addr else -1)
         return events
 
     # ------------------------------------------------------------- refresh ops
@@ -375,11 +365,3 @@ class DeviceState:
         closed_acts = self.counts[PRE]   # one increment per ACT/PRE pair
         return closed_acts == (self.counter_mass() + self.cleared_counts
                                + self.saturated_increments)
-
-    def dump_log_csv(self, path):
-        if self.log is None:
-            raise ConfigError("command logging was not enabled")
-        with open(path, "w") as fh:
-            fh.write("time_ps,command,rank,bankgroup,bank,row\n")
-            for rec in self.log:
-                fh.write(",".join(str(x) for x in rec) + "\n")

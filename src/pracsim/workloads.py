@@ -1,4 +1,4 @@
-"""Trace format, synthetic benign workloads, mixes, and the multi-core frontend.
+"""Trace records, synthetic benign workloads, mixes, and the multi-core frontend.
 
 The core model is deliberately small: a 4-wide in-order retire stage fed by
 trace records, with a 128-entry instruction window bounding how far the core
@@ -14,7 +14,6 @@ controller: H at 10 and above, M from 2 up, L below 2.
 
 from __future__ import annotations
 
-import gzip
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -50,25 +49,6 @@ class TraceRecord:
         return self.bubble_count + (0 if self.op == "nop" else 1)
 
 
-class Trace:
-    def __init__(self, records):
-        self.records = list(records)
-
-    def __len__(self):
-        return len(self.records)
-
-    @property
-    def instructions(self) -> int:
-        return sum(r.instructions for r in self.records)
-
-    def save(self, path: str):
-        opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "wt") as fh:
-            fh.write("bubble_count,op,address\n")
-            for r in self.records:
-                fh.write(f"{r.bubble_count},{r.op},{r.address:#x}\n")
-
-
 # ---------------------------------------------------------------------------
 # synthetic generation
 
@@ -84,7 +64,7 @@ _CLASS_PROFILE = {
 
 def gen_synthetic(cls: str, seed: int, length: int,
                   region_base: int = 0, region_blocks: Optional[int] = None,
-                  topo: Optional[Topology] = None) -> Trace:
+                  topo: Optional[Topology] = None) -> list:
     """Deterministic synthetic trace of `length` records inside one region.
 
     Three access phases: random jumps (row misses), sequential runs (row hits
@@ -134,7 +114,7 @@ def gen_synthetic(cls: str, seed: int, length: int,
         bubbles = rng.randint(bubble_mean // 2, bubble_mean + bubble_mean // 2)
         op = "write" if rng.random() < p_write else "read"
         records.append(TraceRecord(bubbles, op, cur * BLOCK_BYTES))
-    return Trace(records)
+    return records
 
 
 @dataclass(frozen=True)
@@ -199,9 +179,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class CoreModel:
-    def __init__(self, core_id: int, trace: Trace, max_instructions: Optional[int] = None):
+    def __init__(self, core_id: int, records: list, max_instructions: Optional[int] = None):
         self.core_id = core_id
-        self.records = trace.records
+        self.records = records
         # a record wider than the window fills it rather than blocking forever
         self.footprints = [min(r.instructions, WINDOW_INSTRS) for r in self.records]
         self.max_instructions = max_instructions

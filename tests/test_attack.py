@@ -5,7 +5,7 @@ import pytest
 from pracsim.attack import (
     AttackSpec,
     gen_perf_attack_trace,
-    gen_wave_trace,
+    run_wave_attack,
     theoretical_consumption,
 )
 from pracsim.controller import map_address
@@ -53,40 +53,36 @@ def test_consumption_limits_and_monotonicity():
         assert 0.0 < f < 1.0
 
 
-# ------------------------------------------------------------- wave traces
+# ------------------------------------------------------------- wave replay
 
 def test_wave_trace_lone_row_against_divisor_one_config():
     # window shorter than tRC: the recovery follows every eligible activation,
     # so the lone decoy is refreshed after exactly abo_th activations
     t = replace(PRAC_T, tABO_ACT=10_000)
-    sec = PracParams(abo_th=5, bo_n_refs=4, bo_n_acts=1)
-    trace, result = gen_wave_trace(AttackSpec("wave", rows_per_bank=1, banks=1), sec, t)
-    assert len(trace) == 5
-    assert result.realized_max == 5
+    result = run_wave_attack(1, PracParams(abo_th=5, bo_n_refs=4, bo_n_acts=1), t)
+    assert result.act_count == result.realized_max == 5
 
 
 def test_wave_trace_reproduces_prfm_trajectory():
-    spec = AttackSpec("wave", rows_per_bank=8, banks=1)
-    _, result = gen_wave_trace(spec, PrfmParams(4), preset("ddr5-3200an-base"))
+    result = run_wave_attack(8, PrfmParams(4), preset("ddr5-3200an-base"))
     assert result.sizes == prfm_trajectory(8, PrfmParams(4)).sizes
 
 
 def test_wave_trace_max_activations_most_aggressive():
-    spec = AttackSpec("wave", rows_per_bank=13, banks=1)
-    _, result = gen_wave_trace(spec, PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1), PRAC_T)
+    result = run_wave_attack(13, PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1), PRAC_T)
     assert result.realized_max == 9
 
 
 def test_wave_trace_act_legality_spacing():
-    spec = AttackSpec("wave", rows_per_bank=6, banks=1)
-    trace, result = gen_wave_trace(spec, PrfmParams(3), preset("ddr5-3200an-base"))
-    # replay enforces legality in the device; the trace is one bank's ACT list
-    assert len(trace) == result.act_count
+    # the device enforces legality; the replay records one row per ACT it issued
+    result = run_wave_attack(6, PrfmParams(3), preset("ddr5-3200an-base"))
+    assert len(result.access_rows) == result.act_count
 
 
 def test_wave_trace_kind_mismatch():
+    # the wave attack has no trace form: only run_wave_attack replays it
     with pytest.raises(ConfigError):
-        gen_wave_trace(AttackSpec("perf_degradation"), PrfmParams(4), APP)
+        AttackSpec("wave")
 
 
 # ----------------------------------------------------- performance attack
@@ -96,19 +92,19 @@ def test_perf_trace_rotates_32_targets_bank_first():
     spec = AttackSpec("perf_degradation", rows_per_bank=8, banks=4)
     trace = gen_perf_attack_trace(spec, PRAC_T, duration_ps=4_000_000, topo=topo)
     seen = []
-    for rec in trace.records[:64]:
+    for rec in trace[:64]:
         rank, bg, bank, row, col = map_address(topo, rec.address)
         seen.append((bg, row))
     # bank groups rotate fastest: each group gets every 4th access
     assert [s[0] for s in seen[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
     assert len(set(seen)) == 32
-    assert all(rec.bubble_count == 0 for rec in trace.records)
+    assert all(rec.bubble_count == 0 for rec in trace)
 
 
 def test_perf_trace_degenerate_single_row():
     spec = AttackSpec("perf_degradation", rows_per_bank=1, banks=1)
     trace = gen_perf_attack_trace(spec, PRAC_T, duration_ps=1_000_000)
-    addrs = {rec.address for rec in trace.records}
+    addrs = {rec.address for rec in trace}
     assert len(addrs) == 1
 
 
@@ -122,4 +118,6 @@ def test_attack_spec_validation():
     with pytest.raises(ConfigError):
         AttackSpec("ddos")
     with pytest.raises(ConfigError):
-        AttackSpec("wave", rows_per_bank=0)
+        AttackSpec("perf_degradation", rows_per_bank=0)
+    with pytest.raises(ConfigError):
+        AttackSpec("perf_degradation", banks=0)

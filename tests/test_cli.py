@@ -60,7 +60,8 @@ def test_analyze_prac_verdict_is_per_row(tmp_path):
 
 
 @pytest.mark.parametrize("mech, unread", [
-    ("prac", ["--b0", "8"]), ("prfm", ["--bo-n-refs", "2"]), ("prfm", ["--bo-n-acts", "2"])])
+    ("prac", ["--b0", "8"]), ("prfm", ["--bo-n-refs", "2"]), ("prfm", ["--bo-n-acts", "2"]),
+    ("prfm", ["--require-secure"])])
 def test_analyze_rejects_options_the_mechanism_never_reads(tmp_path, mech, unread):
     out = tmp_path / "a.csv"
     assert main(["analyze", "--mech", mech, "--thresholds", "4", *unread,
@@ -113,13 +114,6 @@ def test_attack_theory_sec7_parameters(tmp_path):
     assert abs(float(row[7]) - 0.794) < 0.001
 
 
-def test_gen_traces_wave(tmp_path):
-    out_dir = tmp_path / "traces"
-    assert main(["gen-traces", "--attack", "wave", "--desk", "--b0", "13",
-                 "--abo-th", "6", "--out-dir", str(out_dir)]) == 0
-    assert (out_dir / "wave.trace").exists()
-
-
 def test_unknown_config_key_rejected(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[mitigation]\nkind = prac\nrowhammer = 7\n")
@@ -158,7 +152,7 @@ KEY_CASES = {f"{section}.{key}": ({}, value, None) for section, key, value in (
     ("timing", "clock_period", "500ps"), ("topology", "desk", "false"),
     ("workload", "mixes", "12"), ("workload", "seed", "3"), ("workload", "records", "100"),
     ("workload", "instructions_per_core", "100"), ("workload", "max_cycles", "1000"),
-    ("output", "dir", None), ("output", "gnuplot_stub", "true"))}
+    ("output", "dir", None))}
 KEY_CASES.update({
     "timing.preset": ({}, "ddr5-3200an-prac", ({}, "ddr5-1600")),
     "timing.trefw": ({"topology": {"desk": "false"}}, "64ms", ({}, "64ms")),
@@ -184,10 +178,9 @@ def test_every_schema_key_changes_the_run(tmp_path, name):
     if section == "output":
         out = tmp_path / "o"
         ini = _write_ini(tmp_path / "c.ini", _with({"workload": TINY_WORKLOAD},
-                                                   section, key, value or out))
-        argv = ["simulate", "--config", ini] + (["--out-dir", str(out)] if value else [])
-        assert main(argv) == 0
-        assert (out / ("reports.csv.gp" if value else "reports.csv")).exists()
+                                                   section, key, out))
+        assert main(["simulate", "--config", ini]) == 0
+        assert (out / "reports.csv").exists()
         return
     def spec(c, path):
         return resolve_spec(parse_config(_write_ini(tmp_path / path, c)))
@@ -278,6 +271,14 @@ def test_manifest_round_trip(tmp_path):
 
 def test_bad_subcommand_usage_exit():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["gen-traces", "--out-dir"],
+                                  ["attack-theory", "--bo-n-acts", "1", "--out"]])
+def test_removed_command_and_option_are_usage_errors(tmp_path, argv):
+    # nothing read the trace files; theoretical_consumption never read bo_n_acts
+    assert main(argv + [str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 # a value for every [timing] duration key, each far enough from the preset

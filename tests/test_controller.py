@@ -10,7 +10,7 @@ from pracsim.dram import DeviceState, Topology
 from pracsim.mitigations import NoMitigation, PracN, Prfm
 from pracsim.security import PracParams, PrfmParams
 from pracsim.timing import ConfigError, preset
-from pracsim.workloads import StopCondition, Trace, TraceRecord, desk_timing, run_cores
+from pracsim.workloads import StopCondition, TraceRecord, desk_timing, run_cores
 
 TOPO = Topology()
 DESK = Topology.desk()
@@ -108,9 +108,8 @@ def test_ref_happens_on_cadence_when_idle():
 
 
 def test_prfm_rfm_count_matches_bank_act_floor():
-    trace = Trace([TraceRecord(2, "read",
-                               inverse_map_address(DESK, 0, 0, 0, i % 8, 0))
-                   for i in range(64)])
+    trace = [TraceRecord(2, "read", inverse_map_address(DESK, 0, 0, 0, i % 8, 0))
+             for i in range(64)]
     dev, ctrl = make(Prfm(PrfmParams(4)))
     run_cores([trace], ctrl, StopCondition(None, 2_000_000))
     residual = sum(b.raa for b in dev.banks)
@@ -118,9 +117,8 @@ def test_prfm_rfm_count_matches_bank_act_floor():
 
 
 def test_backoff_deadline_never_overrun_and_recovery_complete():
-    trace = Trace([TraceRecord(0, "read",
-                               inverse_map_address(DESK, 0, 0, 0, i % 2, 0))
-                   for i in range(400)])
+    trace = [TraceRecord(0, "read", inverse_map_address(DESK, 0, 0, 0, i % 2, 0))
+             for i in range(400)]
     prac = {"abo_th": 8, "bo_n_refs": 4, "bo_n_acts": 1}
     dev, ctrl = make(PracN(PracParams(8, 4, 1)), t=T_DESK_PRAC, prac=prac)
     run_cores([trace], ctrl, StopCondition(None, 3_000_000))

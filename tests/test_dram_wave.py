@@ -281,17 +281,6 @@ def test_same_bank_rfm_is_rejected():
     assert dev.banks[1].counters == {4: 3}
 
 
-def test_command_log_csv(tmp_path):
-    dev = fresh_device(log_commands=True)
-    dev.issue(ACT, (3, 7), 1_000_000)
-    dev.issue(PRE, (3, 7), 1_000_000 + BASE_T.tRAS)
-    path = tmp_path / "log.csv"
-    dev.dump_log_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time_ps,command,rank,bankgroup,bank,row"
-    assert lines[1] == "1000000,ACT,0,0,3,7"
-
-
 def test_prac_optimistic_event_sequence_matches_prac4():
     # same recovery policy on different timing parameters: identical access
     # order and surviving-set sequence, timestamps aside

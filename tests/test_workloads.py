@@ -1,5 +1,3 @@
-import gzip
-
 import pytest
 
 from pracsim.controller import MemoryController
@@ -10,7 +8,6 @@ from pracsim.workloads import (
     CLASS_BANDS,
     MixSpec,
     StopCondition,
-    Trace,
     TraceRecord,
     build_mixes,
     desk_timing,
@@ -28,16 +25,7 @@ def fresh_controller(topo=DESK, t=T_DESK):
     return MemoryController(topo, t, dev, NoMitigation())
 
 
-def load_trace(path) -> Trace:
-    """Parse a trace file as Trace.save writes it (gzip for .gz)."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        assert fh.readline().strip() == "bubble_count,op,address"
-        return Trace(TraceRecord(int(bubble), op, int(addr, 16))
-                     for bubble, op, addr in (line.strip().split(",") for line in fh))
-
-
-def measure_rbmpki(trace: Trace, topo: Topology, t) -> float:
+def measure_rbmpki(trace: list, topo: Topology, t) -> float:
     """Row-buffer misses per kilo-instruction on the reference controller,
     measured solo with no mitigation."""
     result = run_cores([trace], fresh_controller(topo, t), StopCondition(None, 30_000_000))
@@ -45,22 +33,7 @@ def measure_rbmpki(trace: Trace, topo: Topology, t) -> float:
     return 0.0 if instrs == 0 else 1000.0 * result.controller_stat["acts"] / instrs
 
 
-# ------------------------------------------------------------- trace format
-
-def test_trace_round_trip(tmp_path):
-    tr = gen_synthetic("M", 5, 200, topo=DESK)
-    p = tmp_path / "t.trace"
-    tr.save(p)
-    back = load_trace(p)
-    assert back.records == tr.records
-
-
-def test_trace_round_trip_gzip(tmp_path):
-    tr = gen_synthetic("L", 5, 100, topo=DESK)
-    p = tmp_path / "t.trace.gz"
-    tr.save(str(p))
-    assert load_trace(str(p)).records == tr.records
-
+# ------------------------------------------------------------- trace records
 
 def test_trace_record_validation():
     with pytest.raises(ConfigError):
@@ -74,13 +47,13 @@ def test_trace_record_validation():
 def test_same_seed_is_bit_identical():
     a = gen_synthetic("H", 7, 500, topo=DESK)
     b = gen_synthetic("H", 7, 500, topo=DESK)
-    assert a.records == b.records
+    assert a == b
 
 
 def test_different_seeds_differ():
     a = gen_synthetic("H", 7, 500, topo=DESK)
     b = gen_synthetic("H", 8, 500, topo=DESK)
-    assert a.records != b.records
+    assert a != b
 
 
 def test_too_short_trace_rejected():
@@ -136,7 +109,7 @@ def test_mix_spec_validation():
 # ------------------------------------------------------------- core model
 
 def test_pure_bubble_trace_retires_at_width_four():
-    tr = Trace([TraceRecord(4000, "nop", 0)])
+    tr = [TraceRecord(4000, "nop", 0)]
     ctrl = fresh_controller()
     res = run_cores([tr], ctrl, StopCondition(None, None))
     assert res.ipcs[0] == pytest.approx(4.0)
@@ -169,7 +142,7 @@ def test_stop_condition_cycle_cap_binds():
 def test_trace_replay_is_order_preserving_per_core():
     # read completions come back in arrival order per bank by construction;
     # the per-core retire stream is in program order by the window model
-    tr = Trace([TraceRecord(0, "read", i * 64) for i in range(64)])
+    tr = [TraceRecord(0, "read", i * 64) for i in range(64)]
     ctrl = fresh_controller()
     res = run_cores([tr], ctrl, StopCondition(None, None))
     assert res.instructions[0] == 64
@@ -196,7 +169,7 @@ def test_fuzzed_traces_never_overrun_the_backoff_deadline():
         prac = {"abo_th": 5, "bo_n_refs": 4, "bo_n_acts": 1}
         dev = DeviceState(DESK, t, prac=prac)
         ctrl = MemoryController(DESK, t, dev, PracN(PracParams(5, 4, 1)))
-        res = run_cores([Trace(records)], ctrl, StopCondition(None, 2_000_000))
+        res = run_cores([records], ctrl, StopCondition(None, 2_000_000))
         assert res.backoffs > 0
         assert res.min_deadline_slack is None or res.min_deadline_slack >= 0
         assert dev.conservation_holds()
@@ -209,5 +182,5 @@ def test_controller_side_mechanism_in_simulation():
     hot = [TraceRecord(0, "read", ((i % 2) * 2048) * 64) for i in range(300)]
     dev = DeviceState(DESK, t)
     ctrl = MemoryController(DESK, t, dev, Graphene(table_entries=32, threshold=6))
-    res = run_cores([Trace(hot)], ctrl, StopCondition(None, 3_000_000))
+    res = run_cores([hot], ctrl, StopCondition(None, 3_000_000))
     assert res.preventive_refreshes > 0
