@@ -82,8 +82,7 @@ def theoretical_consumption(t: TimingParams,
 class WaveAttacker:
     """Feedback-driven row source for the wave pattern on a single bank."""
 
-    def __init__(self, bank: int, rows: int, priming: int = 0):
-        self.bank = bank
+    def __init__(self, rows: int, priming: int = 0):
         self.live = set(range(rows))
         self.priming = priming
         self.sizes = [rows]
@@ -149,7 +148,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     monitor = DisturbanceMonitor(monitor_n_rh, topo.rows_per_bank) if monitor_n_rh else None
     dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor, tie_break=tie_break,
                       ref_resets_counters=ref_resets_counters)
-    attacker = WaveAttacker(bank, spec_rows, priming)
+    attacker = WaveAttacker(spec_rows, priming)
 
     now = t.tRC  # headroom so the first command never lands at time zero
     next_ref = now + t.tREFI if with_ref else None

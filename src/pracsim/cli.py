@@ -68,16 +68,6 @@ def _write_lines(path, lines):
             fh.write(line + "\n")
 
 
-def _gnuplot_stub(csv_path):
-    stub = csv_path + ".gp"
-    _write_lines(stub, [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"plot '{os.path.basename(csv_path)}' using 2:4 with linespoints",
-    ])
-    return stub
-
-
 # ---------------------------------------------------------------- analyze
 
 
@@ -107,8 +97,6 @@ def cmd_analyze(args) -> int:
         lines.append(f"{mech},{th},{b0r},{mx},{sec_at},{verdict}")
     out = args.out or f"analyze_{args.mech}.csv"
     _write_lines(out, lines)
-    if args.gnuplot_stub:
-        _gnuplot_stub(out)
     print(f"wrote {out} ({len(rows)} grid points)")
     if args.require_secure and "secure" not in verdicts.values():
         print("no grid point is secure at the requested threshold", file=sys.stderr)
@@ -150,7 +138,7 @@ def cmd_storage(args) -> int:
     for n in args.nrh:
         for kind in ("prac", "prfm", "graphene", "hydra", "para"):
             t = preset(MECHANISMS[kind][0])
-            sb = storage_cost(_mechanism(kind, n, {}, topo, t)[0], n, topo)
+            sb = storage_cost(_mechanism(kind, n, {}, topo, t), n, topo)
             lines.append(f"{kind},{n},{sb.cpu_bits},{sb.dram_bits}")
     out = args.out or "storage.csv"
     _write_lines(out, lines)
@@ -183,7 +171,6 @@ class RunSpec:
     topo: Topology
     timing: TimingParams
     mitigation: MitigationConfig
-    prac: Optional[dict]            # device back-off settings, None without PRAC
     counter_bits: int
     stop: StopCondition
     mixes: int
@@ -208,9 +195,10 @@ def _setting(sec: dict, key: str, derive, n_rh: int, *args):
     return value
 
 
-def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology, t: TimingParams):
-    """Mechanism config and device prac dict; thresholds not set in the config
-    are derived from the security analysis at timing t and full size."""
+def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology,
+               t: TimingParams) -> MitigationConfig:
+    """The mechanism's config; thresholds not set in the config are derived
+    from the security analysis at timing t and full size."""
     refs, acts = sec.get("bo_n_refs", 4), sec.get("bo_n_acts", 1)
     prfm = prac = None
     if "rfm_th" in MECHANISMS[kind][1]:
@@ -218,7 +206,7 @@ def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology, t: TimingParams)
     if "abo_th" in MECHANISMS[kind][1]:
         prac = PracParams(_setting(sec, "abo_th", secure_abo_th, n_rh, t, refs, acts),
                           refs, acts)
-    mit = {
+    return {
         "none": NoMitigation,
         "prfm": lambda: Prfm(prfm),
         "prac": lambda: PracN(prac),
@@ -228,7 +216,6 @@ def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology, t: TimingParams)
         "hydra": lambda: hydra_defaults(n_rh, topo),
         "para": lambda: Para(_setting(sec, "probability", para_probability, n_rh)),
     }[kind]()
-    return mit, None if prac is None else asdict(prac)
 
 
 def resolve_spec(cfg: dict) -> RunSpec:
@@ -255,11 +242,11 @@ def resolve_spec(cfg: dict) -> RunSpec:
     t = timing_from_config(cfg, preset_name)
     topo = Topology.desk() if desk else Topology()
     # thresholds are derived at the run's own timing, before desk scaling
-    mit, prac = _mechanism(kind, n_rh, sec, topo, t)
+    mit = _mechanism(kind, n_rh, sec, topo, t)
     if desk:
         t = desk_timing(t)
     return RunSpec(
-        n_rh=n_rh, topo=topo, timing=t, mitigation=mit, prac=prac,
+        n_rh=n_rh, topo=topo, timing=t, mitigation=mit,
         counter_bits=counter_width(max(n_rh, 2)),
         stop=StopCondition(wl.get("instructions_per_core", 4000),
                            wl.get("max_cycles", 3_000_000)),
@@ -280,8 +267,9 @@ def _attacker_trace(attacker: AttackSpec, t: TimingParams, duration_ps: int, top
 
 
 def _run(spec: RunSpec, traces, monitor: Optional[DisturbanceMonitor] = None):
-    dev = DeviceState(spec.topo, spec.timing, prac=spec.prac, monitor=monitor,
-                      counter_bits=spec.counter_bits)
+    prac = spec.mitigation.prac
+    dev = DeviceState(spec.topo, spec.timing, prac=None if prac is None else asdict(prac),
+                      monitor=monitor, counter_bits=spec.counter_bits)
     ctrl = MemoryController(spec.topo, spec.timing, dev, spec.mitigation, seed=spec.seed)
     result = run_cores(traces, ctrl, spec.stop)
     if not dev.conservation_holds():
@@ -379,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--bo-n-acts", type=int, default=None)
     a.add_argument("--nrh", type=int)
     a.add_argument("--require-secure", action="store_true")
-    a.add_argument("--gnuplot-stub", action="store_true")
     a.add_argument("--out")
     a.set_defaults(func=cmd_analyze)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dram import ACT, PRE, RD, REF, RFMAB, WR, DeviceState, Topology
-from .mitigations import Action, MitigationConfig, NoMitigation, PracPlusPrfm, Prfm, build_mechanism
+from .mitigations import MitigationConfig, NoMitigation, build_mechanism
 from .timing import ConfigError, TimingParams
 
 BLOCK_BYTES = 64
@@ -77,7 +77,6 @@ class Request:
     is_write: bool
     bank_idx: int
     row: int
-    column: int
     bypassed: int = 0
 
 
@@ -93,26 +92,20 @@ class MemoryController:
         self.topo = topo
         self.t = t
         self.dev = device
-        self.mitigation = mitigation
-        self.prfm_th = None
-        if isinstance(mitigation, Prfm):
-            self.prfm_th = mitigation.params.rfm_th
-        elif isinstance(mitigation, PracPlusPrfm):
-            self.prfm_th = mitigation.prfm.rfm_th
+        self.prfm_th = None if mitigation.prfm is None else mitigation.prfm.rfm_th
         self.mech = build_mechanism(mitigation, topo, t, seed)
-        self.read_q: list = []
-        self.write_q: list = []
         self.bank_q: dict = {}          # bank_idx -> [Request] in arrival order
+        self.queued_reads = 0
+        self.queued_writes = 0
         self.draining = False
         self.next_ref = t.tREFI
         self.cmd_bus_free = 0
         self.data_bus_free = 0
         self.bank_busy_extra: dict = {}  # preventive refreshes occupy the bank
         self.completions: deque = deque()  # (time, Request), reads, in time order
-        self.bo_deadline: Optional[int] = None
         self.min_deadline_slack: Optional[int] = None
         self.stat = {"acts": 0, "reads": 0, "writes": 0, "rfms": 0,
-                     "refs": 0, "backoffs": 0, "preventive_refreshes": 0}
+                     "refs": 0, "preventive_refreshes": 0}
         self.read_latencies: list = []
         self._last_done = 0
         self._next_id = 0
@@ -121,23 +114,23 @@ class MemoryController:
     # ------------------------------------------------------------- queue side
 
     def can_accept(self, is_write: bool) -> bool:
-        q = self.write_q if is_write else self.read_q
-        depth = WRITE_QUEUE_DEPTH if is_write else READ_QUEUE_DEPTH
-        return len(q) < depth
+        if is_write:
+            return self.queued_writes < WRITE_QUEUE_DEPTH
+        return self.queued_reads < READ_QUEUE_DEPTH
 
     def enqueue(self, core: int, address: int, is_write: bool, now: int) -> Request:
         if not self.can_accept(is_write):
             raise ConfigError("enqueue on a full queue; call can_accept first")
-        rank, bg, bank, row, col = map_address(self.topo, address)
+        rank, bg, bank, row, _ = map_address(self.topo, address)
         bank_idx = self.dev.bank_index(rank, bg, bank)
-        req = Request(self._next_id, core, now, is_write, bank_idx, row, col)
+        req = Request(self._next_id, core, now, is_write, bank_idx, row)
         self._next_id += 1
         if is_write:
-            self.write_q.append(req)
+            self.queued_writes += 1
         else:
-            if not self.read_q:
+            if not self.queued_reads:
                 self._choice_cache.clear()   # write eligibility flips everywhere
-            self.read_q.append(req)
+            self.queued_reads += 1
         self.bank_q.setdefault(bank_idx, []).append(req)
         self._choice_cache.pop(bank_idx, None)
         return req
@@ -147,10 +140,7 @@ class MemoryController:
     def _close_row(self, bank_idx: int, at: int) -> int:
         b = self.dev.banks[bank_idx]
         pre_at = max(at, b.pre_ok, self.cmd_bus_free, self.dev.blocked_until)
-        # a precharge's only event is the back-off assert
-        for _, assert_ts in self.dev.issue(PRE, (bank_idx, b.open_row), pre_at):
-            self.bo_deadline = assert_ts + self.t.tABO_ACT
-            self.stat["backoffs"] += 1
+        self.dev.issue(PRE, (bank_idx, b.open_row), pre_at)   # may assert a back-off
         self.cmd_bus_free = pre_at + self.t.clock_period
         self._choice_cache.pop(bank_idx, None)
         return pre_at
@@ -188,16 +178,16 @@ class MemoryController:
 
     def _update_drain_mode(self):
         before = self.draining
-        if len(self.write_q) >= DRAIN_HIGH:
+        if self.queued_writes >= DRAIN_HIGH:
             self.draining = True
-        elif self.draining and len(self.write_q) <= DRAIN_LOW:
+        elif self.draining and self.queued_writes <= DRAIN_LOW:
             self.draining = False
         if self.draining != before:
             self._choice_cache.clear()
 
     def _eligible(self, req: Request) -> bool:
         if req.is_write:
-            return self.draining or not self.read_q
+            return self.draining or not self.queued_reads
         return True
 
     def _bank_choice(self, bank_idx: int):
@@ -234,23 +224,25 @@ class MemoryController:
                 choice = (b.pre_ok, PRE, req)
         return choice
 
-    def _window_allows(self, cmd: str, at: int) -> bool:
+    def _window_allows(self, cmd: str, at: int, deadline: int) -> bool:
         """A command fits the open service window only if the bank can be
-        back in a precharged state by the deadline: the last ACT may issue no
-        later than deadline - tRC, and closing every bank costs one
+        back in a precharged state by the back-off deadline: the last ACT may
+        issue no later than deadline - tRC, and closing every bank costs one
         command-bus hop each ahead of the recovery RFM."""
         tail = {ACT: self.t.tRC, RD: self.t.tRTP, WR: self.t.tWR}.get(cmd, 0)
         margin = (self.topo.banks_total + 2) * self.t.clock_period
-        if at + tail + margin > self.bo_deadline:
+        if at + tail + margin > deadline:
             return False
         if cmd == ACT and self.dev.fsm.window_left <= 0:
             return False
         return True
 
-    def _select(self, now: int, windowed: bool):
+    def _select(self, now: int, deadline: Optional[int]):
         """The next command over all banks, or None: the least
         (at, row-after-column, arrival, req_id, cmd, req). req_id is unique,
-        so the order is total and one pass finds the minimum."""
+        so the order is total and one pass finds the minimum. While a
+        back-off window is open, `deadline` is its deadline and only commands
+        the window allows are candidates."""
         floor_t = max(now, self.dev.blocked_until, self.cmd_bus_free)
         data_free = self.data_bus_free
         busy = self.bank_busy_extra
@@ -270,7 +262,7 @@ class MemoryController:
             col = cmd == RD or cmd == WR
             if col:
                 at = max(at, data_free)
-            if windowed and not self._window_allows(cmd, at):
+            if deadline is not None and not self._window_allows(cmd, at, deadline):
                 continue
             key = (at, 0 if col else 1, req.arrival, req.req_id, cmd, req)
             if col:
@@ -287,36 +279,28 @@ class MemoryController:
             return held
         return best
 
-    def _in_recovery(self) -> bool:
-        return self.dev.fsm is not None and self.dev.fsm.phase == "recovery"
-
     def _serve_recovery(self, now: int) -> int:
         """Issue the recovery RFMs back to back; the first must start by the
-        back-off deadline."""
+        back-off deadline, tABO_ACT after the assert."""
         fsm = self.dev.fsm
-        first = True
-        while fsm.phase in ("window", "recovery"):
-            at = self._issue_rfm(now)
-            if first and self.bo_deadline is not None:
-                slack = self.bo_deadline - at
-                if slack < 0:
-                    raise DeadlineOverrun(
-                        f"recovery RFM at {at} ps missed deadline {self.bo_deadline} ps")
-                if self.min_deadline_slack is None or slack < self.min_deadline_slack:
-                    self.min_deadline_slack = slack
-                first = False
-            now = at + self.t.tRFM
-        self.bo_deadline = None
+        deadline = fsm.assert_ts + self.t.tABO_ACT
+        at = self._issue_rfm(now)
+        slack = deadline - at
+        if slack < 0:
+            raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline {deadline} ps")
+        if self.min_deadline_slack is None or slack < self.min_deadline_slack:
+            self.min_deadline_slack = slack
+        now = at + self.t.tRFM
+        while fsm.phase == "recovery":
+            now = self._issue_rfm(now) + self.t.tRFM
         return now
 
-    def _apply_action(self, action: Action, bank_idx: int, at: int):
-        if action.kind != "preventive_refresh":
-            return
+    def _refresh_victims(self, victims: tuple, bank_idx: int, at: int):
         # targeted victim refreshes occupy the bank for tRC per victim row
-        busy_until = at + len(action.victims) * self.t.tRC
+        busy_until = at + len(victims) * self.t.tRC
         self.bank_busy_extra[bank_idx] = max(
             self.bank_busy_extra.get(bank_idx, 0), busy_until)
-        self.dev.refresh_rows(bank_idx, action.victims)
+        self.dev.refresh_rows(bank_idx, victims)
         self.stat["preventive_refreshes"] += 1
 
     def _finish(self, req: Request, done_at: int):
@@ -325,11 +309,11 @@ class MemoryController:
             del self.bank_q[req.bank_idx]
         self._choice_cache.pop(req.bank_idx, None)
         if req.is_write:
-            self.write_q.remove(req)
+            self.queued_writes -= 1
             self.stat["writes"] += 1
         else:
-            self.read_q.remove(req)
-            if not self.read_q:
+            self.queued_reads -= 1
+            if not self.queued_reads:
                 self._choice_cache.clear()   # writes become eligible everywhere
             self.stat["reads"] += 1
             self.read_latencies.append(done_at - req.arrival)
@@ -346,22 +330,21 @@ class MemoryController:
     def step(self, now: int) -> int:
         """Run everything due at `now`; returns the next time work exists."""
         self._update_drain_mode()
+        fsm = self.dev.fsm
         while True:
-            if self._in_recovery():
+            phase = None if fsm is None else fsm.phase
+            if phase == "recovery":
                 now = max(now, self._serve_recovery(now))
                 continue
             if now >= self.next_ref:
-                fsm = self.dev.fsm
-                if fsm is not None and fsm.phase == "window":
+                if phase == "window":
                     # an open back-off window cannot absorb a whole tRFC
                     now = max(now, self._serve_recovery(now))
                 self._issue_ref(self.next_ref)
                 continue
-            fsm = self.dev.fsm
-            windowed = (fsm is not None and fsm.phase == "window"
-                        and self.bo_deadline is not None)
-            best = self._select(now, windowed)
-            if windowed and (best is None or best[0] > self.bo_deadline):
+            deadline = fsm.assert_ts + self.t.tABO_ACT if phase == "window" else None
+            best = self._select(now, deadline)
+            if deadline is not None and (best is None or best[0] > deadline):
                 # nothing more can be served inside the window: recover early
                 now = max(now, self._serve_recovery(now))
                 continue
@@ -387,8 +370,9 @@ class MemoryController:
             self.cmd_bus_free = at + self.t.clock_period
             self._choice_cache.pop(req.bank_idx, None)
             if self.mech is not None:
-                self._apply_action(self.mech.on_activation(req.bank_idx, req.row, at),
-                                   req.bank_idx, at)
+                victims = self.mech.on_activation(req.bank_idx, req.row, at)
+                if victims:
+                    self._refresh_victims(victims, req.bank_idx, at)
         else:  # RD / WR
             self.dev.issue(cmd, (req.bank_idx, req.row), at)
             self.cmd_bus_free = at + self.t.clock_period

@@ -106,8 +106,9 @@ class BackOffFsm:
     def __post_init__(self):
         self.delay_left = self.bo_n_acts
 
-    def on_close(self, counter_value: int, now: int, signal_latency: int) -> bool:
-        """Row-close bookkeeping; returns True when the back-off asserts."""
+    def on_close(self, counter_value: int, now: int, signal_latency: int):
+        """Row-close bookkeeping; an assert counts in `asserts` and stamps
+        `assert_ts`."""
         if counter_value >= self.abo_th:
             self.pending = True
         if self.phase == "delay":
@@ -123,14 +124,13 @@ class BackOffFsm:
                     else:
                         self.phase = "recovery"
                         self.refs_needed = self.bo_n_refs
-                    return True
-                self.delay_left = self.bo_n_acts
+                else:
+                    self.delay_left = self.bo_n_acts
         elif self.phase == "window":
             self.window_left -= 1
             if self.window_left == 0:
                 self.phase = "recovery"
                 self.refs_needed = self.bo_n_refs
-        return False
 
     def on_rfm(self):
         if self.phase == "window":
@@ -234,9 +234,9 @@ class DeviceState:
     def issue(self, cmd: str, addr, now: int) -> list:
         """Apply one command; addr is (bank_index, row) or None for REF/RFMab.
 
-        Returns a list of event tuples: PRE may return ('backoff_assert', ts),
-        REF returns ('ref', rows), RFMab one ('refreshed', bank, aggressor_row,
-        victims) per bank; ACT, RD and WR return none.
+        Returns a list of event tuples: REF returns ('ref', rows), RFMab one
+        ('refreshed', bank, aggressor_row, victims) per bank; ACT, PRE, RD and
+        WR return none. A back-off a PRE asserts shows in `fsm`.
         """
         events = []
         self._check(self.blocked_until, now, "tRFC/tRFM busy")
@@ -274,8 +274,7 @@ class DeviceState:
                 self.saturated_increments += 1
             b.counters[row] = count
             if self.fsm is not None:
-                if self.fsm.on_close(count, now, self.t.tBackoffSignal):
-                    events.append(("backoff_assert", self.fsm.assert_ts))
+                self.fsm.on_close(count, now, self.t.tBackoffSignal)
         elif cmd in (RD, WR):
             bank_idx, row = addr
             b = self.banks[bank_idx]

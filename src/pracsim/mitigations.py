@@ -2,11 +2,12 @@
 
 Controller-side mechanisms (frequent-item counting, DRAM-resident counters
 with an on-chip cache, probabilistic neighbor refresh) share one interface:
-on_activation() returns either nothing or a preventive-refresh action naming
-the victim rows to refresh. The in-DRAM mechanisms (per-row counting with
-back-off, periodic refresh management) live in the device model and the
-controller; their configs are carried here so one tagged union selects any
-mechanism.
+on_activation() returns the tuple of victim rows to refresh now, empty when
+no refresh is due. The in-DRAM mechanisms (per-row counting with back-off,
+periodic refresh management) live in the device model and the controller.
+Every config derives from MitigationConfig, so any of them tells its runner
+the PRAC back-off and PRFM parameters it uses through `prac` and `prfm`,
+each None for a mechanism that does not use it.
 
 Storage constants the original proposals left open are pinned here and noted
 inline. The config file sets none of them: graphene and hydra are sized from
@@ -17,47 +18,55 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .dram import Topology, victim_rows
 from .security import PracParams, PrfmParams, t_available
 from .timing import ConfigError, TimingParams, preset
 
 
+class MitigationConfig:
+    """Base of every mechanism config. A config that uses PRAC or PRFM
+    declares `prac`/`prfm` as a required field; `= field()` keeps the None
+    here from becoming that field's default."""
+    prac: Optional[PracParams] = None
+    prfm: Optional[PrfmParams] = None
+
+
 @dataclass(frozen=True)
-class NoMitigation:
+class NoMitigation(MitigationConfig):
     name = "none"
 
 
 @dataclass(frozen=True)
-class Prfm:
-    params: PrfmParams
+class Prfm(MitigationConfig):
+    prfm: PrfmParams = field()
     name = "prfm"
 
 
 @dataclass(frozen=True)
-class PracN:
-    params: PracParams
+class PracN(MitigationConfig):
+    prac: PracParams = field()
     name = "prac"
 
 
 @dataclass(frozen=True)
-class PracPlusPrfm:
-    prac: PracParams
-    prfm: PrfmParams
+class PracPlusPrfm(MitigationConfig):
+    prac: PracParams = field()
+    prfm: PrfmParams = field()
     name = "prac+prfm"
 
 
 @dataclass(frozen=True)
-class PracOptimistic:
+class PracOptimistic(MitigationConfig):
     """Same policy as PracN but run on unadjusted timing parameters."""
-    params: PracParams
+    prac: PracParams = field()
     name = "prac-optimistic"
 
 
 @dataclass(frozen=True)
-class Graphene:
+class Graphene(MitigationConfig):
     table_entries: int
     threshold: int
     name = "graphene"
@@ -68,7 +77,7 @@ class Graphene:
 
 
 @dataclass(frozen=True)
-class Hydra:
+class Hydra(MitigationConfig):
     gct_entries: int
     rcc_entries: int
     group_threshold: int
@@ -82,17 +91,13 @@ class Hydra:
 
 
 @dataclass(frozen=True)
-class Para:
+class Para(MitigationConfig):
     probability: float
     name = "para"
 
     def __post_init__(self):
         if not 0.0 < self.probability < 1.0:
             raise ConfigError("para probability must be inside (0, 1)")
-
-
-MitigationConfig = Union[NoMitigation, Prfm, PracN, PracPlusPrfm, PracOptimistic,
-                         Graphene, Hydra, Para]
 
 
 PARA_ESCAPE_EXPONENT = 40
@@ -126,15 +131,6 @@ def hydra_defaults(n_rh: int, topo: Topology) -> Hydra:
 # runtime state machines
 
 
-@dataclass(frozen=True)
-class Action:
-    kind: str                 # "none" | "preventive_refresh" | "require_rfm"
-    victims: tuple = ()
-
-
-NONE_ACTION = Action("none")
-
-
 class GrapheneState:
     """Per-bank Misra-Gries tables; a tracked row triggers a victim refresh
     every `threshold` activations. Tables reset once per refresh window."""
@@ -147,7 +143,7 @@ class GrapheneState:
         self.tables = [dict() for _ in range(topo.banks_total)]   # row -> count
         self.spill = [0] * topo.banks_total
 
-    def on_activation(self, bank: int, row: int, now: int) -> Action:
+    def on_activation(self, bank: int, row: int, now: int) -> tuple:
         if now - self.last_reset >= self.reset_period:
             for tb in self.tables:
                 tb.clear()
@@ -164,11 +160,11 @@ class GrapheneState:
             dead = [r for r, c in table.items() if c <= self.spill[bank]]
             for r in dead:
                 del table[r]
-            return NONE_ACTION
+            return ()
         if table[row] - self.spill[bank] >= self.cfg.threshold:
             table[row] = self.spill[bank]
-            return Action("preventive_refresh", victim_rows(row, self.topo.rows_per_bank))
-        return NONE_ACTION
+            return victim_rows(row, self.topo.rows_per_bank)
+        return ()
 
 
 class HydraState:
@@ -201,21 +197,21 @@ class HydraState:
             if len(self.rcc) > self.cfg.rcc_entries:
                 self.rcc.pop(0)   # writeback; the dict copy stays authoritative
 
-    def on_activation(self, bank: int, row: int, now: int) -> Action:
+    def on_activation(self, bank: int, row: int, now: int) -> tuple:
         g = self._group(bank, row)
         gcount = self.groups.get(g, 0)
         if gcount < self.cfg.group_threshold:
             self.groups[g] = gcount + 1
-            return NONE_ACTION
+            return ()
         key = (bank, row)
         self._touch_cache(key)
         # first engagement inherits the group count pessimistically
         count = self.row_counters.get(key, self.cfg.group_threshold) + 1
         if count >= self.cfg.row_threshold:
             self.row_counters[key] = 0
-            return Action("preventive_refresh", victim_rows(row, self.topo.rows_per_bank))
+            return victim_rows(row, self.topo.rows_per_bank)
         self.row_counters[key] = count
-        return NONE_ACTION
+        return ()
 
 
 class ParaState:
@@ -226,12 +222,12 @@ class ParaState:
         self.topo = topo
         self.rng = random.Random(seed)
 
-    def on_activation(self, bank: int, row: int, now: int) -> Action:
+    def on_activation(self, bank: int, row: int, now: int) -> tuple:
         if self.rng.random() < self.cfg.probability:
             step = 1 if self.rng.random() < 0.5 else -1
             victim = min(max(row + step, 0), self.topo.rows_per_bank - 1)
-            return Action("preventive_refresh", (victim,))
-        return NONE_ACTION
+            return (victim,)
+        return ()
 
 
 def build_mechanism(cfg: MitigationConfig, topo: Topology, t: TimingParams,
@@ -274,17 +270,6 @@ def storage_cost(mech: MitigationConfig, n_rh: int, topo: Topology) -> StorageBr
     row_bits_bank = math.ceil(math.log2(topo.rows_per_bank))
     row_bits_total = math.ceil(math.log2(topo.rows_total))
     width = counter_width(n_rh)
-    if isinstance(mech, NoMitigation):
-        return StorageBreakdown(0, 0)
-    if isinstance(mech, (PracN, PracOptimistic)):
-        return StorageBreakdown(0, topo.rows_total * width)
-    if isinstance(mech, Prfm):
-        bank_counter = math.ceil(math.log2(mech.params.rfm_th)) + 1
-        return StorageBreakdown(topo.banks_total * bank_counter, 0)
-    if isinstance(mech, PracPlusPrfm):
-        bank_counter = math.ceil(math.log2(mech.prfm.rfm_th)) + 1
-        return StorageBreakdown(topo.banks_total * bank_counter,
-                                topo.rows_total * width)
     if isinstance(mech, Graphene):
         entry = row_bits_bank + math.ceil(math.log2(mech.threshold + 1))
         return StorageBreakdown(topo.banks_total * mech.table_entries * entry, 0)
@@ -296,4 +281,7 @@ def storage_cost(mech: MitigationConfig, n_rh: int, topo: Topology) -> StorageBr
         return StorageBreakdown(cpu, topo.rows_total * row_counter)
     if isinstance(mech, Para):
         return StorageBreakdown(topo.banks_total * 32, 0)   # per-bank LFSR
-    raise ConfigError(f"unknown mitigation {mech!r}")
+    # in-DRAM mechanisms: one RAA counter per bank, one counter per row
+    raa_bits = 0 if mech.prfm is None else math.ceil(math.log2(mech.prfm.rfm_th)) + 1
+    return StorageBreakdown(topo.banks_total * raa_bits,
+                            0 if mech.prac is None else topo.rows_total * width)

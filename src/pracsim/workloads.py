@@ -284,7 +284,7 @@ def run_cores(traces, controller: MemoryController,
     retires its budget or the global cycle cap is hit."""
     stop = stop or StopCondition()
     cores = [CoreModel(i, tr, stop.instructions_per_core) for i, tr in enumerate(traces)]
-    req_entry = {}
+    req_entry = {}   # req_id -> its core's window entry, outstanding reads only
     completions = controller.completions
     now = 0
     cap = stop.max_ps
@@ -296,8 +296,7 @@ def run_cores(traces, controller: MemoryController,
         # deliver read completions due by now; they queue in time order
         while completions and completions[0][0] <= now:
             done_at, req = completions.popleft()
-            core, entry = req_entry.pop(req.req_id)
-            cores[core].on_response(entry, done_at)
+            cores[req.core].on_response(req_entry.pop(req.req_id), done_at)
         # cores hand requests to the controller
         for core in cores:
             while core.can_issue(now):
@@ -312,7 +311,7 @@ def run_cores(traces, controller: MemoryController,
                 entry = core.issue(now, at if is_write else None)
                 req = controller.enqueue(core.core_id, rec.address, is_write, at)
                 if not is_write:
-                    req_entry[req.req_id] = (core.core_id, entry)
+                    req_entry[req.req_id] = entry
         t_ctrl = controller.step(now)
         if all(c.done() for c in cores):
             break
@@ -351,5 +350,5 @@ def run_cores(traces, controller: MemoryController,
         max_pair_disturbance=0 if monitor is None else monitor.max_pair,
         monitor_violations=[] if monitor is None else list(monitor.violations),
         preventive_refreshes=controller.stat["preventive_refreshes"],
-        backoffs=controller.stat["backoffs"],
+        backoffs=0 if dev.fsm is None else dev.fsm.asserts,
     )

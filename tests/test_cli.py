@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -274,9 +274,11 @@ def test_bad_subcommand_usage_exit():
 
 
 @pytest.mark.parametrize("argv", [["gen-traces", "--out-dir"],
-                                  ["attack-theory", "--bo-n-acts", "1", "--out"]])
+                                  ["attack-theory", "--bo-n-acts", "1", "--out"],
+                                  ["analyze", "--mech", "prfm", "--gnuplot-stub", "--out"]])
 def test_removed_command_and_option_are_usage_errors(tmp_path, argv):
-    # nothing read the trace files; theoretical_consumption never read bo_n_acts
+    # nothing read the trace files or the plot script beside the sweep CSV;
+    # theoretical_consumption never read bo_n_acts
     assert main(argv + [str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x").exists()
 
@@ -307,10 +309,32 @@ def test_derivation_sees_the_timing_overrides():
     # both thresholds derived at the fixed presets were insecure here
     spec = resolve_spec({"topology": {"desk": False}, "timing": {"tabo_act": 720_000},
                          "mitigation": {"kind": "prac", "n_rh": 64}})
-    assert spec.mitigation.params.abo_th == 26
+    assert spec.mitigation.prac.abo_th == 26
     spec = resolve_spec({"topology": {"desk": False}, "timing": {"trefw": 128_000_000_000},
                          "mitigation": {"kind": "prfm", "n_rh": 64}})
-    assert spec.mitigation.params.rfm_th == 5
+    assert spec.mitigation.prfm.rfm_th == 5
+
+
+@pytest.mark.parametrize("kind", sorted(cli.MECHANISMS))
+def test_resolved_prac_and_prfm_follow_the_keys_the_kind_reads(monkeypatch, kind):
+    """A resolved mechanism carries PRAC/PRFM parameters exactly when its
+    kind reads abo_th/rfm_th, and the device of a run gets a back-off FSM
+    exactly when PRAC is set, with those parameters."""
+    spec = resolve_spec({"mitigation": {"kind": kind, "n_rh": 64}})
+    prac, prfm, reads = spec.mitigation.prac, spec.mitigation.prfm, cli.MECHANISMS[kind][1]
+    assert (prac is not None) == ("abo_th" in reads)
+    assert (prfm is not None) == ("rfm_th" in reads)
+    devices = []
+
+    def capture(*args, **kwargs):
+        devices.append(DeviceState(*args, **kwargs))
+        return devices[-1]
+    monkeypatch.setattr(cli, "DeviceState", capture)
+    cli._run(spec, [[]])
+    fsm = devices[0].fsm
+    assert (fsm is not None) == (prac is not None)
+    if fsm is not None:
+        assert (fsm.abo_th, fsm.bo_n_refs, fsm.bo_n_acts) == astuple(prac)
 
 
 def _simulate_tiny(tmp_path, mitigation, **workload):

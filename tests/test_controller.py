@@ -79,7 +79,7 @@ def test_frfcfs_cap_forces_the_old_miss_after_four_hits():
     now = 1_000_000
     for _ in range(60):
         now = max(ctrl.step(now), now + 1)
-        if not ctrl.read_q and not ctrl.write_q:
+        if not ctrl.bank_q:
             break
     assert ctrl.stat["reads"] == 6
     order = [req.req_id for _, req in sorted(ctrl.completions, key=lambda c: c[0])]
@@ -122,7 +122,7 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     prac = {"abo_th": 8, "bo_n_refs": 4, "bo_n_acts": 1}
     dev, ctrl = make(PracN(PracParams(8, 4, 1)), t=T_DESK_PRAC, prac=prac)
     run_cores([trace], ctrl, StopCondition(None, 3_000_000))
-    assert ctrl.stat["backoffs"] > 0
-    assert ctrl.stat["rfms"] == ctrl.stat["backoffs"] * 4
+    assert dev.fsm.asserts > 0
+    assert ctrl.stat["rfms"] == dev.fsm.asserts * 4
     assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
     assert dev.fsm.phase in ("delay", "window")

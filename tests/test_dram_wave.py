@@ -55,9 +55,9 @@ def test_pre_increments_the_closed_rows_counter():
 def test_backoff_asserts_within_signal_latency_of_the_crossing():
     dev = DeviceState(DESK, PRAC_T, prac={"abo_th": 1, "bo_n_refs": 4, "bo_n_acts": 1})
     dev.issue(ACT, (0, 3), 1_000_000)
-    events = dev.issue(PRE, (0, 3), 1_000_000 + PRAC_T.tRAS)
-    assert events and events[0][0] == "backoff_assert"
-    assert events[0][1] == 1_000_000 + PRAC_T.tRAS + PRAC_T.tBackoffSignal
+    dev.issue(PRE, (0, 3), 1_000_000 + PRAC_T.tRAS)
+    assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
+    assert dev.fsm.assert_ts == 1_000_000 + PRAC_T.tRAS + PRAC_T.tBackoffSignal
 
 
 def test_act_rejected_during_recovery():
