@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
+from .controller import inverse_map_address
 from .dram import ACT, PRE, REF, RFMAB, DeviceState, DisturbanceMonitor, Topology
 from .security import PracParams, PrfmParams, t_available
 from .timing import ConfigError, TimingParams
+from .workloads import TraceRecord
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,6 @@ def gen_perf_attack_trace(spec: AttackSpec, t: TimingParams, duration_ps: int,
                           topo: Optional[Topology] = None) -> list:
     """Single-core row-conflict hammer: banks rotate fastest so every bank
     sees a conflict stream; rows rotate per bank visit."""
-    from .controller import inverse_map_address
-    from .workloads import TraceRecord
-
     topo = topo or Topology()
     rotation = spec.banks * spec.rows_per_bank
     if duration_ps < rotation * t.tRC:

@@ -84,21 +84,27 @@ def cmd_analyze(args) -> int:
     grid = SweepGrid(args.mech, bo_n_acts=1 if args.bo_n_acts is None else args.bo_n_acts,
                      **{k: tuple(v) for k, v in given.items() if v is not None})
     rows = sweep(grid, t)
-    verdicts = {}   # params -> verdict, shared by the PRFM rows of a threshold
+    prfm_secure = {}   # rfm_th -> verdict, shared by the PRFM rows of a threshold
+    any_secure = False
     lines = [",".join(SWEEP_COLUMNS + ("verdict_at_nrh",))]
     for mech, th, b0r, mx, sec_at in rows:
         verdict = ""
         if args.nrh:
-            # a PRFM verdict maximizes over b0; a PRAC row is judged with its own refs
-            p = PrfmParams(th) if mech == "prfm" else PracParams(th, b0r, grid.bo_n_acts)
-            if p not in verdicts:
-                verdicts[p] = "secure" if is_secure(args.nrh, p, t).secure else "insecure"
-            verdict = verdicts[p]
+            # a PRAC row's maximum is its verdict; a PRFM verdict maximizes
+            # over every b0, while a PRFM cell counts only its own
+            if mech == "prac":
+                secure = mx < args.nrh
+            else:
+                if th not in prfm_secure:
+                    prfm_secure[th] = is_secure(args.nrh, PrfmParams(th), t).secure
+                secure = prfm_secure[th]
+            verdict = "secure" if secure else "insecure"
+            any_secure |= secure
         lines.append(f"{mech},{th},{b0r},{mx},{sec_at},{verdict}")
     out = args.out or f"analyze_{args.mech}.csv"
     _write_lines(out, lines)
     print(f"wrote {out} ({len(rows)} grid points)")
-    if args.require_secure and "secure" not in verdicts.values():
+    if args.require_secure and not any_secure:
         print("no grid point is secure at the requested threshold", file=sys.stderr)
         return 3
     return 0
@@ -171,15 +177,18 @@ class RunSpec:
     topo: Topology
     timing: TimingParams
     mitigation: MitigationConfig
-    counter_bits: int
     stop: StopCondition
     mixes: int
     seed: int
     records: int
     attacker: Optional[AttackSpec]  # core 0's row-conflict hammer (attacker = dos)
-    first_benign: int               # 1 with the attacker on core 0, else 0
     baseline: Optional["RunSpec"]   # the same config with kind = none; None if it is
     derived_secure: bool            # analyzer-derived thresholds: no violation allowed
+
+    @property
+    def first_benign(self) -> int:
+        """1 with the attacker on core 0, else 0."""
+        return int(self.attacker is not None)
 
 
 def _reject(section: str, keys, why: str):
@@ -198,7 +207,8 @@ def _setting(sec: dict, key: str, derive, n_rh: int, *args):
 def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology,
                t: TimingParams) -> MitigationConfig:
     """The mechanism's config; thresholds not set in the config are derived
-    from the security analysis at timing t and full size."""
+    from the security analysis at timing t and full size, and graphene's
+    table is sized for t's refresh window."""
     refs, acts = sec.get("bo_n_refs", 4), sec.get("bo_n_acts", 1)
     prfm = prac = None
     if "rfm_th" in MECHANISMS[kind][1]:
@@ -212,7 +222,7 @@ def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology,
         "prac": lambda: PracN(prac),
         "prac-optimistic": lambda: PracOptimistic(prac),
         "prac+prfm": lambda: PracPlusPrfm(prac, prfm),
-        "graphene": lambda: graphene_defaults(n_rh, topo),
+        "graphene": lambda: graphene_defaults(n_rh, topo, t),
         "hydra": lambda: hydra_defaults(n_rh, topo),
         "para": lambda: Para(_setting(sec, "probability", para_probability, n_rh)),
     }[kind]()
@@ -241,23 +251,22 @@ def resolve_spec(cfg: dict) -> RunSpec:
             else (), "without attacker = dos")
     t = timing_from_config(cfg, preset_name)
     topo = Topology.desk() if desk else Topology()
-    # thresholds are derived at the run's own timing, before desk scaling
+    # thresholds and table sizes are derived at the run's own timing,
+    # before desk scaling
     mit = _mechanism(kind, n_rh, sec, topo, t)
     if desk:
         t = desk_timing(t)
     return RunSpec(
         n_rh=n_rh, topo=topo, timing=t, mitigation=mit,
-        counter_bits=counter_width(max(n_rh, 2)),
         stop=StopCondition(wl.get("instructions_per_core", 4000),
                            wl.get("max_cycles", 3_000_000)),
         mixes=wl.get("mixes", 6), seed=wl.get("seed", 0), records=wl.get("records", 600),
         attacker=None if attacker == "none" else AttackSpec(
             "perf_degradation", rows_per_bank=wl.get("attacker_rows", 8),
             banks=wl.get("attacker_banks", 4)),
-        first_benign=int(attacker == "dos"),
         baseline=None if kind == "none" else resolve_spec(
             {**cfg, "mitigation": {"kind": "none", "n_rh": n_rh}}),
-        derived_secure=kind in ("prfm", "prac", "prac+prfm")
+        derived_secure=(mit.prac is not None or mit.prfm is not None)
         and not {"rfm_th", "abo_th"} & set(sec))
 
 
@@ -269,7 +278,7 @@ def _attacker_trace(attacker: AttackSpec, t: TimingParams, duration_ps: int, top
 def _run(spec: RunSpec, traces, monitor: Optional[DisturbanceMonitor] = None):
     prac = spec.mitigation.prac
     dev = DeviceState(spec.topo, spec.timing, prac=None if prac is None else asdict(prac),
-                      monitor=monitor, counter_bits=spec.counter_bits)
+                      monitor=monitor, counter_bits=counter_width(max(spec.n_rh, 2)))
     ctrl = MemoryController(spec.topo, spec.timing, dev, spec.mitigation, seed=spec.seed)
     result = run_cores(traces, ctrl, spec.stop)
     if not dev.conservation_holds():

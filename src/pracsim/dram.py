@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .timing import ConfigError, TimingParams
 
@@ -231,14 +231,14 @@ class DeviceState:
 
     # ------------------------------------------------------------- commands
 
-    def issue(self, cmd: str, addr, now: int) -> list:
+    def issue(self, cmd: str, addr, now: int) -> Sequence[tuple]:
         """Apply one command; addr is (bank_index, row) or None for REF/RFMab.
 
-        Returns a list of event tuples: REF returns ('ref', rows), RFMab one
+        Returns the event tuples: REF a list holding ('ref', rows), RFMab one
         ('refreshed', bank, aggressor_row, victims) per bank; ACT, PRE, RD and
-        WR return none. A back-off a PRE asserts shows in `fsm`.
+        WR return an empty tuple. A back-off a PRE asserts shows in `fsm`.
         """
-        events = []
+        events = ()
         self._check(self.blocked_until, now, "tRFC/tRFM busy")
         if cmd == ACT:
             bank_idx, row = addr
@@ -286,11 +286,11 @@ class DeviceState:
             else:
                 b.pre_ok = max(b.pre_ok, now + self.t.tWR)
         elif cmd == REF:
-            events.extend(self._serve_ref(now))
+            events = self._serve_ref(now)
             self.blocked_until = now + self.t.tRFC
         elif cmd == RFMAB:
             triggered = addr[0] if addr is not None else None
-            events.extend(self.serve_rfm(triggered_bank=triggered))
+            events = self.serve_rfm(triggered_bank=triggered)
             self.blocked_until = now + self.t.tRFM
             if self.fsm is not None:
                 self.fsm.on_rfm()

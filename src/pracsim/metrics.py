@@ -9,7 +9,6 @@ energy claim made by the test suite is directional, never absolute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .timing import ConfigError
 from .workloads import CPU_CYCLE_PS, RunResult
@@ -73,18 +72,12 @@ def latency_percentiles(latencies) -> dict:
 
 @dataclass
 class SimReport:
+    """One shared run as reports.csv shows it: the weighted speedup over the
+    benign cores, and the RunResult every other column is read from."""
     label: str
     seed: int
-    shared_ipcs: list
     weighted_speedup: float
-    cycles: int
-    energy_pj: float
-    command_counts: dict
-    preventive_refreshes: int
-    backoffs: int
-    latency_ps: dict
-    max_row_activation_between_refreshes: int
-    min_deadline_slack: Optional[int]
+    result: RunResult
 
     CSV_FIELDS = ("label", "seed", "weighted_speedup", "cycles", "energy_pj",
                   "acts", "pres", "reads", "writes", "refs", "rfms",
@@ -94,17 +87,19 @@ class SimReport:
                   "ipc0", "ipc1", "ipc2", "ipc3")
 
     def csv_row(self) -> str:
-        cc = self.command_counts
-        ipcs = list(self.shared_ipcs) + [0.0] * (4 - len(self.shared_ipcs))
-        vals = [self.label, self.seed, f"{self.weighted_speedup:.6f}", self.cycles,
-                f"{self.energy_pj:.3f}",
+        r = self.result
+        cc = r.device_counts
+        e = energy({**cc, "preventive": r.preventive_refreshes}, DDR5_ENERGY, r.end_ps)
+        latency = latency_percentiles(r.read_latencies)
+        ipcs = list(r.ipcs) + [0.0] * (4 - len(r.ipcs))
+        vals = [self.label, self.seed, f"{self.weighted_speedup:.6f}",
+                r.end_ps // CPU_CYCLE_PS, f"{e:.3f}",
                 cc.get("ACT", 0), cc.get("PRE", 0), cc.get("RD", 0), cc.get("WR", 0),
                 cc.get("REF", 0), cc.get("RFMab", 0),
-                self.preventive_refreshes, self.backoffs,
-                self.latency_ps[50], self.latency_ps[90], self.latency_ps[95],
-                self.latency_ps[99], self.latency_ps[100],
-                self.max_row_activation_between_refreshes,
-                -1 if self.min_deadline_slack is None else self.min_deadline_slack]
+                r.preventive_refreshes, r.backoffs,
+                *(latency[p] for p in PERCENTILES),
+                r.max_pair_disturbance,
+                -1 if r.min_deadline_slack is None else r.min_deadline_slack]
         vals += [f"{v:.6f}" for v in ipcs[:4]]
         return ",".join(str(v) for v in vals)
 
@@ -117,20 +112,5 @@ def build_report(label: str, seed: int, result: RunResult, alone_ipcs,
                  first_benign: int = 0) -> SimReport:
     """Report for one shared run; the weighted speedup covers cores
     first_benign.. against their alone IPCs (cores before that are attackers)."""
-    counts = dict(result.device_counts)
-    counts["preventive"] = result.preventive_refreshes
-    e = energy(counts, DDR5_ENERGY, result.end_ps)
-    ws = weighted_speedup(result.ipcs[first_benign:], alone_ipcs)
-    return SimReport(
-        label=label, seed=seed,
-        shared_ipcs=list(result.ipcs),
-        weighted_speedup=ws,
-        cycles=result.end_ps // CPU_CYCLE_PS,
-        energy_pj=e,
-        command_counts=dict(result.device_counts),
-        preventive_refreshes=result.preventive_refreshes,
-        backoffs=result.backoffs,
-        latency_ps=latency_percentiles(result.read_latencies),
-        max_row_activation_between_refreshes=result.max_pair_disturbance,
-        min_deadline_slack=result.min_deadline_slack,
-    )
+    return SimReport(label, seed, weighted_speedup(result.ipcs[first_benign:], alone_ipcs),
+                     result)

@@ -10,14 +10,16 @@ the PRAC back-off and PRFM parameters it uses through `prac` and `prfm`,
 each None for a mechanism that does not use it.
 
 Storage constants the original proposals left open are pinned here and noted
-inline. The config file sets none of them: graphene and hydra are sized from
-n_rh and the topology by graphene_defaults and hydra_defaults.
+inline. The config file sets none of them: graphene_defaults sizes graphene
+from n_rh and the run's timing, hydra_defaults sizes hydra from n_rh and the
+topology.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,10 +111,12 @@ def para_probability(n_rh: int) -> float:
     return 1.0 - math.exp(math.log(2.0 ** -PARA_ESCAPE_EXPONENT) / n_rh)
 
 
-def graphene_defaults(n_rh: int, topo: Topology) -> Graphene:
+def graphene_defaults(n_rh: int, topo: Topology,
+                      t: Optional[TimingParams] = None) -> Graphene:
     """Standard frequent-item sizing: entries >= W / threshold per bank,
-    with W the activations that fit in one base-timing refresh window."""
-    t = preset("ddr5-3200an-base")
+    with W the activations that fit in one refresh window of timing t
+    (the base preset when t is None)."""
+    t = preset("ddr5-3200an-base") if t is None else t
     window_acts = t_available(t) // t.tRC
     threshold = max(n_rh // 4, 1)
     return Graphene(table_entries=-(-window_acts // threshold) + 1, threshold=threshold)
@@ -177,7 +181,7 @@ class HydraState:
         self.topo = topo
         self.groups = {}        # group index -> count
         self.row_counters = {}  # (bank, row) -> count, authoritative
-        self.rcc = []           # cached keys, LRU order
+        self.rcc = OrderedDict()   # cached keys, least recently used first
         self.rcc_hits = 0
         self.rcc_misses = 0
         span = max(1, topo.rows_total // cfg.gct_entries)
@@ -187,15 +191,15 @@ class HydraState:
         return (bank * self.topo.rows_per_bank + row) // self._span
 
     def _touch_cache(self, key):
-        if key in self.rcc:
-            self.rcc.remove(key)
-            self.rcc.append(key)
+        rcc = self.rcc
+        if key in rcc:
+            rcc.move_to_end(key)
             self.rcc_hits += 1
         else:
             self.rcc_misses += 1
-            self.rcc.append(key)
-            if len(self.rcc) > self.cfg.rcc_entries:
-                self.rcc.pop(0)   # writeback; the dict copy stays authoritative
+            rcc[key] = None
+            if len(rcc) > self.cfg.rcc_entries:
+                rcc.popitem(last=False)   # writeback; row_counters stays authoritative
 
     def on_activation(self, bank: int, row: int, now: int) -> tuple:
         g = self._group(bank, row)
@@ -215,7 +219,9 @@ class HydraState:
 
 
 class ParaState:
-    """Probabilistic neighbor refresh, reproducible from the run seed."""
+    """Probabilistic neighbor refresh, reproducible from the run seed: one
+    draw per activation, and a draw below p refreshes every victim of the
+    aggressor, as para_probability assumes."""
 
     def __init__(self, cfg: Para, topo: Topology, seed: int = 0):
         self.cfg = cfg
@@ -224,9 +230,7 @@ class ParaState:
 
     def on_activation(self, bank: int, row: int, now: int) -> tuple:
         if self.rng.random() < self.cfg.probability:
-            step = 1 if self.rng.random() < 0.5 else -1
-            victim = min(max(row + step, 0), self.topo.rows_per_bank - 1)
-            return (victim,)
+            return victim_rows(row, self.topo.rows_per_bank)
         return ()
 
 

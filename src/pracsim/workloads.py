@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .controller import BLOCK_BYTES, MemoryController
@@ -166,7 +166,6 @@ def materialize_mix(mix: MixSpec, length: int, topo: Topology) -> list:
 def desk_timing(base: TimingParams) -> TimingParams:
     """Shrink the refresh window so 64-row banks are fully refreshed in
     tREFW/tREFI = 8 REF commands; everything else is untouched."""
-    from dataclasses import replace
     return replace(base, tREFW=8 * base.tREFI)
 
 
@@ -213,17 +212,17 @@ class CoreModel:
         return self.records[self.idx]
 
     def issue(self, now: int, resp_time: Optional[int]):
-        """Dispatch the head record; resp_time is None for outstanding reads."""
+        """Dispatch the head record at `now`, once can_issue(now) holds;
+        resp_time is None for outstanding reads."""
         size = self.records[self.idx].instructions
         footprint = self.footprints[self.idx]
-        at = max(self.frontend_ready, now)
         entry = [size, footprint, resp_time]
         self.pending.append(entry)
         self.occupancy += footprint
         self.issued_instrs += size
         self.idx += 1
         self._update_fetched()
-        self.frontend_ready = at + _ceil_div(max(size, 1), RETIRE_WIDTH) * CPU_CYCLE_PS
+        self.frontend_ready = now + _ceil_div(max(size, 1), RETIRE_WIDTH) * CPU_CYCLE_PS
         self.drain()
         return entry
 
@@ -307,9 +306,8 @@ def run_cores(traces, controller: MemoryController,
                 is_write = rec.op == "write"
                 if not controller.can_accept(is_write):
                     break
-                at = max(core.frontend_ready, now)
-                entry = core.issue(now, at if is_write else None)
-                req = controller.enqueue(core.core_id, rec.address, is_write, at)
+                entry = core.issue(now, now if is_write else None)
+                req = controller.enqueue(core.core_id, rec.address, is_write, now)
                 if not is_write:
                     req_entry[req.req_id] = entry
         t_ctrl = controller.step(now)

@@ -227,7 +227,7 @@ GOLDEN_WORKLOAD = {"mixes": "6", "seed": "3", "records": "200",
 GOLDEN = [
     ("prac+prfm", 32, {}, "25237711c6a8f49b2f829724f2030acde3842d85bed6eab71486ba9dee80c8f2"),
     ("hydra", 32, {}, "7e747051e574b045b03672724b8e9ef426a293b44555e4324404f70c73b5bb1e"),
-    ("para", 32, {}, "2049b4f33e19d230aa040026cc4f9e2fd6afa8a8d5ca60ad19cad7ec102083b2"),
+    ("para", 32, {}, "4b5ddb4c3b17a1b8ab12c5895fd8a9896daf25fdeb4f3282645a5355765c0c0f"),
     ("graphene", 32, {}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f"),
     ("prfm", 32, {"attacker": "dos"},
      "c08dec00c4cf934e53e0424e30a083287a4e7f586ddfb244ce9338abdfbe304a"),
@@ -358,6 +358,11 @@ def test_simulate_exits_1_on_a_violation_under_derived_thresholds(tmp_path, monk
     monkeypatch.setattr(cli, "secure_rfm_th", lambda *args: 10 ** 6)
     assert _simulate_tiny(tmp_path, {"kind": "prfm", "n_rh": "8"}, attacker="dos") == 1
     assert "analyzer-derived" in capsys.readouterr().err
+    # every kind that resolves PRAC is checked, the optimistic timing included
+    monkeypatch.setattr(cli, "secure_abo_th", lambda *args: 10 ** 6)
+    assert _simulate_tiny(tmp_path, {"kind": "prac-optimistic", "n_rh": "8"},
+                          attacker="dos") == 1
+    assert "analyzer-derived" in capsys.readouterr().err
 
 
 def test_explicit_thresholds_are_exempt_from_the_violation_check(tmp_path):
@@ -367,3 +372,21 @@ def test_explicit_thresholds_are_exempt_from_the_violation_check(tmp_path):
     col = rows[0].split(",").index("max_row_activation")
     assert max(int(r.split(",")[col]) for r in rows[1:]) >= 8
 
+
+def test_para_stays_below_n_rh_under_the_monitor(tmp_path):
+    # a PARA sample refreshes every victim of the aggressor, so a tally
+    # reaches n_rh only after n_rh unsampled activations in a row (2^-40)
+    assert _simulate_tiny(tmp_path, {"kind": "para", "n_rh": "16"}, attacker="dos",
+                          attacker_rows="2", instructions_per_core="4000",
+                          max_cycles="400000") == 0
+    rows = (tmp_path / "o" / "reports.csv").read_text().splitlines()
+    col = rows[0].split(",").index("max_row_activation")
+    assert max(int(r.split(",")[col]) for r in rows[1:]) < 16
+
+
+def test_graphene_is_sized_at_the_run_refresh_window():
+    full = {"topology": {"desk": False}, "mitigation": {"kind": "graphene", "n_rh": 64}}
+    base = resolve_spec(full).mitigation
+    longer = resolve_spec({**full, "timing": {"trefw": 64_000_000_000}}).mitigation
+    assert longer.threshold == base.threshold
+    assert longer.table_entries > base.table_entries

@@ -9,6 +9,7 @@ from pracsim.metrics import (
     weighted_speedup,
 )
 from pracsim.timing import ConfigError
+from pracsim.workloads import RunResult
 
 
 def test_weighted_speedup_identity_quad_core():
@@ -71,11 +72,12 @@ def test_latency_percentiles_empty():
 
 
 def _report(label, ws, ipcs):
-    return SimReport(label=label, seed=0, shared_ipcs=ipcs,
-                     weighted_speedup=ws, cycles=1000,
-                     energy_pj=5.0, command_counts={}, preventive_refreshes=0,
-                     backoffs=0, latency_ps={50: 1, 90: 2, 95: 3, 99: 4, 100: 5},
-                     max_row_activation_between_refreshes=0, min_deadline_slack=None)
+    result = RunResult(ipcs=ipcs, instructions=[1000] * len(ipcs), end_ps=238_000,
+                       controller_stat={}, device_counts={"ACT": 3, "PRE": 3},
+                       read_latencies=[5, 1, 4, 2, 3], min_deadline_slack=None,
+                       max_pair_disturbance=0, monitor_violations=[],
+                       preventive_refreshes=0, backoffs=0)
+    return SimReport(label=label, seed=0, weighted_speedup=ws, result=result)
 
 
 def test_report_csv_round_trip_stability():
