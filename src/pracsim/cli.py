@@ -169,6 +169,11 @@ MECHANISMS = {
     "para": ("ddr5-3200an-base", ("probability",)),
 }
 
+# [timing] keys a run reads only if its kind reads one of these [mitigation]
+# keys: tRFM needs RFMs (PRAC or PRFM), tABO_ACT/tBackoffSignal a PRAC back-off
+_TIMING_READ_BY = {"trfm": ("abo_th", "rfm_th"), "tabo_act": ("abo_th",),
+                   "tbackoffsignal": ("abo_th",)}
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -244,9 +249,12 @@ def resolve_spec(cfg: dict) -> RunSpec:
     if n_rh < 1:
         raise ConfigError("n_rh must be >= 1")
     preset_name, reads = MECHANISMS[kind]
+    timing = cfg.get("timing", {})
     _reject("mitigation", set(sec) - {"kind", "n_rh", *reads}, f"with kind = {kind}")
-    _reject("timing", {"trefw"} & set(cfg.get("timing", {})) if desk else (),
+    _reject("timing", {"trefw"} & set(timing) if desk else (),
             "on the desk topology, whose tREFW is 8 tREFI")
+    _reject("timing", {k for k, by in _TIMING_READ_BY.items()
+                       if k in timing and not set(by) & set(reads)}, f"with kind = {kind}")
     _reject("workload", {"attacker_rows", "attacker_banks"} & set(wl) if attacker == "none"
             else (), "without attacker = dos")
     t = timing_from_config(cfg, preset_name)
@@ -265,7 +273,8 @@ def resolve_spec(cfg: dict) -> RunSpec:
             "perf_degradation", rows_per_bank=wl.get("attacker_rows", 8),
             banks=wl.get("attacker_banks", 4)),
         baseline=None if kind == "none" else resolve_spec(
-            {**cfg, "mitigation": {"kind": "none", "n_rh": n_rh}}),
+            {**cfg, "mitigation": {"kind": "none", "n_rh": n_rh},
+             "timing": {k: v for k, v in timing.items() if k not in _TIMING_READ_BY}}),
         derived_secure=(mit.prac is not None or mit.prfm is not None)
         and not {"rfm_th", "abo_th"} & set(sec))
 
@@ -315,9 +324,9 @@ def run_mix(spec: RunSpec, mix_index: int, traces=None,
     alone = alone_ipcs(spec, mix, traces, solo_cache)
     result = _run(spec, traces, DisturbanceMonitor(spec.n_rh, spec.topo.rows_per_bank))
     label = f"{mix.name}-{mix_index}-{spec.mitigation.name}-{spec.n_rh}"
-    if spec.derived_secure and result.monitor_violations:
+    if spec.derived_secure and result.first_violation is not None:
         raise RuntimeError(f"{label}: (bank, victim, aggressor, count) "
-                           f"{result.monitor_violations[0]} reached n_rh under "
+                           f"{result.first_violation} reached n_rh under "
                            "analyzer-derived thresholds")
     return build_report(label, spec.seed, result, alone, first_benign=spec.first_benign)
 

@@ -1,6 +1,7 @@
 """Memory-controller model: request queues, FR-FCFS with a cap on
 column-over-row reordering, open-page policy, strict periodic refresh,
-refresh-management issuance and back-off deadline handling.
+refresh-management issuance and back-off deadline handling. It keeps no
+timing state: each command is scheduled at the DeviceState's ready times.
 
 Address interleaving follows the minimalist open-page idea: a short run of
 consecutive cache blocks stays in one row, then the stream stripes across
@@ -18,13 +19,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .dram import ACT, PRE, RD, REF, RFMAB, WR, DeviceState, Topology
+from .dram import ACT, BURST_PS, PRE, RD, REF, RFMAB, WR, DeviceState, Topology
 from .mitigations import MitigationConfig, NoMitigation, build_mechanism
 from .timing import ConfigError, TimingParams
 
 BLOCK_BYTES = 64
-BURST_PS = 5000   # BL16 on a 3200 MT/s bus
-
 
 READ_QUEUE_DEPTH = 64
 WRITE_QUEUE_DEPTH = 64
@@ -99,9 +98,6 @@ class MemoryController:
         self.queued_writes = 0
         self.draining = False
         self.next_ref = t.tREFI
-        self.cmd_bus_free = 0
-        self.data_bus_free = 0
-        self.bank_busy_extra: dict = {}  # preventive refreshes occupy the bank
         self.completions: deque = deque()  # (time, Request), reads, in time order
         self.min_deadline_slack: Optional[int] = None
         self.stat = {"acts": 0, "reads": 0, "writes": 0, "rfms": 0,
@@ -137,20 +133,17 @@ class MemoryController:
 
     # --------------------------------------------------------- device helpers
 
-    def _close_row(self, bank_idx: int, at: int) -> int:
-        b = self.dev.banks[bank_idx]
-        pre_at = max(at, b.pre_ok, self.cmd_bus_free, self.dev.blocked_until)
-        self.dev.issue(PRE, (bank_idx, b.open_row), pre_at)   # may assert a back-off
-        self.cmd_bus_free = pre_at + self.t.clock_period
+    def _close_row(self, bank_idx: int, at: int):
+        b = self.dev.banks[bank_idx]   # the PRE may assert a back-off
+        self.dev.issue(PRE, (bank_idx, b.open_row), max(at, b.pre_ok, self.dev.blocked_until))
         self._choice_cache.pop(bank_idx, None)
-        return pre_at
 
     def _close_all_rows(self, at: int) -> int:
-        t = at
+        """Precharge every open bank from `at`; returns when REF/RFM may issue."""
         for bank_idx, b in enumerate(self.dev.banks):
             if b.open_row is not None:
-                t = max(t, self._close_row(bank_idx, t))
-        return t
+                self._close_row(bank_idx, at)
+        return max(at, self.dev.blocked_until, self.dev.idle_at)
 
     def _issue_ref(self, at: int):
         at = self._close_all_rows(at)
@@ -158,20 +151,16 @@ class MemoryController:
         if fsm is not None and fsm.phase in ("window", "recovery"):
             # closing rows for refresh pushed a counter over the threshold;
             # the recovery cannot wait out a whole tRFC, so it goes first
-            at = max(at, self._serve_recovery(at))
-        at = max(at, self.dev.blocked_until, self.cmd_bus_free)
+            at = self._serve_recovery(at)
         self.dev.issue(REF, None, at)
         self.stat["refs"] += 1
         self.next_ref += self.t.tREFI
-        self.cmd_bus_free = at + self.t.clock_period
 
     def _issue_rfm(self, at: int, triggered_bank: Optional[int] = None) -> int:
         at = self._close_all_rows(at)
-        at = max(at, self.dev.blocked_until, self.cmd_bus_free)
         addr = (triggered_bank, -1) if triggered_bank is not None else None
         self.dev.issue(RFMAB, addr, at)   # its refresh reports need no action here
         self.stat["rfms"] += 1
-        self.cmd_bus_free = at + self.t.clock_period
         return at
 
     # ------------------------------------------------------------- scheduling
@@ -225,11 +214,11 @@ class MemoryController:
         return choice
 
     def _window_allows(self, cmd: str, at: int, deadline: int) -> bool:
-        """A command fits the open service window only if the bank can be
-        back in a precharged state by the back-off deadline: the last ACT may
-        issue no later than deadline - tRC, and closing every bank costs one
-        command-bus hop each ahead of the recovery RFM."""
-        tail = {ACT: self.t.tRC, RD: self.t.tRTP, WR: self.t.tWR}.get(cmd, 0)
+        """A command fits the open service window only if its bank can be
+        precharged, tRP after its PRE, by the back-off deadline: the last ACT
+        may issue no later than deadline - tRC, and closing every bank costs
+        one command-bus hop each ahead of the recovery RFM."""
+        tail = {ACT: self.t.tRAS, RD: self.t.tRTP, WR: self.t.tWR}.get(cmd, 0) + self.t.tRP
         margin = (self.topo.banks_total + 2) * self.t.clock_period
         if at + tail + margin > deadline:
             return False
@@ -243,10 +232,10 @@ class MemoryController:
         so the order is total and one pass finds the minimum. While a
         back-off window is open, `deadline` is its deadline and only commands
         the window allows are candidates."""
-        floor_t = max(now, self.dev.blocked_until, self.cmd_bus_free)
-        data_free = self.data_bus_free
-        busy = self.bank_busy_extra
-        banks = self.dev.banks
+        dev = self.dev
+        floor_t = max(now, dev.blocked_until)
+        burst_ok = dev.burst_ok
+        banks = dev.banks
         prfm_th = self.prfm_th
         cache = self._choice_cache
         best = held = None
@@ -258,10 +247,10 @@ class MemoryController:
             if choice is None:
                 continue
             local, cmd, req = choice
-            at = max(local, floor_t, busy.get(bank_idx, 0))
+            at = max(local, floor_t)
             col = cmd == RD or cmd == WR
             if col:
-                at = max(at, data_free)
+                at = max(at, burst_ok)
             if deadline is not None and not self._window_allows(cmd, at, deadline):
                 continue
             key = (at, 0 if col else 1, req.arrival, req.req_id, cmd, req)
@@ -280,28 +269,19 @@ class MemoryController:
         return best
 
     def _serve_recovery(self, now: int) -> int:
-        """Issue the recovery RFMs back to back; the first must start by the
-        back-off deadline, tABO_ACT after the assert."""
-        fsm = self.dev.fsm
-        deadline = fsm.assert_ts + self.t.tABO_ACT
+        """Issue the recovery RFMs back to back, the first by the back-off
+        deadline (tABO_ACT after the assert); returns when the last ends."""
+        dev = self.dev
         at = self._issue_rfm(now)
-        slack = deadline - at
+        slack = dev.backoff_deadline - at
         if slack < 0:
-            raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline {deadline} ps")
+            raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline "
+                                  f"{dev.backoff_deadline} ps")
         if self.min_deadline_slack is None or slack < self.min_deadline_slack:
             self.min_deadline_slack = slack
-        now = at + self.t.tRFM
-        while fsm.phase == "recovery":
-            now = self._issue_rfm(now) + self.t.tRFM
-        return now
-
-    def _refresh_victims(self, victims: tuple, bank_idx: int, at: int):
-        # targeted victim refreshes occupy the bank for tRC per victim row
-        busy_until = at + len(victims) * self.t.tRC
-        self.bank_busy_extra[bank_idx] = max(
-            self.bank_busy_extra.get(bank_idx, 0), busy_until)
-        self.dev.refresh_rows(bank_idx, victims)
-        self.stat["preventive_refreshes"] += 1
+        while dev.fsm.phase == "recovery":
+            self._issue_rfm(dev.blocked_until)
+        return dev.blocked_until
 
     def _finish(self, req: Request, done_at: int):
         self.bank_q[req.bank_idx].remove(req)
@@ -334,19 +314,19 @@ class MemoryController:
         while True:
             phase = None if fsm is None else fsm.phase
             if phase == "recovery":
-                now = max(now, self._serve_recovery(now))
+                now = self._serve_recovery(now)
                 continue
             if now >= self.next_ref:
                 if phase == "window":
                     # an open back-off window cannot absorb a whole tRFC
-                    now = max(now, self._serve_recovery(now))
+                    now = self._serve_recovery(now)
                 self._issue_ref(self.next_ref)
                 continue
-            deadline = fsm.assert_ts + self.t.tABO_ACT if phase == "window" else None
+            deadline = self.dev.backoff_deadline if phase == "window" else None
             best = self._select(now, deadline)
             if deadline is not None and (best is None or best[0] > deadline):
                 # nothing more can be served inside the window: recover early
-                now = max(now, self._serve_recovery(now))
+                now = self._serve_recovery(now)
                 continue
             if best is None:
                 return self.next_ref
@@ -367,17 +347,14 @@ class MemoryController:
                 return
             self.dev.issue(ACT, (req.bank_idx, req.row), at)
             self.stat["acts"] += 1
-            self.cmd_bus_free = at + self.t.clock_period
             self._choice_cache.pop(req.bank_idx, None)
             if self.mech is not None:
                 victims = self.mech.on_activation(req.bank_idx, req.row, at)
                 if victims:
-                    self._refresh_victims(victims, req.bank_idx, at)
+                    self.dev.refresh_rows(req.bank_idx, victims, at)
+                    self.stat["preventive_refreshes"] += 1
         else:  # RD / WR
             self.dev.issue(cmd, (req.bank_idx, req.row), at)
-            self.cmd_bus_free = at + self.t.clock_period
-            # consecutive column commands keep their bursts apart on the bus
-            self.data_bus_free = at + BURST_PS
             oldest = next((r for r in self.bank_q[req.bank_idx] if self._eligible(r)), None)
             if oldest is not None and oldest is not req and oldest.row != req.row:
                 oldest.bypassed += 1

@@ -12,9 +12,9 @@ walks all rows once per refresh window. The back-off engine is a small FSM:
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
 
-Timing legality is enforced in picoseconds; a violation raises ProtocolError
-with the constraint name and the missing slack. The simulator treats that as
-fatal, the fuzz tests treat it as a failed property.
+DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
+ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation
+raises ProtocolError (constraint, missing slack), fatal to simulation and fuzz tests.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .timing import ConfigError, TimingParams
 
 BLAST_RADIUS = 2
+BURST_PS = 5000   # BL16 on a 3200 MT/s bus
 
 
 @lru_cache(maxsize=4096)
@@ -212,7 +213,9 @@ class DeviceState:
         self.tie_break = tie_break
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
         self.monitor = monitor
-        self.blocked_until = 0          # REF/RFM make the channel unavailable
+        self.blocked_until = 0          # no command before this time
+        self.burst_ok = 0               # no data burst before this time
+        self.idle_at = 0                # every bank precharged: max of act_ok
         self.ref_pointer = 0
         self.rows_per_ref = -(-topo.rows_per_bank // (t.tREFW // t.tREFI))
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
@@ -229,6 +232,18 @@ class DeviceState:
         if now < ok_at:
             raise ProtocolError(constraint, ok_at - now)
 
+    def _raise_act_ok(self, b: BankState, at: int):
+        """act_ok never falls, so idle_at stays the maximum over the banks."""
+        if at > b.act_ok:
+            b.act_ok = at
+            if at > self.idle_at:
+                self.idle_at = at
+
+    @property
+    def backoff_deadline(self) -> int:
+        """Latest start of the first recovery RFM: tABO_ACT after the assert."""
+        return self.fsm.assert_ts + self.t.tABO_ACT
+
     # ------------------------------------------------------------- commands
 
     def issue(self, cmd: str, addr, now: int) -> Sequence[tuple]:
@@ -239,7 +254,8 @@ class DeviceState:
         WR return an empty tuple. A back-off a PRE asserts shows in `fsm`.
         """
         events = ()
-        self._check(self.blocked_until, now, "tRFC/tRFM busy")
+        busy = self.t.clock_period
+        self._check(self.blocked_until, now, "command bus/tRFC/tRFM")
         if cmd == ACT:
             bank_idx, row = addr
             b = self.banks[bank_idx]
@@ -252,7 +268,7 @@ class DeviceState:
                 raise ProtocolError("tABO_ACT", 0, "window activation budget exhausted")
             b.open_row = row
             b.last_act = now
-            b.act_ok = now + self.t.tRC
+            self._raise_act_ok(b, now + self.t.tRC)
             b.pre_ok = now + self.t.tRAS
             b.col_ok = now + self.t.tRCD
             b.raa += 1
@@ -266,7 +282,7 @@ class DeviceState:
             self._check(b.pre_ok, now, "tRAS/tRTP/tWR")
             row = b.open_row
             b.open_row = None
-            b.act_ok = max(b.act_ok, now + self.t.tRP)
+            self._raise_act_ok(b, now + self.t.tRP)
             # per-row tracking is assumed perfect regardless of mitigation
             count = b.counters.get(row, 0) + 1
             if self.counter_max is not None and count > self.counter_max:
@@ -281,21 +297,23 @@ class DeviceState:
             if b.open_row != row:
                 raise ProtocolError("open-row", 0, f"{cmd} to a row that is not open")
             self._check(b.col_ok, now, "tRCD")
-            if cmd == RD:
-                b.pre_ok = max(b.pre_ok, now + self.t.tRTP)
-            else:
-                b.pre_ok = max(b.pre_ok, now + self.t.tWR)
+            self._check(self.burst_ok, now, "data bus")
+            self.burst_ok = now + BURST_PS
+            b.pre_ok = max(b.pre_ok, now + (self.t.tRTP if cmd == RD else self.t.tWR))
         elif cmd == REF:
+            self._check(self.idle_at, now, "tRP before REF")
             events = self._serve_ref(now)
-            self.blocked_until = now + self.t.tRFC
+            busy = self.t.tRFC
         elif cmd == RFMAB:
+            self._check(self.idle_at, now, "tRP before RFM")
             triggered = addr[0] if addr is not None else None
             events = self.serve_rfm(triggered_bank=triggered)
-            self.blocked_until = now + self.t.tRFM
+            busy = self.t.tRFM
             if self.fsm is not None:
                 self.fsm.on_rfm()
         else:
             raise ConfigError(f"unknown command {cmd!r}")
+        self.blocked_until = now + busy
         self.counts[cmd] += 1
         return events
 
@@ -328,12 +346,17 @@ class DeviceState:
             self.banks[triggered_bank].raa = 0
         return events
 
-    def refresh_rows(self, bank_idx: int, rows) -> None:
-        """Targeted row refreshes (controller-side preventive actions)."""
-        counters = self.banks[bank_idx].counters
+    def refresh_rows(self, bank_idx: int, rows, now: int) -> None:
+        """Targeted row refreshes (controller-side preventive actions) from
+        `now`: they occupy the bank for tRC per row."""
+        b = self.banks[bank_idx]
+        busy_until = now + len(rows) * self.t.tRC
+        b.pre_ok = max(b.pre_ok, busy_until)
+        b.col_ok = max(b.col_ok, busy_until)
+        self._raise_act_ok(b, busy_until)
         for r in rows:
-            if r in counters:
-                self.cleared_counts += counters.pop(r)
+            if r in b.counters:
+                self.cleared_counts += b.counters.pop(r)
         if self.monitor is not None and self.monitor.tallies.get(bank_idx):
             self.monitor.on_row_refreshed(bank_idx, *rows)
 

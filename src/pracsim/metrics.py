@@ -1,8 +1,8 @@
 """Weighted speedup, per-command energy accounting, latency percentiles
 and report assembly.
 
-The energy model is a flat per-command table plus background power
-(DDR5_ENERGY). It deliberately replaces a current-waveform model; every
+The energy model is a flat per-command table (ENERGY_PJ) plus background
+power (BACKGROUND_MW). It deliberately replaces a current-waveform model; every
 energy claim made by the test suite is directional, never absolute.
 """
 
@@ -24,18 +24,6 @@ def weighted_speedup(shared_ipcs, alone_ipcs) -> float:
     return sum(s / a for s, a in zip(shared_ipcs, alone_ipcs))
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    per_command_pj: dict          # command class -> picojoules
-    background_mw: float          # milliwatts; 1 mW = 1e-3 pJ/ns
-
-    def command_energy(self, cmd: str) -> float:
-        try:
-            return self.per_command_pj[cmd]
-        except KeyError:
-            raise ConfigError(f"energy model has no entry for command {cmd!r}") from None
-
-
 # Per-command energy, flat-rate model. Values are datasheet-style DDR5 x8
 # estimates (IDD-derived order of magnitude, not a current-waveform model):
 # an activate/precharge pair around 2 nJ split across ACT and PRE, column
@@ -44,19 +32,15 @@ class EnergyModel:
 # "preventive" is one targeted victim-row refresh performed by a
 # controller-side mechanism. Suite assertions about energy are directional
 # only.
-DDR5_ENERGY = EnergyModel(
-    {"ACT": 1200.0, "PRE": 800.0, "RD": 1600.0, "WR": 1700.0,
-     "REF": 28000.0, "RFMab": 15000.0, "preventive": 2000.0},
-    background_mw=150.0,    # static + refresh-idle power for a dual-rank channel
-)
+ENERGY_PJ = {"ACT": 1200.0, "PRE": 800.0, "RD": 1600.0, "WR": 1700.0,
+             "REF": 28000.0, "RFMab": 15000.0, "preventive": 2000.0}
+BACKGROUND_MW = 150.0   # static + refresh-idle power, dual-rank channel; 1 mW = 1e-3 pJ/ns
 
 
-def energy(command_counts: dict, model: EnergyModel, runtime_ps: int) -> float:
+def energy(command_counts: dict, runtime_ps: int) -> float:
     """Sum of per-command energies plus background power over the runtime, pJ."""
-    dynamic = sum(count * model.command_energy(cmd)
-                  for cmd, count in command_counts.items())
-    background = model.background_mw * 1e-3 * (runtime_ps / 1000.0)  # mW * ns
-    return dynamic + background
+    dynamic = sum(count * ENERGY_PJ[cmd] for cmd, count in command_counts.items())
+    return dynamic + BACKGROUND_MW * 1e-3 * (runtime_ps / 1000.0)   # mW * ns
 
 
 def latency_percentiles(latencies) -> dict:
@@ -89,7 +73,7 @@ class SimReport:
     def csv_row(self) -> str:
         r = self.result
         cc = r.device_counts
-        e = energy({**cc, "preventive": r.preventive_refreshes}, DDR5_ENERGY, r.end_ps)
+        e = energy({**cc, "preventive": r.preventive_refreshes}, r.end_ps)
         latency = latency_percentiles(r.read_latencies)
         ipcs = list(r.ipcs) + [0.0] * (4 - len(r.ipcs))
         vals = [self.label, self.seed, f"{self.weighted_speedup:.6f}",

@@ -272,7 +272,7 @@ class RunResult:
     read_latencies: list
     min_deadline_slack: Optional[int]
     max_pair_disturbance: int
-    monitor_violations: list
+    first_violation: Optional[tuple]   # the monitor's first (bank, victim, aggressor, count)
     preventive_refreshes: int
     backoffs: int
 
@@ -336,7 +336,7 @@ def run_cores(traces, controller: MemoryController,
     end = now if (cap is not None and now >= cap) else max(
         [c.retire_clock for c in cores] + [now])
     dev = controller.dev
-    monitor = dev.monitor
+    violations = [] if dev.monitor is None else dev.monitor.violations
     return RunResult(
         ipcs=[c.ipc(end) for c in cores],
         instructions=[c.retired_instrs for c in cores],
@@ -345,8 +345,8 @@ def run_cores(traces, controller: MemoryController,
         device_counts=dict(dev.counts),
         read_latencies=list(controller.read_latencies),
         min_deadline_slack=controller.min_deadline_slack,
-        max_pair_disturbance=0 if monitor is None else monitor.max_pair,
-        monitor_violations=[] if monitor is None else list(monitor.violations),
+        max_pair_disturbance=0 if dev.monitor is None else dev.monitor.max_pair,
+        first_violation=violations[0] if violations else None,
         preventive_refreshes=controller.stat["preventive_refreshes"],
         backoffs=0 if dev.fsm is None else dev.fsm.asserts,
     )

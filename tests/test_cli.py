@@ -147,8 +147,7 @@ _DOS = {"workload": {"attacker": "dos"}}
 KEY_CASES = {f"{section}.{key}": ({}, value, None) for section, key, value in (
     ("timing", "tras", "40ns"), ("timing", "trp", "20ns"), ("timing", "trcd", "15ns"),
     ("timing", "tcl", "15ns"), ("timing", "trtp", "10ns"), ("timing", "twr", "40ns"),
-    ("timing", "trefi", "7.8us"), ("timing", "trfc", "350ns"), ("timing", "trfm", "295ns"),
-    ("timing", "tabo_act", "200ns"), ("timing", "tbackoffsignal", "10ns"),
+    ("timing", "trefi", "7.8us"), ("timing", "trfc", "350ns"),
     ("timing", "clock_period", "500ps"), ("topology", "desk", "false"),
     ("workload", "mixes", "12"), ("workload", "seed", "3"), ("workload", "records", "100"),
     ("workload", "instructions_per_core", "100"), ("workload", "max_cycles", "1000"),
@@ -156,6 +155,10 @@ KEY_CASES = {f"{section}.{key}": ({}, value, None) for section, key, value in (
 KEY_CASES.update({
     "timing.preset": ({}, "ddr5-3200an-prac", ({}, "ddr5-1600")),
     "timing.trefw": ({"topology": {"desk": "false"}}, "64ms", ({}, "64ms")),
+    # only RFMs read tRFM, only a back-off tABO_ACT and tBackoffSignal
+    "timing.trfm": (_PRFM, "295ns", ({"mitigation": {"kind": "hydra"}}, "295ns")),
+    "timing.tabo_act": (_PRAC, "200ns", (_PRFM, "200ns")),
+    "timing.tbackoffsignal": (_PRAC, "10ns", (_PRFM, "10ns")),
     "mitigation.kind": ({}, "graphene", ({}, "trr")),
     "mitigation.n_rh": ({}, "64", ({}, "0")),
     "mitigation.rfm_th": ({"mitigation": {"kind": "prfm"}}, "4", (_PRAC, "4")),
@@ -191,7 +194,7 @@ def test_every_schema_key_changes_the_run(tmp_path, name):
 
 
 def test_trc_is_rejected(tmp_path):
-    ini = _write_ini(tmp_path / "t.ini", {"timing": {"trfm": "295ns", "trc": "200ns"},
+    ini = _write_ini(tmp_path / "t.ini", {"timing": {"tras": "40ns", "trc": "200ns"},
                                           "workload": TINY_WORKLOAD})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -225,15 +228,15 @@ GOLDEN_WORKLOAD = {"mixes": "6", "seed": "3", "records": "200",
                    "instructions_per_core": "1500", "max_cycles": "1000000"}
 # (kind, n_rh, extra [workload] keys, sha256 of reports.csv)
 GOLDEN = [
-    ("prac+prfm", 32, {}, "25237711c6a8f49b2f829724f2030acde3842d85bed6eab71486ba9dee80c8f2"),
+    ("prac+prfm", 32, {}, "2e1d07fb7f700889ce28e0e79881f4e8d0bce15991a9126d516f0dfd746fe9fd"),
     ("hydra", 32, {}, "7e747051e574b045b03672724b8e9ef426a293b44555e4324404f70c73b5bb1e"),
     ("para", 32, {}, "4b5ddb4c3b17a1b8ab12c5895fd8a9896daf25fdeb4f3282645a5355765c0c0f"),
     ("graphene", 32, {}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f"),
     ("prfm", 32, {"attacker": "dos"},
-     "c08dec00c4cf934e53e0424e30a083287a4e7f586ddfb244ce9338abdfbe304a"),
-    # 7-9 back-offs per mix: commands are chosen inside open service windows
+     "e31be469843020aec664398e7918ae21219cf82d65dc6d133fdc52d8474e1fb2"),
+    # 7-10 back-offs per mix: commands are chosen inside open service windows
     ("prac", 8, {"attacker": "dos"},
-     "268a9bfd7338330e235ab8e3e1741d573aea82fb806a4cbdfccda70643444b78"),
+     "8e4e3dd93c9f7af6a2f6b2dd213531f3007642f7da8afe30117183e1d8c81362"),
 ]
 
 
@@ -245,6 +248,18 @@ def test_reports_csv_golden(tmp_path, kind, n_rh, extra, digest):
                                           "workload": {**GOLDEN_WORKLOAD, **extra}})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
     assert hashlib.sha256((tmp_path / "o" / "reports.csv").read_bytes()).hexdigest() == digest
+
+
+def test_window_budget_leaves_trp_before_the_recovery_rfm(tmp_path):
+    """Window commands are budgeted up to their bank's precharge plus tRP,
+    which the device requires before the recovery RFM; budgeting only to
+    the PRE overran the back-off deadline on this run."""
+    ini = _write_ini(tmp_path / "w.ini", {
+        "mitigation": {"kind": "prac", "n_rh": "8"},
+        "workload": {"attacker": "dos", "attacker_banks": "8", "attacker_rows": "2",
+                     "seed": "2", "records": "300", "instructions_per_core": "2000",
+                     "max_cycles": "600000"}})
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_simulate_multiworker_identical(tmp_path, monkeypatch):

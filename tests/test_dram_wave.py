@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from pracsim.attack import run_wave_attack
 from pracsim.dram import (
     ACT,
+    BURST_PS,
     PRE,
+    RD,
     REF,
     RFMAB,
+    WR,
     DeviceState,
     DisturbanceMonitor,
     ProtocolError,
@@ -43,6 +46,55 @@ def test_act_act_too_soon_is_a_trc_violation():
         dev.issue(ACT, (0, 2), 1_000_000 + BASE_T.tRC - 1)
     assert "tRC" in err.value.constraint
     assert err.value.slack_ps == 1
+
+
+def test_one_command_per_clock_on_the_command_bus():
+    dev = fresh_device()
+    dev.issue(ACT, (0, 1), 1_000_000)
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(ACT, (1, 1), 1_000_000 + BASE_T.clock_period - 1)
+    assert "command bus" in err.value.constraint
+    dev.issue(ACT, (1, 1), 1_000_000 + BASE_T.clock_period)
+
+
+def test_data_bursts_do_not_overlap():
+    dev = fresh_device()
+    now, cp = 1_000_000, BASE_T.clock_period
+    dev.issue(ACT, (0, 1), now)
+    dev.issue(ACT, (1, 1), now + cp)
+    rd = now + cp + BASE_T.tRCD
+    dev.issue(RD, (0, 1), rd)
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(WR, (1, 1), rd + BURST_PS - 1)
+    assert err.value.constraint == "data bus" and err.value.slack_ps == 1
+    dev.issue(WR, (1, 1), rd + BURST_PS)
+
+
+@pytest.mark.parametrize("cmd", [REF, RFMAB])
+def test_refresh_waits_trp_after_the_last_pre(cmd):
+    dev = fresh_device()
+    dev.issue(ACT, (5, 1), 1_000_000)
+    pre_at = 1_000_000 + BASE_T.tRAS
+    dev.issue(PRE, (5, 1), pre_at)
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(cmd, None, pre_at + BASE_T.tRP - 1)
+    assert "tRP" in err.value.constraint and err.value.slack_ps == 1
+    dev.issue(cmd, None, pre_at + BASE_T.tRP)
+
+
+@pytest.mark.parametrize("cmd", [ACT, PRE, RD])
+def test_commands_wait_out_a_preventive_refresh(cmd):
+    # four victim rows occupy the bank for 4 tRC from the refresh
+    dev = fresh_device()
+    now = 1_000_000
+    if cmd != ACT:
+        dev.issue(ACT, (0, 10), now)
+    dev.refresh_rows(0, victim_rows(10, 64), now)
+    end = now + 4 * BASE_T.tRC
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(cmd, (0, 10), end - 1)
+    assert err.value.slack_ps == 1
+    dev.issue(cmd, (0, 10), end)
 
 
 def test_pre_increments_the_closed_rows_counter():
@@ -205,8 +257,10 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
             for _, bi, _, victims in events:
                 ref.on_row_refreshed(bi, *victims)
         else:
-            dev.refresh_rows(bank, victim_rows(row, 64))
-            ref.on_row_refreshed(bank, *victim_rows(row, 64))
+            victims = victim_rows(row, 64)
+            dev.refresh_rows(bank, victims, now)
+            ref.on_row_refreshed(bank, *victims)
+            now += len(victims) * t.tRC   # the refreshes occupy the bank
         assert mon.pair == ref.pair
         _assert_tallies_count_pairs(mon)
         assert dev.conservation_holds()

@@ -1,8 +1,8 @@
 import pytest
 
 from pracsim.metrics import (
-    DDR5_ENERGY,
-    EnergyModel,
+    BACKGROUND_MW,
+    ENERGY_PJ,
     SimReport,
     energy,
     latency_percentiles,
@@ -32,30 +32,28 @@ def test_weighted_speedup_rejects_zero_alone():
 
 
 def test_energy_zero_everything():
-    m = EnergyModel({"ACT": 100.0}, background_mw=0.0)
-    assert energy({"ACT": 0}, m, 0) == 0.0
+    assert energy({cmd: 0 for cmd in ENERGY_PJ}, 0) == 0.0
 
 
 def test_energy_dynamic_part_is_linear_in_counts():
-    m = EnergyModel({"ACT": 100.0, "RD": 10.0}, background_mw=50.0)
-    e1 = energy({"ACT": 5, "RD": 7}, m, 1_000_000)
-    e2 = energy({"ACT": 10, "RD": 14}, m, 1_000_000)
-    bg = 50.0 * 1e-3 * 1000.0
+    e1 = energy({"ACT": 5, "RD": 7}, 1_000_000)
+    e2 = energy({"ACT": 10, "RD": 14}, 1_000_000)
+    bg = BACKGROUND_MW * 1e-3 * 1000.0
     assert (e2 - bg) == pytest.approx(2 * (e1 - bg))
+    assert e1 - bg == pytest.approx(5 * ENERGY_PJ["ACT"] + 7 * ENERGY_PJ["RD"])
 
 
 def test_energy_unknown_command_rejected():
-    m = EnergyModel({"ACT": 100.0}, background_mw=0.0)
-    with pytest.raises(ConfigError):
-        energy({"NOP": 3}, m, 10)
+    with pytest.raises(KeyError):
+        energy({"NOP": 3}, 10)
 
 
 def test_packaged_energy_model_loads():
     # every value feeds reports.csv's energy_pj column
-    assert DDR5_ENERGY.per_command_pj == {
+    assert ENERGY_PJ == {
         "ACT": 1200.0, "PRE": 800.0, "RD": 1600.0, "WR": 1700.0,
         "REF": 28000.0, "RFMab": 15000.0, "preventive": 2000.0}
-    assert DDR5_ENERGY.background_mw == 150.0
+    assert BACKGROUND_MW == 150.0
 
 
 def test_latency_percentiles_monotone():
@@ -75,7 +73,7 @@ def _report(label, ws, ipcs):
     result = RunResult(ipcs=ipcs, instructions=[1000] * len(ipcs), end_ps=238_000,
                        controller_stat={}, device_counts={"ACT": 3, "PRE": 3},
                        read_latencies=[5, 1, 4, 2, 3], min_deadline_slack=None,
-                       max_pair_disturbance=0, monitor_violations=[],
+                       max_pair_disturbance=0, first_violation=None,
                        preventive_refreshes=0, backoffs=0)
     return SimReport(label=label, seed=0, weighted_speedup=ws, result=result)
 
