@@ -105,7 +105,9 @@ class MemoryController:
         self.read_latencies: list = []
         self._last_done = 0
         self._next_id = 0
-        self._choice_cache: dict = {}    # bank_idx -> (local_ready, cmd, req) | None
+        # bank_idx -> (local_ready, 0 if column else 1, arrival, req_id, cmd, req) | None
+        self._choice_cache: dict = {}
+        self._kept = None                # (time made, key) of the decision step returned on
 
     # ------------------------------------------------------------- queue side
 
@@ -129,6 +131,7 @@ class MemoryController:
             self.queued_reads += 1
         self.bank_q.setdefault(bank_idx, []).append(req)
         self._choice_cache.pop(bank_idx, None)
+        self._kept = None
         return req
 
     # --------------------------------------------------------- device helpers
@@ -182,8 +185,9 @@ class MemoryController:
     def _bank_choice(self, bank_idx: int):
         """FR-FCFS+Cap within one bank: hits first until the oldest waiting
         row-miss has been bypassed FRFCFS_CAP times. Returns the bank-local
-        (ready, cmd, req) triple, ignoring channel-global constraints;
-        _select caches it until the bank or its queue changes."""
+        ready time followed by the tail of _select's key (0 for a column
+        command else 1, arrival, req_id, cmd, req), ignoring channel-global
+        constraints; _select caches it until the bank or its queue changes."""
         queue = self.bank_q.get(bank_idx)
         choice = None
         b = self.dev.banks[bank_idx]
@@ -206,11 +210,11 @@ class MemoryController:
                                          and oldest.bypassed >= FRFCFS_CAP)):
                 req = hit
             if open_row == req.row:
-                choice = (b.col_ok, WR if req.is_write else RD, req)
+                choice = (b.col_ok, 0, req.arrival, req.req_id, WR if req.is_write else RD, req)
             elif open_row is None:
-                choice = (b.act_ok, ACT, req)
+                choice = (b.act_ok, 1, req.arrival, req.req_id, ACT, req)
             else:
-                choice = (b.pre_ok, PRE, req)
+                choice = (b.pre_ok, 1, req.arrival, req.req_id, PRE, req)
         return choice
 
     def _window_allows(self, cmd: str, at: int, deadline: int) -> bool:
@@ -229,16 +233,18 @@ class MemoryController:
     def _select(self, now: int, deadline: Optional[int]):
         """The next command over all banks, or None: the least
         (at, row-after-column, arrival, req_id, cmd, req). req_id is unique,
-        so the order is total and one pass finds the minimum. While a
-        back-off window is open, `deadline` is its deadline and only commands
-        the window allows are candidates."""
+        so the order is total and one pass finds the minimum; a key is built
+        only for a bank whose `at` can still win. While a back-off window is
+        open, `deadline` is its deadline and only commands the window allows
+        are candidates."""
         dev = self.dev
-        floor_t = max(now, dev.blocked_until)
-        burst_ok = dev.burst_ok
+        row_floor = max(now, dev.blocked_until)
+        col_floor = max(row_floor, dev.burst_ok)
         banks = dev.banks
         prfm_th = self.prfm_th
         cache = self._choice_cache
         best = held = None
+        best_at = held_at = float("inf")
         any_col = False
         for bank_idx in self.bank_q:
             choice = cache.get(bank_idx, False)
@@ -246,22 +252,25 @@ class MemoryController:
                 choice = cache[bank_idx] = self._bank_choice(bank_idx)
             if choice is None:
                 continue
-            local, cmd, req = choice
-            at = max(local, floor_t)
-            col = cmd == RD or cmd == WR
-            if col:
-                at = max(at, burst_ok)
+            local, row_cmd, arrival, req_id, cmd, req = choice
+            if row_cmd:
+                at = local if local > row_floor else row_floor
+            else:
+                at = local if local > col_floor else col_floor
             if deadline is not None and not self._window_allows(cmd, at, deadline):
                 continue
-            key = (at, 0 if col else 1, req.arrival, req.req_id, cmd, req)
-            if col:
+            if not row_cmd:
                 any_col = True
             elif cmd == ACT and prfm_th is not None and banks[bank_idx].raa >= prfm_th:
-                if held is None or key < held:
-                    held = key
+                if at <= held_at:
+                    key = (at, 1, arrival, req_id, cmd, req)
+                    if held is None or key < held:
+                        held, held_at = key, at
                 continue
-            if best is None or key < best:
-                best = key
+            if at <= best_at:
+                key = (at, row_cmd, arrival, req_id, cmd, req)
+                if best is None or key < best:
+                    best, best_at = key, at
         # an activation that would first fire an all-bank RFM (closing every
         # open row) waits while any column access is still pending
         if held is not None and not any_col and (best is None or held < best):
@@ -308,22 +317,36 @@ class MemoryController:
     # ------------------------------------------------------------- main hooks
 
     def step(self, now: int) -> int:
-        """Run everything due at `now`; returns the next time work exists."""
+        """Run everything due at `now`; returns the next time work exists.
+
+        Returning on a future command, step keeps that decision. The next
+        step takes it as its first decision, without a scan, only if no
+        enqueue came since, no REF or recovery RFM issued first, and `now`
+        lies between the time it was made and the command's time: nothing
+        else changes the candidates, and raising the floor up to the
+        winner's time moves only candidates that lost."""
         self._update_drain_mode()
         fsm = self.dev.fsm
+        kept, self._kept = self._kept, None
         while True:
             phase = None if fsm is None else fsm.phase
             if phase == "recovery":
                 now = self._serve_recovery(now)
+                kept = None
                 continue
             if now >= self.next_ref:
                 if phase == "window":
                     # an open back-off window cannot absorb a whole tRFC
                     now = self._serve_recovery(now)
                 self._issue_ref(self.next_ref)
+                kept = None
                 continue
             deadline = self.dev.backoff_deadline if phase == "window" else None
-            best = self._select(now, deadline)
+            if kept is not None and kept[0] <= now <= kept[1][0]:
+                best = kept[1]
+            else:
+                best = self._select(now, deadline)
+            kept = None
             if deadline is not None and (best is None or best[0] > deadline):
                 # nothing more can be served inside the window: recover early
                 now = self._serve_recovery(now)
@@ -332,6 +355,7 @@ class MemoryController:
                 return self.next_ref
             at, _, _, _, cmd, req = best
             if at > now:
+                self._kept = (now, best)
                 return min(at, self.next_ref)
             self._execute(cmd, req, at)
             self._update_drain_mode()

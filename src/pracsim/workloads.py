@@ -296,42 +296,42 @@ def run_cores(traces, controller: MemoryController,
         while completions and completions[0][0] <= now:
             done_at, req = completions.popleft()
             cores[req.core].on_response(req_entry.pop(req.req_id), done_at)
-        # cores hand requests to the controller
+        # ready cores hand requests to the controller; the same pass finds
+        # whether all are done and the next frontend wake-up (cores stalled
+        # on a full queue or window wake on those events)
+        all_done = True
+        wake = None
         for core in cores:
-            while core.can_issue(now):
-                rec = core.next_record()
-                if rec.op == "nop":
-                    core.issue(now, now)
-                    continue
-                is_write = rec.op == "write"
-                if not controller.can_accept(is_write):
-                    break
-                entry = core.issue(now, now if is_write else None)
-                req = controller.enqueue(core.core_id, rec.address, is_write, now)
-                if not is_write:
-                    req_entry[req.req_id] = entry
-        t_ctrl = controller.step(now)
-        if all(c.done() for c in cores):
+            if not core.fetched and core.frontend_ready <= now:
+                while core.can_issue(now):
+                    rec = core.next_record()
+                    if rec.op == "nop":
+                        core.issue(now, now)
+                        continue
+                    is_write = rec.op == "write"
+                    if not controller.can_accept(is_write):
+                        break
+                    entry = core.issue(now, now if is_write else None)
+                    req = controller.enqueue(core.core_id, rec.address, is_write, now)
+                    if not is_write:
+                        req_entry[req.req_id] = entry
+            if not core.fetched:
+                all_done = False
+                if (core.frontend_ready > now and core.window_has_room()
+                        and (wake is None or core.frontend_ready < wake)):
+                    wake = core.frontend_ready
+            elif core.pending:
+                all_done = False
+        nxt = controller.step(now)   # always later than now
+        if all_done:
             break
         if cap is not None and now >= cap:
             break
-        waits = [t_ctrl]
-        if completions:
-            waits.append(completions[0][0])
-        for core in cores:
-            # cores stalled on a full queue or window wake on those events;
-            # only a future frontend time is a wake-up of its own
-            if (not core.fetched and core.window_has_room()
-                    and core.frontend_ready > now):
-                waits.append(core.frontend_ready)
-        nxt = min(w for w in waits if w is not None and w > now) if waits else None
-        if nxt is None:
-            break
-        if cap is not None:
-            nxt = min(nxt, cap)
-            if nxt == now:
-                break
-        now = nxt
+        if completions and completions[0][0] < nxt:
+            nxt = completions[0][0]
+        if wake is not None and wake < nxt:
+            nxt = wake
+        now = nxt if cap is None else min(nxt, cap)
 
     end = now if (cap is not None and now >= cap) else max(
         [c.retire_clock for c in cores] + [now])

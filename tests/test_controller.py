@@ -6,8 +6,8 @@ from pracsim.controller import (
     inverse_map_address,
     map_address,
 )
-from pracsim.dram import DeviceState, Topology
-from pracsim.mitigations import NoMitigation, PracN, Prfm
+from pracsim.dram import BURST_PS, DeviceState, Topology
+from pracsim.mitigations import NoMitigation, PracN, PracPlusPrfm, Prfm
 from pracsim.security import PracParams, PrfmParams
 from pracsim.timing import ConfigError, preset
 from pracsim.workloads import StopCondition, TraceRecord, desk_timing, run_cores
@@ -126,3 +126,103 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     assert ctrl.stat["rfms"] == dev.fsm.asserts * 4
     assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
     assert dev.fsm.phase in ("delay", "window")
+
+
+def _desk_addr(bankgroup: int, row: int, column: int = 0) -> int:
+    """Rank 0, bank 0 of `bankgroup`: bank index 4 * bankgroup on the desk."""
+    return inverse_map_address(DESK, 0, bankgroup, 0, row, column)
+
+
+def test_select_orders_columns_first_then_oldest_act_and_holds_prfm_acts():
+    floor = 1_000_000   # every command below is ready before this time
+
+    # a column command beats an older ACT
+    dev, ctrl = make()
+    dev.issue("ACT", (0, 0), 0)
+    ctrl.enqueue(0, _desk_addr(1, 3), False, 10)
+    col = ctrl.enqueue(0, _desk_addr(0, 0), False, 20)
+    assert ctrl._select(floor, None)[0] == floor
+    assert ctrl._select(floor, None)[4:] == ("RD", col)
+
+    # between two ready ACTs the older arrival wins, not the lower id or bank
+    dev, ctrl = make()
+    ctrl.enqueue(0, _desk_addr(0, 5), False, 20)
+    older = ctrl.enqueue(0, _desk_addr(1, 3), False, 10)
+    assert ctrl._select(floor, None)[4:] == ("ACT", older)
+
+    # an ACT on a bank at the PRFM threshold (its RFM would close every row)
+    # waits while a column command is pending, even one ready later
+    th = 4
+    for raa, with_col, expect in ((th - 1, True, "ACT"), (th, True, "RD"), (th, False, "ACT")):
+        dev, ctrl = make(Prfm(PrfmParams(th)))
+        dev.issue("ACT", (0, 0), 0)          # bank 0 reads only after tRCD
+        dev.banks[4].raa = raa
+        ctrl.enqueue(0, _desk_addr(1, 3), False, 10)
+        if with_col:
+            ctrl.enqueue(0, _desk_addr(0, 0), False, 20)
+        now = dev.blocked_until
+        assert dev.banks[0].col_ok > now      # the ACT alone is ready at now
+        assert ctrl._select(now, None)[4] == expect
+
+
+def _drive(ctrl, requests, end, probes):
+    """Step `ctrl` at each time it returns until `end`, enqueueing up to two
+    of `requests` before each step. With `probes`, also step at that many
+    times between each step and the time it returned, which must return the
+    same time. Returns the returned times."""
+    now, i, times = 0, 0, []
+    while now < end:
+        for _ in range(2):
+            if i < len(requests) and ctrl.can_accept(requests[i][1]):
+                ctrl.enqueue(0, *requests[i], now)
+                i += 1
+        nxt = ctrl.step(now)
+        for k in range(1, probes + 1):
+            mid = now + (nxt - now) * k // (probes + 1)
+            if mid > now:
+                assert ctrl.step(mid) == nxt
+        times.append(nxt)
+        now = nxt
+    return times
+
+
+@pytest.mark.parametrize("mit,t,prac", [
+    (PracN(PracParams(4, 2, 1)), T_DESK_PRAC, {"abo_th": 4, "bo_n_refs": 2, "bo_n_acts": 1}),
+    (Prfm(PrfmParams(8)), T_DESK, None),
+], ids=["prac", "prfm"])
+def test_step_between_returned_times_changes_nothing(mit, t, prac):
+    # the controller keeps its pending decision between steps; stepping at
+    # intermediate times must give the run stepped only when due
+    requests = [(_desk_addr(i % 3, (i * 7) % 5), i % 4 == 3) for i in range(500)]
+    runs = []
+    for probes in (0, 3):
+        dev, ctrl = make(mit, t=t, prac=prac)
+        times = _drive(ctrl, requests, 3 * t.tREFI, probes)
+        runs.append((times, dict(dev.counts), ctrl.read_latencies,
+                     [(done, req.req_id) for done, req in ctrl.completions]))
+    assert runs[0] == runs[1]
+    counts = runs[0][1]
+    assert counts["REF"] >= 2 and counts["RFMab"] > 0 and counts["WR"] > 0
+    if prac is not None:
+        assert dev.fsm.asserts > 0
+
+
+def test_a_late_step_or_an_enqueue_decides_afresh():
+    # a step past the returned time: the read issues then, not at the time
+    # the pending decision named
+    dev, ctrl = make()
+    ctrl.enqueue(0, 0, False, 0)
+    due = ctrl.step(0)                    # the ACT issued; the read waits for tRCD
+    late = due + 10_000
+    ctrl.step(late)
+    assert [t for t, _ in ctrl.completions] == [late + T_DESK.tCL + BURST_PS]
+
+    # an enqueue before the returned time: its ACT, ready earlier than the
+    # pending read, issues at once
+    dev, ctrl = make()
+    ctrl.enqueue(0, _desk_addr(1, 3), False, 0)
+    due = ctrl.step(0)
+    mid = due // 2
+    ctrl.enqueue(0, _desk_addr(0, 5), False, mid)
+    assert ctrl.step(mid) == due
+    assert dev.counts["ACT"] == 2 and dev.banks[0].open_row == 5
