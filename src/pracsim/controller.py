@@ -150,21 +150,32 @@ class MemoryController:
 
     def _issue_ref(self, at: int):
         at = self._close_all_rows(at)
-        fsm = self.dev.fsm
-        if fsm is not None and fsm.phase in ("window", "recovery"):
-            # closing rows for refresh pushed a counter over the threshold;
-            # the recovery cannot wait out a whole tRFC, so it goes first
+        if self.dev.fsm is not None:
+            # an open back-off, or one the closing rows asserted, cannot wait
+            # out a whole tRFC, so its recovery goes first
             at = self._serve_recovery(at)
         self.dev.issue(REF, None, at)
         self.stat["refs"] += 1
         self.next_ref += self.t.tREFI
 
-    def _issue_rfm(self, at: int, triggered_bank: Optional[int] = None) -> int:
+    def _issue_rfm(self, at: int, triggered_bank: Optional[int] = None):
+        """One all-bank RFM once every bank is closed. The RFM that opens a
+        back-off recovery, whichever path issued it, must start by the
+        deadline (tABO_ACT after the assert); its slack is recorded."""
         at = self._close_all_rows(at)
+        dev = self.dev
+        fsm = dev.fsm
+        if fsm is not None and (fsm.phase == "window" or (
+                fsm.phase == "recovery" and fsm.refs_needed == fsm.bo_n_refs)):
+            slack = dev.backoff_deadline - at
+            if slack < 0:
+                raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline "
+                                      f"{dev.backoff_deadline} ps")
+            if self.min_deadline_slack is None or slack < self.min_deadline_slack:
+                self.min_deadline_slack = slack
         addr = (triggered_bank, -1) if triggered_bank is not None else None
-        self.dev.issue(RFMAB, addr, at)   # its refresh reports need no action here
+        dev.issue(RFMAB, addr, at)   # its refresh reports need no action here
         self.stat["rfms"] += 1
-        return at
 
     # ------------------------------------------------------------- scheduling
 
@@ -278,19 +289,13 @@ class MemoryController:
         return best
 
     def _serve_recovery(self, now: int) -> int:
-        """Issue the recovery RFMs back to back, the first by the back-off
-        deadline (tABO_ACT after the assert); returns when the last ends."""
+        """Issue RFMs back to back while a back-off is open; returns when the
+        last ends, or `now` if none is open."""
         dev = self.dev
-        at = self._issue_rfm(now)
-        slack = dev.backoff_deadline - at
-        if slack < 0:
-            raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline "
-                                  f"{dev.backoff_deadline} ps")
-        if self.min_deadline_slack is None or slack < self.min_deadline_slack:
-            self.min_deadline_slack = slack
-        while dev.fsm.phase == "recovery":
-            self._issue_rfm(dev.blocked_until)
-        return dev.blocked_until
+        while dev.fsm.phase != "delay":
+            self._issue_rfm(now)
+            now = dev.blocked_until
+        return now
 
     def _finish(self, req: Request, done_at: int):
         self.bank_q[req.bank_idx].remove(req)
@@ -335,9 +340,6 @@ class MemoryController:
                 kept = None
                 continue
             if now >= self.next_ref:
-                if phase == "window":
-                    # an open back-off window cannot absorb a whole tRFC
-                    now = self._serve_recovery(now)
                 self._issue_ref(self.next_ref)
                 kept = None
                 continue

@@ -175,27 +175,16 @@ def recinit_series(b0: int, rfm_th: int, steps: int) -> list:
 # activation budget
 
 
-@dataclass(frozen=True)
-class ActBudget:
-    d_allref: int       # time spent in periodic refresh per window (ps)
-    t_rfm_period: int   # attack period per trigger (ps)
-    max_rfm: int        # triggers that fit in the remaining window
-    max_act: int        # activations that fit in the remaining window
-
-
 def t_available(t: TimingParams) -> int:
     """Command time per refresh window left after periodic refresh (ps)."""
     return t.tREFW - (t.tREFW // t.tREFI) * t.tRFC
 
 
-def act_budget(t: TimingParams, p: WaveParams) -> ActBudget:
-    """Triggers and activations that fit in the window when each trigger
-    costs divisor activations plus the time it blocks the bank."""
+def act_budget(t: TimingParams, p: WaveParams) -> int:
+    """Activations that fit in the window (max_act) when each trigger costs
+    divisor activations plus the time it blocks the bank."""
     _, divisor, _, block = p.wave(t)
-    avail = t_available(t)
-    period = divisor * t.tRC + block
-    triggers = avail // period
-    return ActBudget(t.tREFW - avail, period, triggers, triggers * divisor)
+    return t_available(t) // (divisor * t.tRC + block) * divisor
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +227,7 @@ def _feasible_rounds(p: WaveParams, t: TimingParams, b0s):
 
 def _starting_sizes(p: WaveParams, t: TimingParams, rows_per_bank: int):
     # an attacker cannot touch more distinct rows than it has activations
-    return np.arange(1, max(1, min(rows_per_bank, act_budget(t, p).max_act)) + 1)
+    return np.arange(1, max(1, min(rows_per_bank, act_budget(t, p))) + 1)
 
 
 # ---------------------------------------------------------------------------

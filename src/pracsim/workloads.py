@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .controller import BLOCK_BYTES, MemoryController
 from .dram import Topology
@@ -30,23 +30,11 @@ WINDOW_INSTRS = 128
 CLASS_BANDS = {"H": (10.0, None), "M": (2.0, 10.0), "L": (None, 2.0)}
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One memory access after `bubble_count` non-memory instructions."""
     bubble_count: int
-    op: str                  # read / write / nop
+    op: str                  # read / write
     address: int
-
-    def __post_init__(self):
-        if self.bubble_count < 0:
-            raise ConfigError("bubble_count must be >= 0")
-        if self.op not in ("read", "write", "nop"):
-            raise ConfigError(f"bad trace op {self.op!r}")
-        if self.address < 0:
-            raise ConfigError("address must be >= 0")
-
-    @property
-    def instructions(self) -> int:
-        return self.bubble_count + (0 if self.op == "nop" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +170,7 @@ class CoreModel:
         self.core_id = core_id
         self.records = records
         # a record wider than the window fills it rather than blocking forever
-        self.footprints = [min(r.instructions, WINDOW_INSTRS) for r in self.records]
+        self.footprints = [min(r.bubble_count + 1, WINDOW_INSTRS) for r in self.records]
         self.max_instructions = max_instructions
         self.idx = 0
         self.frontend_ready = 0
@@ -214,7 +202,7 @@ class CoreModel:
     def issue(self, now: int, resp_time: Optional[int]):
         """Dispatch the head record at `now`, once can_issue(now) holds;
         resp_time is None for outstanding reads."""
-        size = self.records[self.idx].instructions
+        size = self.records[self.idx].bubble_count + 1
         footprint = self.footprints[self.idx]
         entry = [size, footprint, resp_time]
         self.pending.append(entry)
@@ -222,7 +210,7 @@ class CoreModel:
         self.issued_instrs += size
         self.idx += 1
         self._update_fetched()
-        self.frontend_ready = now + _ceil_div(max(size, 1), RETIRE_WIDTH) * CPU_CYCLE_PS
+        self.frontend_ready = now + _ceil_div(size, RETIRE_WIDTH) * CPU_CYCLE_PS
         self.drain()
         return entry
 
@@ -234,7 +222,7 @@ class CoreModel:
         while self.pending and self.pending[0][2] is not None:
             size, footprint, resp = self.pending.popleft()
             self.retire_clock = (max(self.retire_clock, resp)
-                                 + _ceil_div(max(size, 1), RETIRE_WIDTH) * CPU_CYCLE_PS)
+                                 + _ceil_div(size, RETIRE_WIDTH) * CPU_CYCLE_PS)
             self.retired_instrs += size
             self.occupancy -= footprint
 
@@ -305,9 +293,6 @@ def run_cores(traces, controller: MemoryController,
             if not core.fetched and core.frontend_ready <= now:
                 while core.can_issue(now):
                     rec = core.next_record()
-                    if rec.op == "nop":
-                        core.issue(now, now)
-                        continue
                     is_write = rec.op == "write"
                     if not controller.can_accept(is_write):
                         break

@@ -128,6 +128,18 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     assert dev.fsm.phase in ("delay", "window")
 
 
+def test_prfm_rfm_that_opens_a_recovery_is_held_to_the_deadline():
+    # a PRFM RFM whose row closes assert a back-off is the recovery's first
+    # RFM; the deadline applies to it, not to the RFM after it
+    trace = [TraceRecord(0, "read", inverse_map_address(DESK, 0, i % 3, 0, (i // 3) % 5, 0))
+             for i in range(3000)]
+    prac = {"abo_th": 4, "bo_n_refs": 2, "bo_n_acts": 1}
+    dev, ctrl = make(PracPlusPrfm(PracParams(4, 2, 1), PrfmParams(16)), t=T_DESK_PRAC, prac=prac)
+    res = run_cores([trace], ctrl, StopCondition(None, None))
+    assert res.instructions[0] == 3000 and dev.fsm.asserts > 0
+    assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
+
+
 def _desk_addr(bankgroup: int, row: int, column: int = 0) -> int:
     """Rank 0, bank 0 of `bankgroup`: bank index 4 * bankgroup on the desk."""
     return inverse_map_address(DESK, 0, bankgroup, 0, row, column)

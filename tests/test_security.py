@@ -110,25 +110,17 @@ def test_param_validation():
 # ---------------------------------------------------------------- budgets
 
 def test_budget_appendix_numbers_exact():
-    b = act_budget(APP, PrfmParams(6))
-    assert b.d_allref == 2_420_475_000                    # ~2.42 ms
-    assert APP.tREFW - b.d_allref == 29_579_525_000       # ~29.58 ms
-    assert b.t_rfm_period == 577_000                      # 577 ns exact
-    assert b.max_rfm == 51_264
-    assert b.max_act == 307_584                           # ~307,580
+    # 51,264 periods of 577 ns fit the 29.58 ms left after periodic refresh
+    assert act_budget(APP, PrfmParams(6)) == 307_584      # ~307,580
 
 
 def test_budget_other_thresholds():
-    b = act_budget(APP, PrfmParams(5))
-    assert b.t_rfm_period == 5 * 47_000 + 295_000
-    assert b.max_act == (29_579_525_000 // b.t_rfm_period) * 5
+    assert act_budget(APP, PrfmParams(5)) == (29_579_525_000 // (5 * 47_000 + 295_000)) * 5
 
 
 def test_prac_budget_period():
     p = PracParams(abo_th=60, bo_n_refs=4, bo_n_acts=1)
-    b = act_budget(PRAC_T, p)
-    assert b.t_rfm_period == 4 * 52_000 + 4 * 350_000
-    assert b.max_act == (29_579_525_000 // b.t_rfm_period) * 4
+    assert act_budget(PRAC_T, p) == (29_579_525_000 // (4 * 52_000 + 4 * 350_000)) * 4
 
 
 # ---------------------------------------------------------------- verdicts
