@@ -5,9 +5,9 @@ while a row is being closed, i.e. at PRE), and a per-bank activation counter
 used by threshold-triggered refresh management. A rank-level refresh pointer
 walks all rows once per refresh window. The back-off engine is a small FSM:
 
-    delay    bo_n_acts activations re-arm the assert; a threshold crossing
-             anywhere sets a pending flag; the arming activation's precharge
-             asserts if the flag is set
+    delay    bo_n_acts activations re-arm the assert; the arming
+             activation's precharge asserts if any row's counter is at
+             abo_th or above (the device keeps a count of such rows)
     window   at most tABO_ACT/tRC further activations may issue
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
@@ -100,23 +100,20 @@ class BackOffFsm:
     delay_left: int = 0
     window_left: int = 0
     refs_needed: int = 0
-    pending: bool = False
     assert_ts: int = -1
     asserts: int = 0
 
     def __post_init__(self):
         self.delay_left = self.bo_n_acts
 
-    def on_close(self, counter_value: int, now: int, signal_latency: int):
-        """Row-close bookkeeping; an assert counts in `asserts` and stamps
+    def on_close(self, over_th: bool, now: int, signal_latency: int):
+        """Row-close bookkeeping; `over_th` says whether some row's counter
+        is at abo_th or above. An assert counts in `asserts` and stamps
         `assert_ts`."""
-        if counter_value >= self.abo_th:
-            self.pending = True
         if self.phase == "delay":
             self.delay_left -= 1
             if self.delay_left == 0:
-                if self.pending:
-                    self.pending = False
+                if over_th:
                     self.asserts += 1
                     self.assert_ts = now + signal_latency
                     if self.window_acts > 0:
@@ -219,6 +216,7 @@ class DeviceState:
         self.ref_pointer = 0
         self.rows_per_ref = -(-topo.rows_per_bank // (t.tREFW // t.tREFI))
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
+        self.rows_at_th = 0             # rows whose counter is at abo_th or above
         self.saturated_increments = 0   # increments swallowed at saturation
         self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
 
@@ -284,13 +282,16 @@ class DeviceState:
             b.open_row = None
             self._raise_act_ok(b, now + self.t.tRP)
             # per-row tracking is assumed perfect regardless of mitigation
-            count = b.counters.get(row, 0) + 1
+            old = b.counters.get(row, 0)
+            count = old + 1
             if self.counter_max is not None and count > self.counter_max:
                 count = self.counter_max   # saturating counter
                 self.saturated_increments += 1
             b.counters[row] = count
             if self.fsm is not None:
-                self.fsm.on_close(count, now, self.t.tBackoffSignal)
+                if old < self.fsm.abo_th <= count:
+                    self.rows_at_th += 1
+                self.fsm.on_close(self.rows_at_th > 0, now, self.t.tBackoffSignal)
         elif cmd in (RD, WR):
             bank_idx, row = addr
             b = self.banks[bank_idx]
@@ -319,6 +320,13 @@ class DeviceState:
 
     # ------------------------------------------------------------- refresh ops
 
+    def _clear(self, b: BankState, row: int):
+        """Reset an existing counter: the only way a counter falls."""
+        count = b.counters.pop(row)
+        self.cleared_counts += count
+        if self.fsm is not None and count >= self.fsm.abo_th:
+            self.rows_at_th -= 1
+
     def serve_rfm(self, triggered_bank: Optional[int] = None) -> list:
         """All-bank RFM: refresh the victims of every bank's hottest row, and
         reset the activation count of the bank that triggered it, if any.
@@ -338,7 +346,7 @@ class DeviceState:
                 rows = [r for r, c in b.counters.items() if c == best]
                 aggressor = min(rows) if self.tie_break == "low" else max(rows)
                 victims = victim_rows(aggressor, self.topo.rows_per_bank)
-                self.cleared_counts += b.counters.pop(aggressor)
+                self._clear(b, aggressor)
             if tallies.get(bi):
                 monitor.on_row_refreshed(bi, *victims)
             events.append(("refreshed", bi, aggressor, victims))
@@ -356,7 +364,7 @@ class DeviceState:
         self._raise_act_ok(b, busy_until)
         for r in rows:
             if r in b.counters:
-                self.cleared_counts += b.counters.pop(r)
+                self._clear(b, r)
         if self.monitor is not None and self.monitor.tallies.get(bank_idx):
             self.monitor.on_row_refreshed(bank_idx, *rows)
 
@@ -370,7 +378,7 @@ class DeviceState:
             if self.ref_resets_counters and b.counters:
                 for r in rows:
                     if r in b.counters:
-                        self.cleared_counts += b.counters.pop(r)
+                        self._clear(b, r)
         if self.monitor is not None:
             # only banks with tallies can change; the walk updates counts in place
             for bi, n in self.monitor.tallies.items():

@@ -234,9 +234,9 @@ GOLDEN = [
     ("graphene", 32, {}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f"),
     ("prfm", 32, {"attacker": "dos"},
      "e31be469843020aec664398e7918ae21219cf82d65dc6d133fdc52d8474e1fb2"),
-    # 7-10 back-offs per mix: commands are chosen inside open service windows
+    # 5-6 back-offs per mix: commands are chosen inside open service windows
     ("prac", 8, {"attacker": "dos"},
-     "8e4e3dd93c9f7af6a2f6b2dd213531f3007642f7da8afe30117183e1d8c81362"),
+     "717d199a00c9d7d094881486cdc6a6a6027349326bc815e1c1e7a4dec5a0c108"),
 ]
 
 

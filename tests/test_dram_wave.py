@@ -112,6 +112,32 @@ def test_backoff_asserts_within_signal_latency_of_the_crossing():
     assert dev.fsm.assert_ts == 1_000_000 + PRAC_T.tRAS + PRAC_T.tBackoffSignal
 
 
+def test_rows_cleared_by_the_recovery_do_not_assert_again():
+    # row 9 crosses abo_th inside the window; the two recovery RFMs clear
+    # rows 5 and 9, so the next arming close finds no row at the threshold
+    dev = DeviceState(DESK, PRAC_T, prac={"abo_th": 2, "bo_n_refs": 2, "bo_n_acts": 1})
+    now = 1_000_000
+
+    def act_pre(row):
+        nonlocal now
+        dev.issue(ACT, (0, row), now)
+        dev.issue(PRE, (0, row), now + PRAC_T.tRAS)
+        now += PRAC_T.tRC
+
+    act_pre(5)
+    act_pre(5)
+    assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
+    act_pre(9)
+    act_pre(9)
+    assert dev.banks[0].counters == {5: 2, 9: 2}
+    for _ in range(2):
+        dev.issue(RFMAB, None, max(now, dev.blocked_until))
+        now = dev.blocked_until
+    assert dev.fsm.phase == "delay" and dev.banks[0].counters == {}
+    act_pre(20)
+    assert dev.fsm.asserts == 1 and dev.fsm.phase == "delay"
+
+
 def test_act_rejected_during_recovery():
     dev = DeviceState(DESK, PRAC_T, prac={"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1})
     dev.fsm.window_acts = 0   # assert leads straight to recovery
