@@ -129,11 +129,11 @@ def test_rows_cleared_by_the_recovery_do_not_assert_again():
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
     act_pre(9)
     act_pre(9)
-    assert dev.banks[0].counters == {5: 2, 9: 2}
+    assert dev.banks[0].counters == {5: 2, 9: 2} and dev.rows_at_th == 2
     for _ in range(2):
         dev.issue(RFMAB, None, max(now, dev.blocked_until))
         now = dev.blocked_until
-    assert dev.fsm.phase == "delay" and dev.banks[0].counters == {}
+    assert dev.fsm.phase == "delay" and dev.rows_at_th == 0
     act_pre(20)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "delay"
 
