@@ -12,6 +12,16 @@ walks all rows once per refresh window. The back-off engine is a small FSM:
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
 
+An RFM finds each bank's hottest row in a heap of (-count, row) entries (the
+row negated under tie_break "high"), an index derived from `counters`: built
+at the bank's first RFM, fed one entry by every PRE that changes a counter,
+and rebuilt once it outgrows twice the counters. An entry whose count no
+longer matches `counters` is stale and is dropped when it reaches the top. A
+bank without counters reports the victims of row 0 through a prebuilt idle
+event and does no other work, and the monitor hears only from banks with
+tallies. So an RFM costs a few heap pops per bank holding counters, not a
+scan of every counter of every bank.
+
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
 ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation
 raises ProtocolError (constraint, missing slack), fatal to simulation and fuzz tests.
@@ -22,12 +32,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .timing import ConfigError, TimingParams
 
 BLAST_RADIUS = 2
 BURST_PS = 5000   # BL16 on a 3200 MT/s bus
+HEAP_SLACK = 16   # a bank's RFM heap is rebuilt past 2 * len(counters) + this
 
 
 @lru_cache(maxsize=4096)
@@ -83,6 +95,7 @@ class Topology:
 class BankState:
     open_row: Optional[int] = None
     counters: dict = field(default_factory=dict)   # row -> activation count
+    heap: Optional[list] = None                    # RFM index of counters, see module doc
     raa: int = 0                                   # bank activations since last RFM
     act_ok: int = 0
     pre_ok: int = 0
@@ -208,6 +221,9 @@ class DeviceState:
                 bo_n_acts=prac["bo_n_acts"], window_acts=t.window_acts())
         self.ref_resets_counters = ref_resets_counters
         self.tie_break = tie_break
+        self._tie_sign = 1 if tie_break == "low" else -1   # heap key: row, or -row under "high"
+        idle = victim_rows(0, topo.rows_per_bank)
+        self._idle_events = tuple(("refreshed", bi, 0, idle) for bi in range(topo.banks_total))
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
         self.monitor = monitor
         self.blocked_until = 0          # no command before this time
@@ -288,6 +304,12 @@ class DeviceState:
                 count = self.counter_max   # saturating counter
                 self.saturated_increments += 1
             b.counters[row] = count
+            heap = b.heap
+            if heap is not None and count != old:
+                if len(heap) > 2 * len(b.counters) + HEAP_SLACK:
+                    b.heap = self._heap_of(b.counters)
+                else:
+                    heappush(heap, (-count, self._tie_sign * row))
             if self.fsm is not None:
                 if old < self.fsm.abo_th <= count:
                     self.rows_at_th += 1
@@ -327,29 +349,50 @@ class DeviceState:
         if self.fsm is not None and count >= self.fsm.abo_th:
             self.rows_at_th -= 1
 
+    def _heap_of(self, counters: dict) -> list:
+        sign = self._tie_sign
+        heap = [(-c, sign * r) for r, c in counters.items()]
+        heapify(heap)
+        return heap
+
     def serve_rfm(self, triggered_bank: Optional[int] = None) -> list:
         """All-bank RFM: refresh the victims of every bank's hottest row, and
         reset the activation count of the bank that triggered it, if any.
 
         Returns one ('refreshed', bank, aggressor, victims) event per bank,
         in bank order; the aggressor report is the attacker feedback channel.
-        A bank with no counters refreshes the victims of row 0.
+        A bank with no counters refreshes the victims of row 0: the events
+        start as a copy of those idle events, and only banks with counters
+        replace theirs, with the row on top of their heap (module docstring;
+        ties go to the lowest row, or the highest under tie_break "high").
+        The monitor hears only from banks that hold tallies.
         """
-        events = []
-        idle = victim_rows(0, self.topo.rows_per_bank)
-        monitor = self.monitor
-        tallies = {} if monitor is None else monitor.tallies
+        events = list(self._idle_events)
+        sign = self._tie_sign
+        rows_per_bank = self.topo.rows_per_bank
         for bi, b in enumerate(self.banks):
-            aggressor, victims = 0, idle
-            if b.counters:
-                best = max(b.counters.values())
-                rows = [r for r, c in b.counters.items() if c == best]
-                aggressor = min(rows) if self.tie_break == "low" else max(rows)
-                victims = victim_rows(aggressor, self.topo.rows_per_bank)
-                self._clear(b, aggressor)
-            if tallies.get(bi):
-                monitor.on_row_refreshed(bi, *victims)
-            events.append(("refreshed", bi, aggressor, victims))
+            counters = b.counters
+            if not counters:
+                continue
+            heap = b.heap
+            if heap is None:
+                heap = b.heap = self._heap_of(counters)
+            while heap:
+                neg, key = heappop(heap)
+                aggressor = sign * key
+                if counters.get(aggressor) == -neg:
+                    break
+            else:
+                raise RuntimeError(f"bank {bi}: RFM heap ran empty while {len(counters)} "
+                                   "rows hold counters")
+            self._clear(b, aggressor)
+            events[bi] = ("refreshed", bi, aggressor, victim_rows(aggressor, rows_per_bank))
+        monitor = self.monitor
+        if monitor is not None:
+            # the walk updates counts in place, so iterating the tallies is safe
+            for bi, n in monitor.tallies.items():
+                if n:
+                    monitor.on_row_refreshed(bi, *events[bi][3])
         if triggered_bank is not None:
             self.banks[triggered_bank].raa = 0
         return events

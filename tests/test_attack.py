@@ -10,7 +10,7 @@ from pracsim.attack import (
 )
 from pracsim.controller import map_address
 from pracsim.dram import Topology
-from pracsim.security import PracParams, PrfmParams, prfm_trajectory
+from pracsim.security import PracParams, PrfmParams, is_secure, prfm_trajectory, secure_rfm_th
 from pracsim.timing import ConfigError, preset
 
 APP = preset("analysis-appendix")
@@ -77,6 +77,20 @@ def test_wave_trace_act_legality_spacing():
     # the device enforces legality; the replay records one row per ACT it issued
     result = run_wave_attack(6, PrfmParams(3), preset("ddr5-3200an-base"))
     assert len(result.access_rows) == result.act_count
+
+
+@pytest.mark.parametrize("n_rh", [32, 64])
+def test_fullsize_prfm_witness_replays(n_rh):
+    """At 64K rows per bank, REF off: the analyzer's witness b0 for the first
+    insecure rfm_th reaches n_rh under the monitor, and the secure rfm_th
+    replayed at that b0 stays below it."""
+    base, topo = preset("ddr5-3200an-base"), Topology()
+    th = secure_rfm_th(n_rh, base, topo.rows_per_bank)
+    b0 = is_secure(n_rh, PrfmParams(th + 1), base, topo.rows_per_bank).witness_b0
+    witness = run_wave_attack(b0, PrfmParams(th + 1), base, topo=topo, monitor_n_rh=n_rh)
+    assert witness.realized_max >= n_rh and witness.monitor.violations, (th + 1, b0)
+    secure = run_wave_attack(b0, PrfmParams(th), base, topo=topo, monitor_n_rh=n_rh)
+    assert secure.realized_max < n_rh and not secure.monitor.violations, (th, b0)
 
 
 def test_wave_trace_kind_mismatch():

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pracsim.attack import run_wave_attack
@@ -291,6 +291,114 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
         _assert_tallies_count_pairs(mon)
         assert dev.conservation_holds()
     assert mon.violations == ref.violations
+
+
+class _ScanningDevice(DeviceState):
+    """Reference: each bank's hottest row found by scanning all its counters."""
+
+    def serve_rfm(self, triggered_bank=None):
+        events = []
+        idle = victim_rows(0, self.topo.rows_per_bank)
+        monitor = self.monitor
+        tallies = {} if monitor is None else monitor.tallies
+        for bi, b in enumerate(self.banks):
+            aggressor, victims = 0, idle
+            if b.counters:
+                best = max(b.counters.values())
+                rows = [r for r, c in b.counters.items() if c == best]
+                aggressor = min(rows) if self.tie_break == "low" else max(rows)
+                victims = victim_rows(aggressor, self.topo.rows_per_bank)
+                self._clear(b, aggressor)
+            if tallies.get(bi):
+                monitor.on_row_refreshed(bi, *victims)
+            events.append(("refreshed", bi, aggressor, victims))
+        if triggered_bank is not None:
+            self.banks[triggered_bank].raa = 0
+        return events
+
+
+RFM_OPS = st.tuples(st.sampled_from(["act", "act", "act", "act", "rfm", "rfm", "ref", "rows"]),
+                    st.integers(0, 2), st.integers(0, 5), st.booleans())
+# sixty PREs over six rows of one bank between RFMs: 42 of them raise a
+# counter before all saturate at 7, so the heap outgrows 2 * 6 + HEAP_SLACK
+LONG_OPS = ([("act", 0, 0, False), ("rfm", 0, 0, False)]
+            + [("act", 0, r % 6, False) for r in range(60)] + [("rfm", 0, 0, True)] * 3)
+# row 1's entry for count 1 goes stale under its entry for 2 and tops the
+# heap, tied with row 2, after the RFM that clears row 1
+STALE_OPS = [("act", 0, 0, False), ("rfm", 0, 0, False), ("act", 0, 1, False),
+             ("act", 0, 1, False), ("act", 0, 2, False), ("rfm", 0, 0, False),
+             ("rfm", 0, 0, False)]
+
+
+def _replay_against_scan(ops, tie, bits, resets, abo_th):
+    """Run `ops` on an indexed device and on the scanning reference; return
+    how often a PRE shrank a bank's heap (a rebuild)."""
+    t = desk_timing(PRAC_T)
+    prac = None if abo_th is None else {"abo_th": abo_th, "bo_n_refs": 2, "bo_n_acts": 1}
+    devs = [cls(DESK, t, prac=prac, ref_resets_counters=resets, tie_break=tie,
+                monitor=DisturbanceMonitor(6, 64), counter_bits=bits)
+            for cls in (DeviceState, _ScanningDevice)]
+    fast, ref = devs
+    rebuilds = 0
+    now = 1_000_000
+    for op, bank, row, flag in ops:
+        now = max(now, fast.blocked_until, fast.idle_at)
+        if op == "act" and fast.fsm is not None and fast.fsm.phase == "recovery":
+            op = "rfm"   # no ACT during recovery
+        heap = fast.banks[bank].heap
+        before = None if heap is None else len(heap)
+        out = []
+        for dev in devs:
+            if op == "act":
+                dev.issue(ACT, (bank, row), now)
+                out.append(dev.issue(PRE, (bank, row), now + t.tRAS))
+            elif op == "rfm":
+                out.append(dev.issue(RFMAB, (bank, -1) if flag else None, now))
+            elif op == "ref":
+                out.append(dev.issue(REF, None, now))
+            else:
+                out.append(dev.refresh_rows(bank, victim_rows(row, 64) if flag else (row,), now))
+        if op == "act" and before is not None and len(fast.banks[bank].heap) < before:
+            rebuilds += 1
+        assert out[0] == out[1]
+        assert [b.counters for b in fast.banks] == [b.counters for b in ref.banks]
+        assert [b.raa for b in fast.banks] == [b.raa for b in ref.banks]
+        assert fast.cleared_counts == ref.cleared_counts
+        assert fast.rows_at_th == ref.rows_at_th
+        assert fast.fsm == ref.fsm
+        assert fast.monitor.pair == ref.monitor.pair
+        assert fast.conservation_holds()
+    return rebuilds
+
+
+@given(ops=st.lists(RFM_OPS, max_size=120), tie=st.sampled_from(["low", "high"]),
+       bits=st.sampled_from([2, 3]), resets=st.booleans(),
+       abo_th=st.sampled_from([None, 2, 3]))
+@example(ops=LONG_OPS, tie="high", bits=3, resets=False, abo_th=None)
+@example(ops=STALE_OPS, tie="low", bits=3, resets=False, abo_th=None)
+@settings(max_examples=300, deadline=None)
+def test_indexed_rfm_matches_scanning_reference(ops, tie, bits, resets, abo_th):
+    """RFM through the per-bank heap gives the scan's events, counters,
+    cleared mass, rows at abo_th and monitor state after every command."""
+    _replay_against_scan(ops, tie, bits, resets, abo_th)
+
+
+@pytest.mark.parametrize("tie", ["low", "high"])
+def test_long_pre_stretch_rebuilds_the_rfm_heap(tie):
+    assert _replay_against_scan(LONG_OPS, tie, 3, False, None) >= 1
+
+
+def test_rfm_heap_desync_raises_naming_the_bank():
+    dev = fresh_device()
+    now = 1_000_000
+    for row in (4, 7, 4):
+        dev.issue(ACT, (2, row), now)
+        dev.issue(PRE, (2, row), now + BASE_T.tRAS)
+        now += BASE_T.tRC
+    dev.serve_rfm()                      # builds bank 2's heap, clears row 4
+    dev.banks[2].heap[:] = [(-9, 7)]     # poisoned: a stale entry only
+    with pytest.raises(RuntimeError, match="bank 2"):
+        dev.serve_rfm()
 
 
 # ------------------------------------------------------- oracle equivalence
