@@ -319,7 +319,7 @@ def run_mix(spec: RunSpec, mix_index: int, traces=None,
     mix = build_mixes(spec.mixes, spec.seed)[mix_index]
     traces = list(traces or materialize_mix(mix, spec.records, spec.topo))
     if spec.attacker is not None:
-        duration = (spec.stop.max_ps or 10 ** 9) + 10_000_000
+        duration = spec.stop.max_ps + 10_000_000
         traces[0] = _attacker_trace(spec.attacker, spec.timing, duration, spec.topo)
     alone = alone_ipcs(spec, mix, traces, solo_cache)
     result = _run(spec, traces, DisturbanceMonitor(spec.n_rh, spec.topo.rows_per_bank))

@@ -28,8 +28,7 @@ def _bool(text: str) -> bool:
 
 
 # every duration except tRC, which is always rebuilt as tRAS + tRP
-_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams)
-                       if f.name not in ("tRC", "prac_adjusted"))
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams) if f.name != "tRC")
 
 SCHEMA = {
     "timing": {"preset": str, **{f.lower(): parse_duration for f in _TIMING_FIELDS}},

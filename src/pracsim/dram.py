@@ -8,7 +8,8 @@ walks all rows once per refresh window. The back-off engine is a small FSM:
     delay    bo_n_acts activations re-arm the assert; the arming
              activation's precharge asserts if any row's counter is at
              abo_th or above (the device keeps a count of such rows)
-    window   at most tABO_ACT/tRC further activations may issue
+    window   ends at an RFM or after tABO_ACT/tRC row closes (PREs, not ACTs);
+             the controller fits its commands before the back-off deadline
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
 
@@ -23,8 +24,9 @@ tallies. So an RFM costs a few heap pops per bank holding counters, not a
 scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
-ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation
-raises ProtocolError (constraint, missing slack), fatal to simulation and fuzz tests.
+ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation,
+or an ACT during back-off recovery, raises ProtocolError (constraint, missing
+slack), fatal to simulation and fuzz tests.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .timing import ConfigError, TimingParams
 
@@ -60,18 +62,12 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class Topology:
-    ranks_per_channel: int = 2
-    bankgroups_per_rank: int = 8
-    banks_per_bankgroup: int = 4
+    """A dual-rank channel of 8 bank groups x 4 banks; only the rows vary."""
+    ranks_per_channel: ClassVar[int] = 2
+    bankgroups_per_rank: ClassVar[int] = 8
+    banks_per_bankgroup: ClassVar[int] = 4
     rows_per_bank: int = 65_536
     row_size_bytes: int = 8192
-
-    def __post_init__(self):
-        for name in ("ranks_per_channel", "bankgroups_per_rank", "banks_per_bankgroup",
-                     "rows_per_bank", "row_size_bytes"):
-            v = getattr(self, name)
-            if v < 1 or (v & (v - 1)) != 0:
-                raise ConfigError(f"{name} must be a positive power of two, got {v}")
 
     @property
     def banks_per_rank(self) -> int:
@@ -278,8 +274,6 @@ class DeviceState:
             self._check(b.act_ok, now, "tRC/tRP")
             if self.fsm is not None and self.fsm.phase == "recovery":
                 raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
-            if self.fsm is not None and self.fsm.phase == "window" and self.fsm.window_left <= 0:
-                raise ProtocolError("tABO_ACT", 0, "window activation budget exhausted")
             b.open_row = row
             b.last_act = now
             self._raise_act_ok(b, now + self.t.tRC)

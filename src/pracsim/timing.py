@@ -40,7 +40,6 @@ class TimingParams:
     tABO_ACT: int
     tBackoffSignal: int
     clock_period: int = 625  # DDR5-3200: 1600 MHz command clock
-    prac_adjusted: bool = False
 
     def __post_init__(self):
         for name in ("tRC", "tRAS", "tRP", "tRCD", "tCL", "tRTP", "tWR",
@@ -81,18 +80,16 @@ def apply_prac_adjustments(base: TimingParams) -> TimingParams:
     """Fold the counter-update-at-precharge cost into the timing parameters.
 
     tRP grows by 21 ns while tRAS, tRTP and tWR shrink by 16, 2.5 and 20 ns;
-    tRC is recomputed from the new tRAS + tRP.
+    tRC is recomputed from the new tRAS + tRP. Applied again to the
+    ddr5-3200an-prac preset, it drives tRAS to zero and raises ConfigError.
     """
-    if base.prac_adjusted:
-        raise ConfigError("timing parameters already carry the per-row-counter adjustment")
     tras = base.tRAS - PRAC_TRAS_DECREASE
     trp = base.tRP + PRAC_TRP_INCREASE
     trtp = base.tRTP - PRAC_TRTP_DECREASE
     twr = base.tWR - PRAC_TWR_DECREASE
     if min(tras, trtp, twr) <= 0:
         raise ConfigError("adjustment would drive a timing parameter to zero or below")
-    return replace(base, tRAS=tras, tRP=trp, tRC=tras + trp, tRTP=trtp, tWR=twr,
-                   prac_adjusted=True)
+    return replace(base, tRAS=tras, tRP=trp, tRC=tras + trp, tRTP=trtp, tWR=twr)
 
 
 _PRESETS = {

@@ -166,7 +166,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class CoreModel:
-    def __init__(self, core_id: int, records: list, max_instructions: Optional[int] = None):
+    def __init__(self, core_id: int, records: list, max_instructions: Optional[int]):
         self.core_id = core_id
         self.records = records
         # a record wider than the window fills it rather than blocking forever
@@ -226,13 +226,10 @@ class CoreModel:
             self.retired_instrs += size
             self.occupancy -= footprint
 
-    def ipc(self, end_ps: Optional[int] = None) -> float:
+    def ipc(self, end_ps: int) -> float:
         """Retired instructions per cycle, over the core's own completion time
         or the run end when it was still stalled there."""
-        if self.done() or end_ps is None:
-            end = max(self.retire_clock, 1)
-        else:
-            end = max(end_ps, 1)
+        end = max(self.retire_clock if self.done() else end_ps, 1)
         return self.retired_instrs / (end / CPU_CYCLE_PS)
 
 
@@ -242,12 +239,12 @@ class CoreModel:
 
 @dataclass
 class StopCondition:
-    instructions_per_core: Optional[int] = 100_000
-    max_cycles: Optional[int] = 3_000_000
+    instructions_per_core: Optional[int]   # None: each core replays its whole trace
+    max_cycles: int
 
     @property
-    def max_ps(self) -> Optional[int]:
-        return None if self.max_cycles is None else self.max_cycles * CPU_CYCLE_PS
+    def max_ps(self) -> int:
+        return self.max_cycles * CPU_CYCLE_PS
 
 
 @dataclass
@@ -265,11 +262,9 @@ class RunResult:
     backoffs: int
 
 
-def run_cores(traces, controller: MemoryController,
-              stop: Optional[StopCondition] = None) -> RunResult:
+def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunResult:
     """Replay one trace per core against a shared controller until every core
     retires its budget or the global cycle cap is hit."""
-    stop = stop or StopCondition()
     cores = [CoreModel(i, tr, stop.instructions_per_core) for i, tr in enumerate(traces)]
     req_entry = {}   # req_id -> its core's window entry, outstanding reads only
     completions = controller.completions
@@ -308,18 +303,15 @@ def run_cores(traces, controller: MemoryController,
             elif core.pending:
                 all_done = False
         nxt = controller.step(now)   # always later than now
-        if all_done:
-            break
-        if cap is not None and now >= cap:
+        if all_done or now >= cap:
             break
         if completions and completions[0][0] < nxt:
             nxt = completions[0][0]
         if wake is not None and wake < nxt:
             nxt = wake
-        now = nxt if cap is None else min(nxt, cap)
+        now = min(nxt, cap)
 
-    end = now if (cap is not None and now >= cap) else max(
-        [c.retire_clock for c in cores] + [now])
+    end = now if now >= cap else max([c.retire_clock for c in cores] + [now])
     dev = controller.dev
     violations = [] if dev.monitor is None else dev.monitor.violations
     return RunResult(

@@ -81,7 +81,7 @@ def test_frfcfs_cap_forces_the_old_miss_after_four_hits():
         now = max(ctrl.step(now), now + 1)
         if not ctrl.bank_q:
             break
-    assert ctrl.stat["reads"] == 6
+    assert dev.counts["RD"] == 6
     order = [req.req_id for _, req in sorted(ctrl.completions, key=lambda c: c[0])]
     # hits are ids 1..5, the miss is id 0: four hits bypass, then the miss
     assert order == [1, 2, 3, 4, 0, 5]
@@ -101,10 +101,9 @@ def test_ref_happens_on_cadence_when_idle():
     now = 0
     for _ in range(30):
         now = max(ctrl.step(now), now + 1)
-        if ctrl.stat["refs"] >= 3:
+        if dev.counts["REF"] >= 3:
             break
-    assert ctrl.stat["refs"] >= 3
-    assert dev.counts["REF"] == ctrl.stat["refs"]
+    assert dev.counts["REF"] >= 3
 
 
 def test_prfm_rfm_count_matches_bank_act_floor():
@@ -113,7 +112,7 @@ def test_prfm_rfm_count_matches_bank_act_floor():
     dev, ctrl = make(Prfm(PrfmParams(4)))
     run_cores([trace], ctrl, StopCondition(None, 2_000_000))
     residual = sum(b.raa for b in dev.banks)
-    assert ctrl.stat["rfms"] == (ctrl.stat["acts"] - residual) // 4
+    assert dev.counts["RFMab"] == (dev.counts["ACT"] - residual) // 4
 
 
 def test_backoff_deadline_never_overrun_and_recovery_complete():
@@ -123,7 +122,7 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     dev, ctrl = make(PracN(PracParams(8, 4, 1)), t=T_DESK_PRAC, prac=prac)
     run_cores([trace], ctrl, StopCondition(None, 3_000_000))
     assert dev.fsm.asserts > 0
-    assert ctrl.stat["rfms"] == dev.fsm.asserts * 4
+    assert dev.counts["RFMab"] == dev.fsm.asserts * 4
     assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
     assert dev.fsm.phase in ("delay", "window")
 
@@ -135,7 +134,7 @@ def test_prfm_rfm_that_opens_a_recovery_is_held_to_the_deadline():
              for i in range(3000)]
     prac = {"abo_th": 4, "bo_n_refs": 2, "bo_n_acts": 1}
     dev, ctrl = make(PracPlusPrfm(PracParams(4, 2, 1), PrfmParams(16)), t=T_DESK_PRAC, prac=prac)
-    res = run_cores([trace], ctrl, StopCondition(None, None))
+    res = run_cores([trace], ctrl, StopCondition(None, 10 ** 9))
     assert res.instructions[0] == 3000 and dev.fsm.asserts > 0
     assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pracsim.dram import Topology
 from pracsim.mitigations import (
@@ -99,6 +101,58 @@ def test_hydra_hot_row_is_refreshed():
     assert refreshed >= 1
     # authoritative counters never undercount: engaged count is tracked
     assert st.row_counters.get((0, 5), 0) <= 64
+
+
+@given(acts=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7),
+                               st.sampled_from((0, 0, 0, 0, 0, 0, 0, 1))), max_size=200),
+       entries=st.integers(1, 4), threshold=st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_graphene_bounds_each_row_by_threshold_plus_spill(acts, entries, threshold):
+    # brute-force per-row counts: a row's activations since its last refresh
+    # (or the table reset) stay below threshold + spill[bank]. Each (bank,
+    # row, thirds) activation moves time on by 1 ps plus `thirds` thirds of
+    # tREFW, so the table reset comes due now and then. entries + 1 fresh
+    # rows of bank 2 go first, so bank 2 spills, and a last activation a
+    # whole tREFW on resets the tables
+    cfg = Graphene(table_entries=entries, threshold=threshold)
+    mech = GrapheneState(cfg, DESK, BASE)
+    fresh = [(2, row, 0) for row in range(entries + 1)]
+    since = {}   # (bank, row) -> activations since its refresh or the reset
+    spills = resets = now = 0
+    for bank, row, thirds in [*fresh, *acts, (2, 0, 3)]:
+        now += 1 + thirds * (BASE.tREFW // 3)
+        spill, last_reset = mech.spill[bank], mech.last_reset
+        refreshed = mech.on_activation(bank, row, now)
+        if mech.last_reset != last_reset:
+            resets += 1
+            since.clear()
+        spills += mech.spill[bank] > spill
+        since[bank, row] = 0 if refreshed else since.get((bank, row), 0) + 1
+        assert since[bank, row] < threshold + mech.spill[bank]
+    assert spills > 0 and resets > 0
+
+
+@given(acts=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=20,
+                     max_size=200),
+       gct=st.sampled_from((256, 1024, 4096)), rcc=st.integers(1, 4),
+       group=st.integers(1, 5), extra=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_hydra_keeps_each_row_below_row_threshold(acts, gct, rcc, group, extra):
+    # with group_threshold < row_threshold, brute-force per-row counts since
+    # the last refresh stay below row_threshold. rcc + 1 fresh rows of bank 2
+    # go first, each activated past its group's threshold, so every one of
+    # them misses the row-count cache and it evicts; the (bank, row)
+    # activations after them revisit few rows, so evicted rows come back
+    cfg = Hydra(gct_entries=gct, rcc_entries=rcc, group_threshold=group,
+                row_threshold=group + extra)
+    mech = HydraState(cfg, DESK)
+    fresh = [(2, row) for row in range(rcc + 1) for _ in range(group + 1)]
+    since = {}   # (bank, row) -> activations since its refresh
+    for bank, row in [*fresh, *acts]:
+        refreshed = mech.on_activation(bank, row, 0)
+        since[bank, row] = 0 if refreshed else since.get((bank, row), 0) + 1
+        assert since[bank, row] < cfg.row_threshold
+    assert mech.rcc_misses > rcc
 
 
 def test_mitigation_config_validation():

@@ -104,7 +104,7 @@ def test_bubble_bound_trace_retires_near_width_four():
     # behind the retire stage
     tr = [TraceRecord(3999, "read", 0)] * 10
     ctrl = fresh_controller()
-    res = run_cores([tr], ctrl, StopCondition(None, None))
+    res = run_cores([tr], ctrl, StopCondition(None, 10 ** 9))
     assert res.instructions[0] == 40_000
     assert 3.9 < res.ipcs[0] < 4.0
 
@@ -138,7 +138,7 @@ def test_trace_replay_is_order_preserving_per_core():
     # the per-core retire stream is in program order by the window model
     tr = [TraceRecord(0, "read", i * 64) for i in range(64)]
     ctrl = fresh_controller()
-    res = run_cores([tr], ctrl, StopCondition(None, None))
+    res = run_cores([tr], ctrl, StopCondition(None, 10 ** 9))
     assert res.instructions[0] == 64
 
 
