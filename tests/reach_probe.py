@@ -106,11 +106,6 @@ class Reach:
                 print(f"  {span:>9}  {source[lo - 1].strip()}")
 
 
-def _config(path: Path, lines) -> str:
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def run_callers(tmp: Path):
     from pracsim import cli
     import suite
@@ -123,10 +118,10 @@ def run_callers(tmp: Path):
     first = None
     for kind in cli.MECHANISMS:
         for attacker in ("none", "dos"):
-            cfg = _config(tmp / f"{kind}-{attacker}.ini",
-                          ["[mitigation]", f"kind = {kind}", "n_rh = 32",
-                           "[workload]", f"attacker = {attacker}"])
             out = tmp / f"{kind}-{attacker}"
+            cfg = out.with_suffix(".ini")
+            cfg.write_text(f"[mitigation]\nkind = {kind}\nn_rh = 32\n"
+                           f"[workload]\nattacker = {attacker}\n")
             pracsim("simulate", "--config", cfg, "--out-dir", out)
             first = first or out / "manifest.json"
     pracsim("replay", first, "--out-dir", tmp / "replay")
