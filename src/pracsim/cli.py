@@ -196,6 +196,11 @@ class RunSpec:
         return int(self.attacker is not None)
 
 
+# [workload] keys that size a run, with their defaults; each must be >= 1
+_WORKLOAD_SIZES = {"instructions_per_core": 4000, "max_cycles": 3_000_000, "mixes": 6,
+                   "records": 600}
+
+
 def _reject(section: str, keys, why: str):
     if keys:
         raise ConfigError(f"[{section}] {', '.join(sorted(keys))}: no effect {why}")
@@ -257,6 +262,10 @@ def resolve_spec(cfg: dict) -> RunSpec:
                        if k in timing and not set(by) & set(reads)}, f"with kind = {kind}")
     _reject("workload", {"attacker_rows", "attacker_banks"} & set(wl) if attacker == "none"
             else (), "without attacker = dos")
+    size = {key: wl.get(key, default) for key, default in _WORKLOAD_SIZES.items()}
+    small = [key for key, value in size.items() if value < 1]
+    if small:
+        raise ConfigError(f"[workload] {', '.join(small)} must be >= 1")
     t = timing_from_config(cfg, preset_name)
     topo = Topology.desk() if desk else Topology()
     # thresholds and table sizes are derived at the run's own timing,
@@ -266,9 +275,8 @@ def resolve_spec(cfg: dict) -> RunSpec:
         t = desk_timing(t)
     return RunSpec(
         n_rh=n_rh, topo=topo, timing=t, mitigation=mit,
-        stop=StopCondition(wl.get("instructions_per_core", 4000),
-                           wl.get("max_cycles", 3_000_000)),
-        mixes=wl.get("mixes", 6), seed=wl.get("seed", 0), records=wl.get("records", 600),
+        stop=StopCondition(size["instructions_per_core"], size["max_cycles"]),
+        mixes=size["mixes"], seed=wl.get("seed", 0), records=size["records"],
         attacker=None if attacker == "none" else AttackSpec(
             "perf_degradation", rows_per_bank=wl.get("attacker_rows", 8),
             banks=wl.get("attacker_banks", 4)),
@@ -317,7 +325,8 @@ def run_mix(spec: RunSpec, mix_index: int, traces=None,
     Raises RuntimeError if counter conservation breaks, or if the monitor
     sees n_rh activations under analyzer-derived thresholds."""
     mix = build_mixes(spec.mixes, spec.seed)[mix_index]
-    traces = list(traces or materialize_mix(mix, spec.records, spec.topo))
+    traces = list(traces or materialize_mix(mix, spec.records, spec.topo,
+                                            spec.stop.instructions_per_core))
     if spec.attacker is not None:
         duration = spec.stop.max_ps + 10_000_000
         traces[0] = _attacker_trace(spec.attacker, spec.timing, duration, spec.topo)

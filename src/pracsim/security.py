@@ -52,6 +52,7 @@ from .timing import ConfigError, TimingParams
 
 ROWS_PER_BANK_DEFAULT = 65_536
 RFM_TH_CAP = 80   # largest rfm_th the protocol allows
+WITNESS_CHUNK = 1024   # starting sizes in _witness's first chunk
 
 
 @dataclass(frozen=True)
@@ -256,13 +257,25 @@ def is_secure(n_rh: int, p: WaveParams, t: TimingParams,
 
 
 def _witness(n_rh: int, p: WaveParams, t: TimingParams, b0s) -> Optional[int]:
-    """The first starting size in b0s that gives some row n_rh activations."""
+    """The first starting size in b0s that gives some row n_rh activations.
+
+    The kernel judges each size on its own, so b0s is scanned in chunks of
+    WITNESS_CHUNK sizes, doubling after each, and the scan stops at the first
+    chunk that holds a survivor: a witness among the first few sizes costs
+    no pass over a whole bank."""
     needed = n_rh - p.wave(t)[2]
     if needed <= 0:
         # priming alone reaches the threshold before any back-off can fire
         return int(b0s[0])
-    alive = next(islice(_feasible_rounds(p, t, b0s), needed - 1, None), None)
-    return None if alive is None else int(alive[0])
+    start, chunk = 0, WITNESS_CHUNK
+    while start < len(b0s):
+        alive = next(islice(_feasible_rounds(p, t, b0s[start:start + chunk]), needed - 1,
+                            None), None)
+        if alive is not None:
+            return int(alive[0])
+        start += chunk
+        chunk *= 2
+    return None
 
 
 is_secure_prfm = is_secure_prac = is_secure

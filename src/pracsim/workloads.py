@@ -50,24 +50,25 @@ _CLASS_PROFILE = {
 }
 
 
-def gen_synthetic(cls: str, seed: int, length: int,
-                  region_base: int = 0, region_blocks: Optional[int] = None,
-                  topo: Optional[Topology] = None) -> list:
-    """Deterministic synthetic trace of `length` records inside one region.
+def gen_synthetic(cls: str, seed: int, length: int, region_base: int, region_blocks: int,
+                  topo: Topology, max_instructions: Optional[int] = None) -> list:
+    """Deterministic synthetic trace of up to `length` records inside one region.
 
     Three access phases: random jumps (row misses), sequential runs (row hits
     under the interleaving), and same-bank conflict bursts that ping-pong
     between two rows, the pattern that drives per-row activation counts up
     under benign load.
+
+    With a `max_instructions` budget the trace ends at the record whose
+    instructions (bubble_count + 1 each) bring the total to the budget: a
+    CoreModel with that budget stops fetching there, so the shorter trace is
+    a prefix of the full one that no run can read past.
     """
     if cls not in _CLASS_PROFILE:
         raise ConfigError(f"workload class must be one of H, M, L, got {cls!r}")
     if length < 64:
         raise ConfigError("trace too short to establish a memory-intensity band")
-    topo = topo or Topology()
     capacity_blocks = topo.rows_total * topo.row_size_bytes // BLOCK_BYTES
-    if region_blocks is None:
-        region_blocks = capacity_blocks - region_base
     if region_base + region_blocks > capacity_blocks:
         raise ConfigError("trace region exceeds capacity")
     bubble_mean, p_random, p_write, p_conflict, burst_half = _CLASS_PROFILE[cls]
@@ -84,6 +85,7 @@ def gen_synthetic(cls: str, seed: int, length: int,
     cur = region_base
     hot = [region_base + rng.randrange(region_blocks) for _ in range(4)]
     burst = []
+    instructions = 0
     for _ in range(length):
         if burst:
             cur = burst.pop()
@@ -102,6 +104,9 @@ def gen_synthetic(cls: str, seed: int, length: int,
         bubbles = rng.randint(bubble_mean // 2, bubble_mean + bubble_mean // 2)
         op = "write" if rng.random() < p_write else "read"
         records.append(TraceRecord(bubbles, op, cur * BLOCK_BYTES))
+        instructions += bubbles + 1
+        if max_instructions is not None and instructions >= max_instructions:
+            break
     return records
 
 
@@ -137,13 +142,14 @@ def build_mixes(count: int = 60, seed: int = 0) -> list:
     return mixes
 
 
-def materialize_mix(mix: MixSpec, length: int, topo: Topology) -> list:
+def materialize_mix(mix: MixSpec, length: int, topo: Topology,
+                    max_instructions: Optional[int] = None) -> list:
     """Four traces, each confined to its own quarter of the address space so
-    cores never share rows constructively."""
+    cores never share rows constructively; each ends where a core with the
+    `max_instructions` budget stops fetching (see gen_synthetic)."""
     capacity_blocks = topo.rows_total * topo.row_size_bytes // BLOCK_BYTES
     region = capacity_blocks // 4
-    return [gen_synthetic(cls, s, length, region_base=i * region,
-                          region_blocks=region, topo=topo)
+    return [gen_synthetic(cls, s, length, i * region, region, topo, max_instructions)
             for i, (cls, s) in enumerate(zip(mix.classes, mix.member_seeds))]
 
 

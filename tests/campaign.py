@@ -38,7 +38,8 @@ class Campaign:
     def __init__(self, n_mixes: int = 12, seed: int = 0):
         self.n_mixes, self.seed = n_mixes, seed
         spec = spec_for("none", 1024, False, n_mixes, seed)
-        self.traces = [materialize_mix(m, spec.records, spec.topo)
+        self.traces = [materialize_mix(m, spec.records, spec.topo,
+                                       spec.stop.instructions_per_core)
                        for m in build_mixes(n_mixes, seed)]
         self._solo_cache: dict = {}
 

@@ -193,6 +193,19 @@ def test_every_schema_key_changes_the_run(tmp_path, name):
             spec(_with(rejected[0], section, key, rejected[1]), "c.ini")
 
 
+@pytest.mark.parametrize("key, value", [("instructions_per_core", "0"),
+                                        ("instructions_per_core", "-5"),
+                                        ("max_cycles", "0"), ("mixes", "0"),
+                                        ("records", "0")])
+def test_nonpositive_workload_size_is_rejected(tmp_path, capsys, key, value):
+    # each of these once ran to exit 0: a header-only reports.csv, or rows
+    # with a weighted speedup of 0.000000
+    ini = _write_ini(tmp_path / "n.ini", {"workload": {**TINY_WORKLOAD, key: value}})
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_trc_is_rejected(tmp_path):
     ini = _write_ini(tmp_path / "t.ini", {"timing": {"tras": "40ns", "trc": "200ns"},
                                           "workload": TINY_WORKLOAD})

@@ -1,4 +1,6 @@
+import random
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from pracsim.security import (
     RFM_TH_CAP,
+    WITNESS_CHUNK,
     PracParams,
     PrfmParams,
     SweepGrid,
@@ -23,6 +26,7 @@ from pracsim.security import (
     t_available,
     wave_trajectory,
 )
+from pracsim.security import _feasible_rounds, _starting_sizes, _witness
 from pracsim.timing import ConfigError, preset
 from pracsim.workloads import desk_timing
 
@@ -290,6 +294,66 @@ def test_secure_abo_thresholds_need_not_be_a_prefix(t, n_rh, rows):
     assert is_secure(n_rh, PracParams(th, 2, 1), t, rows).secure
     assert not is_secure(n_rh, PracParams(th - 1, 2, 1), t, rows).secure
     assert th == _scanned_threshold(n_rh, lambda x: PracParams(x, 2, 1), n_rh - 1, t, rows)
+
+
+# ------------------------------------- chunked witness against one full pass
+
+PRESETS = ("analysis-appendix", "ddr5-3200an-base", "ddr5-3200an-prac")
+FULL_ROWS = 65_536
+
+
+def _single_pass_witness(n_rh, p, t, b0s):
+    """The witness from one kernel pass over every size in b0s."""
+    needed = n_rh - p.wave(t)[2]
+    if needed <= 0:
+        return int(b0s[0])
+    alive = next(islice(_feasible_rounds(p, t, b0s), needed - 1, None), None)
+    return None if alive is None else int(alive[0])
+
+
+@given(p=st.one_of(st.builds(PrfmParams, st.integers(1, RFM_TH_CAP)),
+                   st.builds(PracParams, st.integers(1, 300), st.sampled_from([1, 2, 4]),
+                             st.sampled_from([1, 2, 4]))),
+       name=st.sampled_from(PRESETS), n_rh=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), known=st.integers(1, 5000))
+@example(p=PrfmParams(80), name="analysis-appendix", n_rh=1024, seed=0, known=4096)
+@settings(max_examples=60, deadline=None)
+def test_chunked_witness_matches_a_single_pass(p, name, n_rh, seed, known):
+    t = preset(name)
+    sizes = _starting_sizes(p, t, FULL_ROWS)
+    assert _witness(n_rh, p, t, sizes) == _single_pass_witness(n_rh, p, t, sizes)
+    # the unsorted lists of sizes that broke other thresholds
+    broke = random.Random(seed).sample(sizes.tolist(), min(known, len(sizes)))
+    assert _witness(n_rh, p, t, broke) == _single_pass_witness(n_rh, p, t, broke)
+
+
+@pytest.mark.parametrize("index", [0, WITNESS_CHUNK - 1, WITNESS_CHUNK, 3 * WITNESS_CHUNK - 1,
+                                   3 * WITNESS_CHUNK, 7 * WITNESS_CHUNK])
+def test_witness_on_a_chunk_boundary(index):
+    # at base timing rfm_th 7 is insecure at n_rh 64 (witness b0 9,520), and
+    # many sizes on either side of the witness do not survive
+    p, t = PrfmParams(7), preset("ddr5-3200an-base")
+    sizes = _starting_sizes(p, t, FULL_ROWS)
+    survivors = next(islice(_feasible_rounds(p, t, sizes), 63, None)).tolist()
+    others = sorted(set(sizes.tolist()) - set(survivors))
+    rng = random.Random(index)
+    rng.shuffle(survivors)
+    rng.shuffle(others)
+    b0s = others[:index] + survivors[:2] + others[index:index + 500]
+    assert _witness(64, p, t, b0s) == _single_pass_witness(64, p, t, b0s) == survivors[0]
+    assert _witness(64, p, t, others[:index + 500]) is None
+
+
+# secure_rfm_th, secure_abo_th (bo_n_refs 4, bo_n_acts 1) at full size, as the
+# single-pass witness search derived them; every preset gives the same pair
+PINNED_THRESHOLDS = {1024: (80, 1020), 128: (12, 124), 64: (6, 60), 32: (3, 28), 16: (1, 12)}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_derived_thresholds_pinned_at_full_size(name):
+    t = preset(name)
+    assert {n_rh: (secure_rfm_th(n_rh, t), secure_abo_th(n_rh, t))
+            for n_rh in PINNED_THRESHOLDS} == PINNED_THRESHOLDS
 
 
 # ---------------------------------------------------------------- sweep

@@ -1,6 +1,9 @@
+from itertools import accumulate
+
 import pytest
 
-from pracsim.controller import MemoryController
+from pracsim.cli import resolve_spec, run_mix
+from pracsim.controller import BLOCK_BYTES, MemoryController
 from pracsim.dram import DeviceState, Topology
 from pracsim.mitigations import NoMitigation
 from pracsim.timing import ConfigError, preset
@@ -18,6 +21,12 @@ from pracsim.workloads import (
 
 DESK = Topology.desk()
 T_DESK = desk_timing(preset("ddr5-3200an-base"))
+DESK_BLOCKS = DESK.rows_total * DESK.row_size_bytes // BLOCK_BYTES
+
+
+def desk_trace(cls: str, seed: int, length: int, max_instructions=None) -> list:
+    """A synthetic trace over the whole desk address space."""
+    return gen_synthetic(cls, seed, length, 0, DESK_BLOCKS, DESK, max_instructions)
 
 
 def fresh_controller(topo=DESK, t=T_DESK):
@@ -36,31 +45,79 @@ def measure_rbmpki(trace: list, topo: Topology, t) -> float:
 # ------------------------------------------------------------- generation
 
 def test_same_seed_is_bit_identical():
-    a = gen_synthetic("H", 7, 500, topo=DESK)
-    b = gen_synthetic("H", 7, 500, topo=DESK)
+    a = desk_trace("H", 7, 500)
+    b = desk_trace("H", 7, 500)
     assert a == b
 
 
 def test_different_seeds_differ():
-    a = gen_synthetic("H", 7, 500, topo=DESK)
-    b = gen_synthetic("H", 8, 500, topo=DESK)
+    a = desk_trace("H", 7, 500)
+    b = desk_trace("H", 8, 500)
     assert a != b
 
 
 def test_too_short_trace_rejected():
     with pytest.raises(ConfigError):
-        gen_synthetic("H", 1, 10)
+        desk_trace("H", 1, 10)
 
 
 @pytest.mark.parametrize("cls", ["H", "M", "L"])
 def test_rbmpki_lands_in_class_band(cls):
-    tr = gen_synthetic(cls, 3, 1500, topo=DESK)
+    tr = desk_trace(cls, 3, 1500)
     got = measure_rbmpki(tr, DESK, T_DESK)
     lo, hi = CLASS_BANDS[cls]
     if lo is not None:
         assert got >= lo, (cls, got)
     if hi is not None:
         assert got < hi, (cls, got)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 91])
+@pytest.mark.parametrize("cls", ["H", "M", "L"])
+def test_budget_bounded_trace_is_the_prefix_a_core_reads(cls, seed):
+    full = desk_trace(cls, seed, 1500)
+    total = list(accumulate(r.bubble_count + 1 for r in full))
+    for budget in (1, 64, 2_000, 40_000, total[-1], total[-1] + 1):
+        # ends at the first record that brings the instructions to the budget
+        end = next((i + 1 for i, n in enumerate(total) if n >= budget), len(full))
+        assert desk_trace(cls, seed, 1500, budget) == full[:end], budget
+    # a core with the budget stops fetching at that same record
+    end = next(i + 1 for i, n in enumerate(total) if n >= 2_000)
+    res = run_cores([full], fresh_controller(), StopCondition(2_000, 10 ** 9))
+    assert res.instructions == [total[end - 1]]
+
+
+BOUNDED_MIXES = (0, 3, 5)   # HHHH, HHMM, LLHH
+
+
+@pytest.mark.parametrize("workload, stopped_by", [
+    ({"instructions_per_core": 3_000, "max_cycles": 3_000_000}, "budget"),
+    ({"instructions_per_core": 3_000, "max_cycles": 5_000}, "cap"),
+    ({"instructions_per_core": 10 ** 8, "max_cycles": 3_000_000}, "trace end"),
+], ids=["budget", "cap", "beyond-the-trace"])
+def test_run_mix_reads_the_same_from_bounded_traces(workload, stopped_by):
+    """run_mix generates traces that end at the instruction budget; passing
+    it the full-length traces instead gives the same report row."""
+    spec = resolve_spec({"mitigation": {"kind": "prac+prfm", "n_rh": 64, "abo_th": 12,
+                                        "rfm_th": 4},
+                         "workload": dict(workload, mixes=6, seed=4, records=300)})
+    mixes = build_mixes(6, 4)
+    solo_full, solo_bounded = {}, {}
+    for i in BOUNDED_MIXES:
+        full = materialize_mix(mixes[i], spec.records, spec.topo)
+        bounded = materialize_mix(mixes[i], spec.records, spec.topo,
+                                  spec.stop.instructions_per_core)
+        assert (bounded == full) == (stopped_by == "trace end")
+        report = run_mix(spec, i, full, solo_full)
+        assert (report.result.end_ps == spec.stop.max_ps) == (stopped_by == "cap")
+        assert run_mix(spec, i, None, solo_bounded).csv_row() == report.csv_row()
+
+
+def test_no_budget_replays_the_whole_trace():
+    traces = materialize_mix(build_mixes(6, 4)[3], 300, DESK, None)
+    assert all(len(tr) == 300 for tr in traces)
+    res = run_cores(traces, fresh_controller(), StopCondition(None, 10 ** 9))
+    assert res.instructions == [sum(r.bubble_count + 1 for r in tr) for tr in traces]
 
 
 # ------------------------------------------------------------- mixes
@@ -110,7 +167,7 @@ def test_bubble_bound_trace_retires_near_width_four():
 
 
 def test_identical_solo_runs_are_identical():
-    tr = gen_synthetic("M", 11, 300, topo=DESK)
+    tr = desk_trace("M", 11, 300)
     r1 = run_cores([tr], fresh_controller(), StopCondition(None, 2_000_000))
     r2 = run_cores([tr], fresh_controller(), StopCondition(None, 2_000_000))
     assert r1.ipcs == r2.ipcs
@@ -128,7 +185,7 @@ def test_solo_ipc_not_below_shared_ipc():
 
 
 def test_stop_condition_cycle_cap_binds():
-    tr = gen_synthetic("H", 2, 2000, topo=DESK)
+    tr = desk_trace("H", 2, 2000)
     res = run_cores([tr], fresh_controller(), StopCondition(None, 10_000))
     assert res.end_ps <= 10_000 * 238
 
