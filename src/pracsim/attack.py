@@ -120,6 +120,7 @@ class WaveReplayResult:
     rfm_count: int
     act_count: int
     monitor: Optional[DisturbanceMonitor]
+    min_deadline_slack: Optional[int]   # the device's, see DeviceState
 
 
 def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: TimingParams,
@@ -157,6 +158,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     realized = 0
     accesses = []
     rfms = 0
+    raa = 0   # the bank's ACTs since its last PRFM RFM
 
     def tick(step_ps: int):
         nonlocal now
@@ -170,29 +172,30 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
             next_ref += t.tREFI
 
     def act_pre(row: int):
-        nonlocal realized
+        nonlocal realized, raa
         maybe_ref()
         dev.issue(ACT, (bank, row), now)
+        raa += 1
         accesses.append(row)
         dev.issue(PRE, (bank, row), now + t.tRAS)
         realized = max(realized, dev.banks[bank].counters.get(row, 0))
         tick(t.tRC)
 
-    def rfm(addr):
+    def rfm():
         nonlocal rfms
-        events = dev.issue(RFMAB, addr, max(now, dev.blocked_until))
-        # one ('refreshed', bank, aggressor, victims) event per bank, in bank order
-        attacker.on_refresh(events[bank][2])
+        aggressors = dev.issue(RFMAB, None, max(now, dev.blocked_until))
+        attacker.on_refresh(aggressors[bank])
         tick(t.tRFM)
         rfms += 1
 
     def drain_obligations():
+        nonlocal raa
         if dev.fsm is not None:
             while dev.fsm.phase == "recovery":
-                rfm(None)
-        elif prfm_th is not None:
-            while dev.banks[bank].raa >= prfm_th:
-                rfm((bank, -1))
+                rfm()
+        elif raa >= prfm_th:
+            rfm()
+            raa = 0
 
     for row in attacker.prime_rows():
         act_pre(row)   # priming stays below any threshold, no obligations fire
@@ -204,7 +207,8 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     return WaveReplayResult(
         sizes=tuple(attacker.sizes), realized_max=realized,
         access_rows=tuple(accesses), rfm_count=rfms,
-        act_count=dev.counts[ACT], monitor=monitor)
+        act_count=dev.counts[ACT], monitor=monitor,
+        min_deadline_slack=dev.min_deadline_slack)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Memory-controller model: request queues, FR-FCFS with a cap on
 column-over-row reordering, open-page policy, strict periodic refresh,
-refresh-management issuance and back-off deadline handling. It keeps no
-timing state: each command is scheduled at the DeviceState's ready times.
+refresh-management issuance from its per-bank RAA counters, and back-off
+deadline handling. It keeps no timing state: each command is scheduled at
+the DeviceState's ready times.
 
 Address interleaving follows the minimalist open-page idea: a short run of
 consecutive cache blocks stays in one row, then the stream stripes across
@@ -99,7 +100,7 @@ class MemoryController:
         self.draining = False
         self.next_ref = t.tREFI
         self.completions: deque = deque()  # (time, Request), reads, in time order
-        self.min_deadline_slack: Optional[int] = None
+        self.raa = [0] * topo.banks_total   # per-bank ACTs since its last PRFM RFM
         # the device counts every command; perfbench reads controller_stat["acts"]
         self.stat = {"acts": 0, "preventive_refreshes": 0}
         self.read_latencies: list = []
@@ -157,23 +158,17 @@ class MemoryController:
         self.dev.issue(REF, None, at)
         self.next_ref += self.t.tREFI
 
-    def _issue_rfm(self, at: int, triggered_bank: Optional[int] = None):
+    def _issue_rfm(self, at: int):
         """One all-bank RFM once every bank is closed. The RFM that opens a
         back-off recovery, whichever path issued it, must start by the
-        deadline (tABO_ACT after the assert); its slack is recorded."""
+        deadline (tABO_ACT after the assert): the device records its slack,
+        and a negative one raises here."""
         at = self._close_all_rows(at)
         dev = self.dev
-        fsm = dev.fsm
-        if fsm is not None and (fsm.phase == "window" or (
-                fsm.phase == "recovery" and fsm.refs_needed == fsm.bo_n_refs)):
-            slack = dev.backoff_deadline - at
-            if slack < 0:
-                raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline "
-                                      f"{dev.backoff_deadline} ps")
-            if self.min_deadline_slack is None or slack < self.min_deadline_slack:
-                self.min_deadline_slack = slack
-        addr = (triggered_bank, -1) if triggered_bank is not None else None
-        dev.issue(RFMAB, addr, at)   # its refresh reports need no action here
+        dev.issue(RFMAB, None, at)   # its aggressor report needs no action here
+        if dev.min_deadline_slack is not None and dev.min_deadline_slack < 0:
+            raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline "
+                                  f"{dev.backoff_deadline} ps")
 
     # ------------------------------------------------------------- scheduling
 
@@ -245,7 +240,7 @@ class MemoryController:
         dev = self.dev
         row_floor = max(now, dev.blocked_until)
         col_floor = max(row_floor, dev.burst_ok)
-        banks = dev.banks
+        raa = self.raa
         prfm_th = self.prfm_th
         cache = self._choice_cache
         best = held = None
@@ -266,7 +261,7 @@ class MemoryController:
                 continue
             if not row_cmd:
                 any_col = True
-            elif cmd == ACT and prfm_th is not None and banks[bank_idx].raa >= prfm_th:
+            elif cmd == ACT and prfm_th is not None and raa[bank_idx] >= prfm_th:
                 if at <= held_at:
                     key = (at, 1, arrival, req_id, cmd, req)
                     if held is None or key < held:
@@ -355,15 +350,16 @@ class MemoryController:
             self._update_drain_mode()
 
     def _execute(self, cmd: str, req: Request, at: int):
-        b = self.dev.banks[req.bank_idx]
         if cmd == PRE:
             self._close_row(req.bank_idx, at)
         elif cmd == ACT:
-            if self.prfm_th is not None and b.raa >= self.prfm_th:
+            if self.prfm_th is not None and self.raa[req.bank_idx] >= self.prfm_th:
                 # periodic refresh management fires before the next activation
-                self._issue_rfm(at, triggered_bank=req.bank_idx)
+                self._issue_rfm(at)
+                self.raa[req.bank_idx] = 0
                 return
             self.dev.issue(ACT, (req.bank_idx, req.row), at)
+            self.raa[req.bank_idx] += 1
             self.stat["acts"] += 1
             self._choice_cache.pop(req.bank_idx, None)
             if self.mech is not None:

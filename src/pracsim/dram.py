@@ -1,15 +1,17 @@
 """Command-level DDR5 device model.
 
-Banks hold an open-row register, per-row activation counters (incremented
-while a row is being closed, i.e. at PRE), and a per-bank activation counter
-used by threshold-triggered refresh management. A rank-level refresh pointer
-walks all rows once per refresh window. The back-off engine is a small FSM:
+Banks hold an open-row register and per-row activation counters
+(incremented while a row is being closed, i.e. at PRE). The per-bank RAA
+counters that trigger periodic refresh management are the host's: whoever
+issues the ACTs keeps them. A rank-level refresh pointer walks all rows once
+per refresh window. The back-off engine is a small FSM:
 
     delay    bo_n_acts activations re-arm the assert; the arming
              activation's precharge asserts if any row's counter is at
              abo_th or above (the device keeps a count of such rows)
     window   ends at an RFM or after tABO_ACT/tRC row closes (PREs, not ACTs);
-             the controller fits its commands before the back-off deadline
+             the RFM that opens the recovery should start by the back-off
+             deadline, and the device records its slack (min_deadline_slack)
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
 
@@ -18,10 +20,9 @@ row negated under tie_break "high"), an index derived from `counters`: built
 at the bank's first RFM, fed one entry by every PRE that changes a counter,
 and rebuilt once it outgrows twice the counters. An entry whose count no
 longer matches `counters` is stale and is dropped when it reaches the top. A
-bank without counters reports the victims of row 0 through a prebuilt idle
-event and does no other work, and the monitor hears only from banks with
-tallies. So an RFM costs a few heap pops per bank holding counters, not a
-scan of every counter of every bank.
+bank without counters reports row 0 and does no other work, and the monitor
+hears only from banks with tallies. So an RFM costs a few heap pops per bank
+holding counters, not a scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
 ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation,
@@ -35,7 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Optional
 
 from .timing import ConfigError, TimingParams
 
@@ -44,7 +45,7 @@ BURST_PS = 5000   # BL16 on a 3200 MT/s bus
 HEAP_SLACK = 16   # a bank's RFM heap is rebuilt past 2 * len(counters) + this
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)   # one entry per aggressor row a run touches
 def victim_rows(row: int, rows_per_bank: int) -> tuple:
     """Rows within BLAST_RADIUS of an aggressor, clipped to the bank."""
     return (*range(max(0, row - BLAST_RADIUS), row),
@@ -92,7 +93,6 @@ class BankState:
     open_row: Optional[int] = None
     counters: dict = field(default_factory=dict)   # row -> activation count
     heap: Optional[list] = None                    # RFM index of counters, see module doc
-    raa: int = 0                                   # bank activations since last RFM
     act_ok: int = 0
     pre_ok: int = 0
     col_ok: int = 0
@@ -139,16 +139,20 @@ class BackOffFsm:
                 self.phase = "recovery"
                 self.refs_needed = self.bo_n_refs
 
-    def on_rfm(self):
+    def on_rfm(self) -> bool:
+        """Count one RFM; returns whether it opened a recovery."""
         if self.phase == "window":
             # controller may start recovery early; unused window slots lapse
             self.phase = "recovery"
             self.refs_needed = self.bo_n_refs
-        if self.phase == "recovery":
-            self.refs_needed -= 1
-            if self.refs_needed == 0:
-                self.phase = "delay"
-                self.delay_left = self.bo_n_acts
+        if self.phase != "recovery":
+            return False
+        opened = self.refs_needed == self.bo_n_refs
+        self.refs_needed -= 1
+        if self.refs_needed == 0:
+            self.phase = "delay"
+            self.delay_left = self.bo_n_acts
+        return opened
 
 
 class DisturbanceMonitor:
@@ -218,8 +222,6 @@ class DeviceState:
         self.ref_resets_counters = ref_resets_counters
         self.tie_break = tie_break
         self._tie_sign = 1 if tie_break == "low" else -1   # heap key: row, or -row under "high"
-        idle = victim_rows(0, topo.rows_per_bank)
-        self._idle_events = tuple(("refreshed", bi, 0, idle) for bi in range(topo.banks_total))
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
         self.monitor = monitor
         self.blocked_until = 0          # no command before this time
@@ -230,6 +232,8 @@ class DeviceState:
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
         self.rows_at_th = 0             # rows whose counter is at abo_th or above
         self.saturated_increments = 0   # increments swallowed at saturation
+        # least backoff_deadline - t over the RFMs that opened a recovery
+        self.min_deadline_slack: Optional[int] = None
         self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
 
     # ------------------------------------------------------------- helpers
@@ -256,14 +260,15 @@ class DeviceState:
 
     # ------------------------------------------------------------- commands
 
-    def issue(self, cmd: str, addr, now: int) -> Sequence[tuple]:
+    def issue(self, cmd: str, addr, now: int) -> Optional[list]:
         """Apply one command; addr is (bank_index, row) or None for REF/RFMab.
 
-        Returns the event tuples: REF a list holding ('ref', rows), RFMab one
-        ('refreshed', bank, aggressor_row, victims) per bank; ACT, PRE, RD and
-        WR return an empty tuple. A back-off a PRE asserts shows in `fsm`.
+        Returns an RFMab's report, serve_rfm's aggressor row per bank, and
+        None for every other command. A back-off a PRE asserts shows in
+        `fsm`; an RFM that opens a recovery lowers `min_deadline_slack` to its
+        slack if that is less, and never raises for it.
         """
-        events = ()
+        aggressors = None
         busy = self.t.clock_period
         self._check(self.blocked_until, now, "command bus/tRFC/tRFM")
         if cmd == ACT:
@@ -279,7 +284,6 @@ class DeviceState:
             self._raise_act_ok(b, now + self.t.tRC)
             b.pre_ok = now + self.t.tRAS
             b.col_ok = now + self.t.tRCD
-            b.raa += 1
             if self.monitor is not None:
                 self.monitor.on_act(bank_idx, row)
         elif cmd == PRE:
@@ -319,20 +323,21 @@ class DeviceState:
             b.pre_ok = max(b.pre_ok, now + (self.t.tRTP if cmd == RD else self.t.tWR))
         elif cmd == REF:
             self._check(self.idle_at, now, "tRP before REF")
-            events = self._serve_ref(now)
+            self._serve_ref()
             busy = self.t.tRFC
         elif cmd == RFMAB:
             self._check(self.idle_at, now, "tRP before RFM")
-            triggered = addr[0] if addr is not None else None
-            events = self.serve_rfm(triggered_bank=triggered)
+            aggressors = self.serve_rfm()
             busy = self.t.tRFM
-            if self.fsm is not None:
-                self.fsm.on_rfm()
+            if self.fsm is not None and self.fsm.on_rfm():
+                slack = self.backoff_deadline - now
+                if self.min_deadline_slack is None or slack < self.min_deadline_slack:
+                    self.min_deadline_slack = slack
         else:
             raise ConfigError(f"unknown command {cmd!r}")
         self.blocked_until = now + busy
         self.counts[cmd] += 1
-        return events
+        return aggressors
 
     # ------------------------------------------------------------- refresh ops
 
@@ -349,21 +354,17 @@ class DeviceState:
         heapify(heap)
         return heap
 
-    def serve_rfm(self, triggered_bank: Optional[int] = None) -> list:
-        """All-bank RFM: refresh the victims of every bank's hottest row, and
-        reset the activation count of the bank that triggered it, if any.
+    def serve_rfm(self) -> list:
+        """All-bank RFM: refresh the victims of every bank's hottest row.
 
-        Returns one ('refreshed', bank, aggressor, victims) event per bank,
-        in bank order; the aggressor report is the attacker feedback channel.
-        A bank with no counters refreshes the victims of row 0: the events
-        start as a copy of those idle events, and only banks with counters
-        replace theirs, with the row on top of their heap (module docstring;
-        ties go to the lowest row, or the highest under tie_break "high").
-        The monitor hears only from banks that hold tallies.
+        Returns the aggressor row of each bank, in bank order: the attacker
+        feedback channel. A bank with no counters reports row 0 and refreshes
+        its victims; a bank with counters reports the row on top of its heap
+        (module docstring; ties go to the lowest row, or the highest under
+        tie_break "high"). The monitor hears only from banks that hold tallies.
         """
-        events = list(self._idle_events)
+        aggressors = [0] * len(self.banks)
         sign = self._tie_sign
-        rows_per_bank = self.topo.rows_per_bank
         for bi, b in enumerate(self.banks):
             counters = b.counters
             if not counters:
@@ -380,16 +381,15 @@ class DeviceState:
                 raise RuntimeError(f"bank {bi}: RFM heap ran empty while {len(counters)} "
                                    "rows hold counters")
             self._clear(b, aggressor)
-            events[bi] = ("refreshed", bi, aggressor, victim_rows(aggressor, rows_per_bank))
+            aggressors[bi] = aggressor
         monitor = self.monitor
         if monitor is not None:
+            rows_per_bank = self.topo.rows_per_bank
             # the walk updates counts in place, so iterating the tallies is safe
             for bi, n in monitor.tallies.items():
                 if n:
-                    monitor.on_row_refreshed(bi, *events[bi][3])
-        if triggered_bank is not None:
-            self.banks[triggered_bank].raa = 0
-        return events
+                    monitor.on_row_refreshed(bi, *victim_rows(aggressors[bi], rows_per_bank))
+        return aggressors
 
     def refresh_rows(self, bank_idx: int, rows, now: int) -> None:
         """Targeted row refreshes (controller-side preventive actions) from
@@ -405,7 +405,7 @@ class DeviceState:
         if self.monitor is not None and self.monitor.tallies.get(bank_idx):
             self.monitor.on_row_refreshed(bank_idx, *rows)
 
-    def _serve_ref(self, now: int) -> list:
+    def _serve_ref(self):
         start = self.ref_pointer
         rows = [(start + i) % self.topo.rows_per_bank for i in range(self.rows_per_ref)]
         self.ref_pointer = (start + self.rows_per_ref) % self.topo.rows_per_bank
@@ -421,7 +421,6 @@ class DeviceState:
             for bi, n in self.monitor.tallies.items():
                 if n:
                     self.monitor.on_row_refreshed(bi, *rows)
-        return [("ref", tuple(rows))]
 
     # ------------------------------------------------------------- accounting
 

@@ -255,10 +255,6 @@ class StorageBreakdown:
     cpu_bits: int
     dram_bits: int
 
-    @property
-    def total_bits(self) -> int:
-        return self.cpu_bits + self.dram_bits
-
 
 def counter_width(n_rh: int) -> int:
     """Saturating per-row counter: threshold bits plus one guard bit."""

@@ -327,7 +327,7 @@ def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunR
         controller_stat=dict(controller.stat),
         device_counts=dict(dev.counts),
         read_latencies=list(controller.read_latencies),
-        min_deadline_slack=controller.min_deadline_slack,
+        min_deadline_slack=dev.min_deadline_slack,
         max_pair_disturbance=0 if dev.monitor is None else dev.monitor.max_pair,
         first_violation=violations[0] if violations else None,
         preventive_refreshes=controller.stat["preventive_refreshes"],

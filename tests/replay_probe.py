@@ -9,7 +9,9 @@ neighbours at 64K rows per bank, and two PRAC back-off replays.
 Every replay runs on `ddr5-3200an-base` (PRFM) or `ddr5-3200an-prac` (PRAC)
 timing at `Topology()` with the monitor on. For each, the script prints one
 JSON line: the realized max, the monitor violation count, the RFM and ACT
-counts, `victim_rows.cache_info()` for that replay alone, and host seconds.
+counts, the least back-off deadline slack in ps (PRAC; null without a
+back-off), `victim_rows.cache_info()` for that replay alone, and host
+seconds.
 The replays take a few seconds in all, so the test suite does not collect
 this script (its name does not start with `test_`):
 
@@ -67,7 +69,8 @@ def probe(label, b0, params, t, n_rh, with_ref) -> dict:
     info = victim_rows.cache_info()
     return {"case": label, "b0": b0, "realized_max": res.realized_max,
             "violations": len(res.monitor.violations), "rfms": res.rfm_count,
-            "acts": res.act_count, "cache_hits": info.hits, "cache_misses": info.misses,
+            "acts": res.act_count, "min_deadline_slack_ps": res.min_deadline_slack,
+            "cache_hits": info.hits, "cache_misses": info.misses,
             "cache_maxsize": info.maxsize, "host_s": round(host_s, 3)}
 
 

@@ -264,7 +264,8 @@ def test_criterion_7_storage_model():
     assert prac_red == pytest.approx(6 / 11)          # 54.5% exact
     hydra_hi = storage_cost(hydra_defaults(1024, topo), 1024, topo)
     hydra_lo = storage_cost(hydra_defaults(16, topo), 16, topo)
-    hydra_red = 1 - hydra_lo.total_bits / hydra_hi.total_bits
+    hydra_red = 1 - ((hydra_lo.cpu_bits + hydra_lo.dram_bits)
+                     / (hydra_hi.cpu_bits + hydra_hi.dram_bits))
     assert abs(hydra_red - 0.455) < 0.05
     g_hi = storage_cost(graphene_defaults(1024, topo), 1024, topo)
     g_lo = storage_cost(graphene_defaults(16, topo), 16, topo)

@@ -1,13 +1,20 @@
-import pytest
+from dataclasses import asdict
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pracsim.attack import run_wave_attack
+from pracsim.cli import MECHANISMS, _mechanism
 from pracsim.controller import (
     MOP_GROUP_BLOCKS,
+    DeadlineOverrun,
     MemoryController,
     inverse_map_address,
     map_address,
 )
-from pracsim.dram import BURST_PS, DeviceState, Topology
-from pracsim.mitigations import NoMitigation, PracN, PracPlusPrfm, Prfm
+from pracsim.dram import BURST_PS, RFMAB, DeviceState, Topology
+from pracsim.mitigations import NoMitigation, PracN, PracPlusPrfm, Prfm, counter_width
 from pracsim.security import PracParams, PrfmParams
 from pracsim.timing import ConfigError, preset
 from pracsim.workloads import StopCondition, TraceRecord, desk_timing, run_cores
@@ -111,7 +118,7 @@ def test_prfm_rfm_count_matches_bank_act_floor():
              for i in range(64)]
     dev, ctrl = make(Prfm(PrfmParams(4)))
     run_cores([trace], ctrl, StopCondition(None, 2_000_000))
-    residual = sum(b.raa for b in dev.banks)
+    residual = sum(ctrl.raa)
     assert dev.counts["RFMab"] == (dev.counts["ACT"] - residual) // 4
 
 
@@ -123,7 +130,7 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     run_cores([trace], ctrl, StopCondition(None, 3_000_000))
     assert dev.fsm.asserts > 0
     assert dev.counts["RFMab"] == dev.fsm.asserts * 4
-    assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
+    assert dev.min_deadline_slack is not None and dev.min_deadline_slack >= 0
     assert dev.fsm.phase in ("delay", "window")
 
 
@@ -136,7 +143,72 @@ def test_prfm_rfm_that_opens_a_recovery_is_held_to_the_deadline():
     dev, ctrl = make(PracPlusPrfm(PracParams(4, 2, 1), PrfmParams(16)), t=T_DESK_PRAC, prac=prac)
     res = run_cores([trace], ctrl, StopCondition(None, 10 ** 9))
     assert res.instructions[0] == 3000 and dev.fsm.asserts > 0
-    assert ctrl.min_deadline_slack is not None and ctrl.min_deadline_slack >= 0
+    assert dev.min_deadline_slack is not None and dev.min_deadline_slack >= 0
+
+
+def _checking_slack(monkeypatch) -> list:
+    """Wrap DeviceState.issue. Before each RFM, the FSM tells whether it opens
+    a recovery: a window is open, or a recovery has had none of its RFMs.
+    After it, the device's minimum must have taken in that RFM's slack,
+    backoff_deadline - t, and any other command must leave it alone. Returns
+    the list the slacks of the opening RFMs go to."""
+    slacks = []
+    issue = DeviceState.issue
+
+    def checked(dev, cmd, addr, now):
+        fsm = dev.fsm
+        opens = cmd == RFMAB and fsm is not None and (fsm.phase == "window" or (
+            fsm.phase == "recovery" and fsm.refs_needed == fsm.bo_n_refs))
+        before = dev.min_deadline_slack
+        out = issue(dev, cmd, addr, now)
+        if opens:
+            slack = dev.backoff_deadline - now
+            slacks.append(slack)
+            assert dev.min_deadline_slack == (slack if before is None else min(before, slack))
+        else:
+            assert dev.min_deadline_slack == before
+        return out
+
+    monkeypatch.setattr(DeviceState, "issue", checked)
+    return slacks
+
+
+def test_device_records_the_slack_of_every_recovery_opening_rfm(monkeypatch):
+    slacks = _checking_slack(monkeypatch)
+    # controller: PRFM RFMs and the recovery path both open recoveries
+    trace = [TraceRecord(0, "read", inverse_map_address(DESK, 0, i % 3, 0, (i // 3) % 5, 0))
+             for i in range(3000)]
+    prac = {"abo_th": 4, "bo_n_refs": 2, "bo_n_acts": 1}
+    dev, ctrl = make(PracPlusPrfm(PracParams(4, 2, 1), PrfmParams(16)), t=T_DESK_PRAC, prac=prac)
+    res = run_cores([trace], ctrl, StopCondition(None, 10 ** 9))
+    assert dev.counts["REF"] > 0
+    assert len(slacks) == dev.fsm.asserts - (dev.fsm.phase == "window") > 0
+    assert res.min_deadline_slack == min(slacks) >= 0
+    # desk PRAC wave replays, REF on: the replay reports the device's minimum
+    for b0 in (1, 7, 32, 64):
+        slacks.clear()
+        rep = run_wave_attack(b0, PracParams(4, 4, 1), T_DESK_PRAC, with_ref=True,
+                              ref_resets_counters=False)
+        assert slacks and rep.min_deadline_slack == min(slacks)
+
+
+@pytest.mark.parametrize("late", [0, 1])
+def test_late_recovery_rfm_raises_deadline_overrun(late):
+    # the device records the slack of the RFM that opens a recovery and does
+    # not raise; the controller raises once that slack is negative
+    prac = {"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1}
+    dev, ctrl = make(PracN(PracParams(1, 2, 1)), t=T_DESK_PRAC, prac=prac)
+    dev.issue("ACT", (0, 3), 1_000_000)
+    dev.issue("PRE", (0, 3), 1_000_000 + T_DESK_PRAC.tRAS)
+    assert dev.fsm.phase == "window"
+    at = dev.backoff_deadline + late
+    if late:
+        with pytest.raises(DeadlineOverrun, match=f"recovery RFM at {at} ps missed deadline "
+                                                  f"{dev.backoff_deadline} ps"):
+            ctrl._issue_rfm(at)
+    else:
+        ctrl._issue_rfm(at)
+    assert dev.min_deadline_slack == -late and dev.counts["RFMab"] == 1
 
 
 def _desk_addr(bankgroup: int, row: int, column: int = 0) -> int:
@@ -167,7 +239,7 @@ def test_select_orders_columns_first_then_oldest_act_and_holds_prfm_acts():
     for raa, with_col, expect in ((th - 1, True, "ACT"), (th, True, "RD"), (th, False, "ACT")):
         dev, ctrl = make(Prfm(PrfmParams(th)))
         dev.issue("ACT", (0, 0), 0)          # bank 0 reads only after tRCD
-        dev.banks[4].raa = raa
+        ctrl.raa[4] = raa
         ctrl.enqueue(0, _desk_addr(1, 3), False, 10)
         if with_col:
             ctrl.enqueue(0, _desk_addr(0, 0), False, 20)
@@ -237,3 +309,69 @@ def test_a_late_step_or_an_enqueue_decides_afresh():
     ctrl.enqueue(0, _desk_addr(0, 5), False, mid)
     assert ctrl.step(mid) == due
     assert dev.counts["ACT"] == 2 and dev.banks[0].open_row == 5
+
+
+# ------------------------------------------------------- reference controller
+
+class _UncachedController(MemoryController):
+    """Reference: every bank's choice rebuilt at every _select, and no
+    decision kept from one step to the next."""
+
+    def _select(self, now, deadline):
+        self._choice_cache.clear()
+        return super()._select(now, deadline)
+
+    def step(self, now):
+        self._kept = None
+        return super().step(now)
+
+
+def _logged_run(cls, kind, sec, traces):
+    """Run `traces` under `kind` on the desk; returns every device command and
+    preventive refresh with its time, the run's IPCs, instructions, end time
+    and read latencies, and the back-off FSM."""
+    t = desk_timing(preset(MECHANISMS[kind][0]))
+    mit = _mechanism(kind, 16, sec, DESK, t)
+    dev = DeviceState(DESK, t, prac=None if mit.prac is None else asdict(mit.prac),
+                      counter_bits=counter_width(16))
+    log = []
+    issue, refresh_rows = dev.issue, dev.refresh_rows
+
+    def logged_issue(cmd, addr, now):
+        log.append((cmd, addr, now))
+        return issue(cmd, addr, now)
+
+    def logged_refresh(bank_idx, rows, now):
+        log.append(("rows", bank_idx, tuple(rows), now))
+        return refresh_rows(bank_idx, rows, now)
+
+    dev.issue, dev.refresh_rows = logged_issue, logged_refresh
+    ctrl = cls(DESK, t, dev, mit, seed=3)
+    res = run_cores(traces, ctrl, StopCondition(None, 400_000))
+    return log, res.ipcs, res.instructions, res.end_ps, res.read_latencies, dev.fsm
+
+
+_RECORD = st.tuples(st.integers(0, 6), st.booleans(), st.integers(0, 3), st.integers(0, 5),
+                    st.integers(0, 15))
+
+
+@given(kind=st.sampled_from(tuple(MECHANISMS)), attacker=st.booleans(),
+       cores=st.lists(st.lists(_RECORD, min_size=1, max_size=60), min_size=1, max_size=3),
+       abo_th=st.integers(1, 4), refs=st.sampled_from([1, 2, 4]), rfm_th=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_controller_matches_the_uncached_reference(kind, attacker, cores, abo_th, refs,
+                                                   rfm_th):
+    """The choice cache and the kept decision change no command, time or IPC.
+    Requests to banks 0, 1, 4 and 8 (bank groups 0-2 of rank 0) and rows 0-5
+    keep conflicts, hits and PRAC back-offs frequent; with `attacker`, a
+    first core hammers four rows of bank 12 with no bubbles."""
+    places = [(0, 0), (0, 1), (1, 0), (2, 0)]   # (bankgroup, bank)
+    traces = [[TraceRecord(bubble, "write" if write else "read",
+                           inverse_map_address(DESK, 0, *places[p], row, col))
+               for bubble, write, p, row, col in records] for records in cores]
+    if attacker:
+        traces.insert(0, [TraceRecord(0, "read", inverse_map_address(DESK, 0, 3, 0, i % 4, 0))
+                          for i in range(80)])
+    sec = {"abo_th": abo_th, "bo_n_refs": refs, "bo_n_acts": 1, "rfm_th": rfm_th}
+    assert (_logged_run(MemoryController, kind, sec, traces)
+            == _logged_run(_UncachedController, kind, sec, traces))

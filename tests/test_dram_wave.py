@@ -149,38 +149,41 @@ def test_act_rejected_during_recovery():
 
 
 def test_serve_rfm_refreshes_the_hottest_rows_victims():
-    dev = fresh_device()
+    mon = DisturbanceMonitor(64, 64)
+    dev = fresh_device(monitor=mon)
     dev.banks[0].counters = {3: 5, 9: 2}
-    events = dev.serve_rfm()
-    bank0 = [e for e in events if e[1] == 0][0]
-    assert bank0[2] == 3
-    assert bank0[3] == (1, 2, 4, 5)
+    mon.on_act(0, 3)
+    mon.on_act(0, 9)
+    aggressors = dev.serve_rfm()
+    assert aggressors[0] == 3
     assert 3 not in dev.banks[0].counters
+    # row 3's victims 1, 2, 4 and 5 were refreshed; row 9's were not
+    assert sorted(victim for _, victim, _ in mon.pair) == [7, 8, 10, 11]
 
 
 def test_serve_rfm_fallback_row_when_all_counters_zero():
     dev = fresh_device()
-    events = dev.serve_rfm()
-    assert all(e[2] == 0 for e in events)
+    assert dev.serve_rfm() == [0] * DESK.banks_total
 
 
 def test_serve_rfm_tie_break_orders():
     for tie, expected in (("low", 3), ("high", 9)):
         dev = fresh_device(tie_break=tie)
         dev.banks[0].counters = {3: 5, 9: 5}
-        events = dev.serve_rfm()
-        assert [e for e in events if e[1] == 0][0][2] == expected
+        assert dev.serve_rfm()[0] == expected
 
 
 def test_ref_covers_the_bank_in_one_window():
     t = desk_timing(BASE_T)
-    dev = DeviceState(DESK, t)
-    assert dev.rows_per_ref == 8  # 64 rows / (tREFW/tREFI = 8)
+    mon = DisturbanceMonitor(64, 64)
+    mon.on_act(0, 40)                     # bank 0 holds tallies, so REFs report it
     refreshed = []
+    mon.on_row_refreshed = lambda bank, *rows: refreshed.extend(rows)
+    dev = DeviceState(DESK, t, monitor=mon)
+    assert dev.rows_per_ref == 8  # 64 rows / (tREFW/tREFI = 8)
     now = 1_000_000
     for _ in range(8):
-        events = dev.issue(REF, None, now)
-        refreshed.extend(events[0][1])
+        assert dev.issue(REF, None, now) is None
         now += t.tREFI
     assert sorted(refreshed) == list(range(64))  # each row exactly once
 
@@ -266,6 +269,7 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
     mon, ref = DisturbanceMonitor(5, 64), _ScanningMonitor(5, 64)
     dev = DeviceState(DESK, t, monitor=mon, ref_resets_counters=ref_resets)
     now = 1_000_000
+    ref_start = 0   # the reference's REF pointer: REFs walk groups of 8 rows
     for op, bank, row in ops:
         now = max(now, dev.blocked_until)
         if op == "act":
@@ -274,14 +278,15 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
             ref.on_act(bank, row)
             now += t.tRC
         elif op == "ref":
-            [(_, rows)] = dev.issue(REF, None, now)
+            assert dev.issue(REF, None, now) is None
             for bi in range(DESK.banks_total):
-                ref.on_row_refreshed(bi, *rows)
+                ref.on_row_refreshed(bi, *range(ref_start, ref_start + 8))
+            ref_start = (ref_start + 8) % 64
         elif op == "rfm":
-            events = dev.issue(RFMAB, None, now)
-            assert [e[1] for e in events] == list(range(DESK.banks_total))
-            for _, bi, _, victims in events:
-                ref.on_row_refreshed(bi, *victims)
+            aggressors = dev.issue(RFMAB, None, now)
+            assert len(aggressors) == DESK.banks_total
+            for bi, aggressor in enumerate(aggressors):
+                ref.on_row_refreshed(bi, *victim_rows(aggressor, 64))
         else:
             victims = victim_rows(row, 64)
             dev.refresh_rows(bank, victims, now)
@@ -296,25 +301,21 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
 class _ScanningDevice(DeviceState):
     """Reference: each bank's hottest row found by scanning all its counters."""
 
-    def serve_rfm(self, triggered_bank=None):
-        events = []
-        idle = victim_rows(0, self.topo.rows_per_bank)
+    def serve_rfm(self):
+        aggressors = []
         monitor = self.monitor
         tallies = {} if monitor is None else monitor.tallies
         for bi, b in enumerate(self.banks):
-            aggressor, victims = 0, idle
+            aggressor = 0
             if b.counters:
                 best = max(b.counters.values())
                 rows = [r for r, c in b.counters.items() if c == best]
                 aggressor = min(rows) if self.tie_break == "low" else max(rows)
-                victims = victim_rows(aggressor, self.topo.rows_per_bank)
                 self._clear(b, aggressor)
             if tallies.get(bi):
-                monitor.on_row_refreshed(bi, *victims)
-            events.append(("refreshed", bi, aggressor, victims))
-        if triggered_bank is not None:
-            self.banks[triggered_bank].raa = 0
-        return events
+                monitor.on_row_refreshed(bi, *victim_rows(aggressor, self.topo.rows_per_bank))
+            aggressors.append(aggressor)
+        return aggressors
 
 
 RFM_OPS = st.tuples(st.sampled_from(["act", "act", "act", "act", "rfm", "rfm", "ref", "rows"]),
@@ -322,7 +323,7 @@ RFM_OPS = st.tuples(st.sampled_from(["act", "act", "act", "act", "rfm", "rfm", "
 # sixty PREs over six rows of one bank between RFMs: 42 of them raise a
 # counter before all saturate at 7, so the heap outgrows 2 * 6 + HEAP_SLACK
 LONG_OPS = ([("act", 0, 0, False), ("rfm", 0, 0, False)]
-            + [("act", 0, r % 6, False) for r in range(60)] + [("rfm", 0, 0, True)] * 3)
+            + [("act", 0, r % 6, False) for r in range(60)] + [("rfm", 0, 0, False)] * 3)
 # row 1's entry for count 1 goes stale under its entry for 2 and tops the
 # heap, tied with row 2, after the RFM that clears row 1
 STALE_OPS = [("act", 0, 0, False), ("rfm", 0, 0, False), ("act", 0, 1, False),
@@ -353,7 +354,7 @@ def _replay_against_scan(ops, tie, bits, resets, abo_th):
                 dev.issue(ACT, (bank, row), now)
                 out.append(dev.issue(PRE, (bank, row), now + t.tRAS))
             elif op == "rfm":
-                out.append(dev.issue(RFMAB, (bank, -1) if flag else None, now))
+                out.append(dev.issue(RFMAB, None, now))
             elif op == "ref":
                 out.append(dev.issue(REF, None, now))
             else:
@@ -362,7 +363,6 @@ def _replay_against_scan(ops, tie, bits, resets, abo_th):
             rebuilds += 1
         assert out[0] == out[1]
         assert [b.counters for b in fast.banks] == [b.counters for b in ref.banks]
-        assert [b.raa for b in fast.banks] == [b.raa for b in ref.banks]
         assert fast.cleared_counts == ref.cleared_counts
         assert fast.rows_at_th == ref.rows_at_th
         assert fast.fsm == ref.fsm
@@ -465,7 +465,7 @@ def test_same_bank_rfm_is_rejected():
     dev = fresh_device()
     dev.banks[1].counters = {4: 3}
     with pytest.raises(ConfigError):
-        dev.issue("RFMsb", (1, -1), 1_000_000)
+        dev.issue("RFMsb", (1, 4), 1_000_000)
     assert dev.banks[1].counters == {4: 3}
 
 

@@ -18,6 +18,7 @@ from pracsim.mitigations import (
     PracOptimistic,
     PracPlusPrfm,
     Prfm,
+    StorageBreakdown,
     counter_width,
     graphene_defaults,
     hydra_defaults,
@@ -178,7 +179,7 @@ def test_prac_storage_reduction_exact():
 def test_hydra_storage_reduction_around_45_percent():
     hi = storage_cost(hydra_defaults(1024, TOPO), 1024, TOPO)
     lo = storage_cost(hydra_defaults(16, TOPO), 16, TOPO)
-    red = 1 - lo.total_bits / hi.total_bits
+    red = 1 - (lo.cpu_bits + lo.dram_bits) / (hi.cpu_bits + hi.dram_bits)
     assert abs(red - 0.455) < 0.05
 
 
@@ -210,7 +211,7 @@ def test_storage_monotonicity():
 
 
 def test_storage_none_and_combined():
-    assert storage_cost(NoMitigation(), 64, TOPO).total_bits == 0
+    assert storage_cost(NoMitigation(), 64, TOPO) == StorageBreakdown(0, 0)
     combo = storage_cost(PracPlusPrfm(PracParams(abo_th=60), PrfmParams(5)), 64, TOPO)
     solo = storage_cost(PracN(PracParams(abo_th=60)), 64, TOPO)
     assert combo.dram_bits == solo.dram_bits
