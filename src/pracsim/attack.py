@@ -116,7 +116,6 @@ class WaveAttacker:
 class WaveReplayResult:
     sizes: tuple
     realized_max: int
-    access_rows: tuple        # ACT order, priming included
     rfm_count: int
     act_count: int
     monitor: Optional[DisturbanceMonitor]
@@ -156,8 +155,6 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     now = t.tRC  # headroom so the first command never lands at time zero
     next_ref = now + t.tREFI if with_ref else None
     realized = 0
-    accesses = []
-    rfms = 0
     raa = 0   # the bank's ACTs since its last PRFM RFM
 
     def tick(step_ps: int):
@@ -176,17 +173,14 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
         maybe_ref()
         dev.issue(ACT, (bank, row), now)
         raa += 1
-        accesses.append(row)
         dev.issue(PRE, (bank, row), now + t.tRAS)
         realized = max(realized, dev.banks[bank].counters.get(row, 0))
         tick(t.tRC)
 
     def rfm():
-        nonlocal rfms
         aggressors = dev.issue(RFMAB, None, max(now, dev.blocked_until))
         attacker.on_refresh(aggressors[bank])
         tick(t.tRFM)
-        rfms += 1
 
     def drain_obligations():
         nonlocal raa
@@ -206,8 +200,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
 
     return WaveReplayResult(
         sizes=tuple(attacker.sizes), realized_max=realized,
-        access_rows=tuple(accesses), rfm_count=rfms,
-        act_count=dev.counts[ACT], monitor=monitor,
+        rfm_count=dev.counts[RFMAB], act_count=dev.counts[ACT], monitor=monitor,
         min_deadline_slack=dev.min_deadline_slack)
 
 

@@ -81,7 +81,8 @@ def cmd_analyze(args) -> int:
             "without --nrh")
     given = {"thresholds": args.thresholds, "b0_values": args.b0,
              "bo_n_refs_values": args.bo_n_refs}
-    grid = SweepGrid(args.mech, bo_n_acts=1 if args.bo_n_acts is None else args.bo_n_acts,
+    acts = PracParams.bo_n_acts if args.bo_n_acts is None else args.bo_n_acts
+    grid = SweepGrid(args.mech, bo_n_acts=acts,
                      **{k: tuple(v) for k, v in given.items() if v is not None})
     rows = sweep(grid, t)
     prfm_secure = {}   # rfm_th -> verdict, shared by the PRFM rows of a threshold
@@ -219,7 +220,8 @@ def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology,
     """The mechanism's config; thresholds not set in the config are derived
     from the security analysis at timing t and full size, and graphene's
     table is sized for t's refresh window."""
-    refs, acts = sec.get("bo_n_refs", 4), sec.get("bo_n_acts", 1)
+    refs = sec.get("bo_n_refs", PracParams.bo_n_refs)
+    acts = sec.get("bo_n_acts", PracParams.bo_n_acts)
     prfm = prac = None
     if "rfm_th" in MECHANISMS[kind][1]:
         prfm = PrfmParams(_setting(sec, "rfm_th", secure_rfm_th, n_rh, t))
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--preset", default="analysis-appendix")
     at.add_argument("--rfm-th", type=int, nargs="*", default=[6])
     at.add_argument("--abo-th", type=int, nargs="*", default=[57])
-    at.add_argument("--bo-n-refs", type=int, default=4)
+    at.add_argument("--bo-n-refs", type=int, default=PracParams.bo_n_refs)
     at.add_argument("--out")
     at.set_defaults(func=cmd_attack_theory)
 

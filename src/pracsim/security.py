@@ -36,8 +36,10 @@ A smaller threshold triggers refresh management sooner, so the secure
 thresholds are almost always a prefix 1..th*; but where the window binds,
 priming can cost a larger threshold's attack a round (analysis-appendix,
 n_rh 38, bo_n_refs 2: abo_th 21 is insecure, 22 secure). secure_rfm_th and
-secure_abo_th therefore bisect to a secure threshold whose successor is not,
-then judge every larger one, first against sizes that broke another.
+secure_abo_th therefore scan down from the cap and return the first secure
+threshold, the largest whether or not the secure ones form a prefix. An
+insecure verdict stops at the chunk of its witness, so the scan pays for one
+full secure verdict: the answer's.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .dram import Topology
 from .timing import ConfigError, TimingParams
 
-ROWS_PER_BANK_DEFAULT = 65_536
 RFM_TH_CAP = 80   # largest rfm_th the protocol allows
 WITNESS_CHUNK = 1024   # starting sizes in _witness's first chunk
 
@@ -242,7 +244,7 @@ class Verdict:
 
 
 def is_secure(n_rh: int, p: WaveParams, t: TimingParams,
-              rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Verdict:
+              rows_per_bank: int = Topology.rows_per_bank) -> Verdict:
     """Secure iff no starting set size lets any row collect n_rh activations
     between refreshes of its victims, within the refresh-window time budget;
     otherwise the smallest such size is the witness.
@@ -282,7 +284,7 @@ is_secure_prfm = is_secure_prac = is_secure
 
 
 def max_activations_prac(p: PracParams, t: TimingParams,
-                         rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> int:
+                         rows_per_bank: int = Topology.rows_per_bank) -> int:
     """Highest activation count under the back-off protocol, maximized over
     the starting set size (decoys are primed to abo_th - 1 first)."""
     rounds = _feasible_rounds(p, t, _starting_sizes(p, t, rows_per_bank))
@@ -291,42 +293,23 @@ def max_activations_prac(p: PracParams, t: TimingParams,
 
 def _largest_secure(n_rh: int, params, top: int, t: TimingParams,
                     rows_per_bank: int) -> Optional[int]:
-    """Largest th in 1..top with params(th) secure at n_rh, None if there is
-    none; exact although the verdict need not be monotone in th."""
-    broke = set()   # starting sizes that witnessed some threshold insecure
-
-    def secure(th):
-        p = params(th)
-        sizes = _starting_sizes(p, t, rows_per_bank)
-        known = [w for w in broke if w <= sizes[-1]]
-        if known and _witness(n_rh, p, t, known) is not None:
-            return False
-        witness = _witness(n_rh, p, t, sizes)
-        if witness is not None:
-            broke.add(witness)
-        return witness is None
-
-    if top > 0 and secure(top):
-        return top
-    lo, hi = 0, top   # bisect to a secure lo (or 0) whose successor hi is not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if secure(mid) else (lo, mid)
-    for th in range(hi + 1, top + 1):
-        if secure(th):
-            lo = th
-    return lo or None
+    """The first th from top down to 1 with params(th) secure at n_rh, None
+    if there is none."""
+    candidates = ((th, params(th)) for th in range(top, 0, -1))
+    return next((th for th, p in candidates
+                 if _witness(n_rh, p, t, _starting_sizes(p, t, rows_per_bank)) is None), None)
 
 
 def secure_rfm_th(n_rh: int, t: TimingParams,
-                  rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Optional[int]:
+                  rows_per_bank: int = Topology.rows_per_bank) -> Optional[int]:
     """Largest rfm_th (up to the protocol cap) secure at n_rh, None if even 1 fails."""
     return _largest_secure(n_rh, PrfmParams, min(RFM_TH_CAP, max(n_rh - 1, 1)), t,
                            rows_per_bank)
 
 
-def secure_abo_th(n_rh: int, t: TimingParams, bo_n_refs: int = 4, bo_n_acts: int = 1,
-                  rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> Optional[int]:
+def secure_abo_th(n_rh: int, t: TimingParams, bo_n_refs: int = PracParams.bo_n_refs,
+                  bo_n_acts: int = PracParams.bo_n_acts,
+                  rows_per_bank: int = Topology.rows_per_bank) -> Optional[int]:
     """Largest abo_th secure at n_rh for the given recovery settings."""
     return _largest_secure(n_rh, lambda th: PracParams(th, bo_n_refs, bo_n_acts), n_rh - 1,
                            t, rows_per_bank)
@@ -350,7 +333,7 @@ class SweepGrid:
     thresholds: Optional[tuple] = None   # None selects the default grid
     b0_values: tuple = DEFAULT_PRFM_B0   # prfm only
     bo_n_refs_values: tuple = DEFAULT_PRAC_REFS  # prac only
-    bo_n_acts: int = 1
+    bo_n_acts: int = PracParams.bo_n_acts
 
     def __post_init__(self):
         if self.mechanism not in ("prfm", "prac"):
@@ -358,7 +341,7 @@ class SweepGrid:
 
 
 def sweep(grid: SweepGrid, t: TimingParams,
-          rows_per_bank: int = ROWS_PER_BANK_DEFAULT) -> list:
+          rows_per_bank: int = Topology.rows_per_bank) -> list:
     """One row per grid point: the worst-case activation count and the
     smallest RowHammer threshold the point is secure against. A PRFM cell
     counts the rounds its own decoy set size b0 completes."""

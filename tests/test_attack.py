@@ -73,12 +73,6 @@ def test_wave_trace_max_activations_most_aggressive():
     assert result.realized_max == 9
 
 
-def test_wave_trace_act_legality_spacing():
-    # the device enforces legality; the replay records one row per ACT it issued
-    result = run_wave_attack(6, PrfmParams(3), preset("ddr5-3200an-base"))
-    assert len(result.access_rows) == result.act_count
-
-
 @pytest.mark.parametrize("n_rh", [32, 64])
 def test_fullsize_prfm_witness_replays(n_rh):
     """At 64K rows per bank, REF off: the analyzer's witness b0 for the first

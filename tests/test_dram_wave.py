@@ -469,13 +469,23 @@ def test_same_bank_rfm_is_rejected():
     assert dev.banks[1].counters == {4: 3}
 
 
-def test_prac_optimistic_event_sequence_matches_prac4():
+def test_prac_optimistic_event_sequence_matches_prac4(monkeypatch):
     # same recovery policy on different timing parameters: identical access
     # order and surviving-set sequence, timestamps aside
     p = PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1)
     base = preset("ddr5-3200an-base")
+    issue, rows = DeviceState.issue, []
+
+    def recording(dev, cmd, addr, now):   # the row of every ACT, in issue order
+        if cmd == ACT:
+            rows.append(addr[1])
+        return issue(dev, cmd, addr, now)
+
+    monkeypatch.setattr(DeviceState, "issue", recording)
     adjusted = run_wave_attack(17, p, PRAC_T)
+    adjusted_rows, rows[:] = rows[:], []
     optimistic = run_wave_attack(17, p, base)
-    assert adjusted.access_rows == optimistic.access_rows
+    assert adjusted_rows == rows
+    assert len(rows) == optimistic.act_count
     assert adjusted.sizes == optimistic.sizes
     assert adjusted.realized_max == optimistic.realized_max

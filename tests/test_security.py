@@ -265,9 +265,9 @@ def test_kernel_matches_scalar_loop(p, t, n_rh, rows):
 
 
 def _scanned_threshold(n_rh, params, top, t, rows=65_536):
-    """The largest secure threshold, scanning down one threshold at a time."""
-    return next((th for th in range(top, 0, -1)
-                 if is_secure(n_rh, params(th), t, rows).secure), None)
+    """The largest secure threshold, judging every threshold in 1..top."""
+    return max((th for th in range(1, top + 1) if is_secure(n_rh, params(th), t, rows).secure),
+               default=None)
 
 
 @given(mech=st.sampled_from(["prfm", 1, 2, 4]), acts=st.sampled_from([1, 2, 4]),
@@ -314,17 +314,13 @@ def _single_pass_witness(n_rh, p, t, b0s):
 @given(p=st.one_of(st.builds(PrfmParams, st.integers(1, RFM_TH_CAP)),
                    st.builds(PracParams, st.integers(1, 300), st.sampled_from([1, 2, 4]),
                              st.sampled_from([1, 2, 4]))),
-       name=st.sampled_from(PRESETS), n_rh=st.integers(1, 300),
-       seed=st.integers(0, 2 ** 32 - 1), known=st.integers(1, 5000))
-@example(p=PrfmParams(80), name="analysis-appendix", n_rh=1024, seed=0, known=4096)
+       name=st.sampled_from(PRESETS), n_rh=st.integers(1, 300))
+@example(p=PrfmParams(80), name="analysis-appendix", n_rh=1024)
 @settings(max_examples=60, deadline=None)
-def test_chunked_witness_matches_a_single_pass(p, name, n_rh, seed, known):
+def test_chunked_witness_matches_a_single_pass(p, name, n_rh):
     t = preset(name)
     sizes = _starting_sizes(p, t, FULL_ROWS)
     assert _witness(n_rh, p, t, sizes) == _single_pass_witness(n_rh, p, t, sizes)
-    # the unsorted lists of sizes that broke other thresholds
-    broke = random.Random(seed).sample(sizes.tolist(), min(known, len(sizes)))
-    assert _witness(n_rh, p, t, broke) == _single_pass_witness(n_rh, p, t, broke)
 
 
 @pytest.mark.parametrize("index", [0, WITNESS_CHUNK - 1, WITNESS_CHUNK, 3 * WITNESS_CHUNK - 1,
@@ -344,16 +340,24 @@ def test_witness_on_a_chunk_boundary(index):
     assert _witness(64, p, t, others[:index + 500]) is None
 
 
-# secure_rfm_th, secure_abo_th (bo_n_refs 4, bo_n_acts 1) at full size, as the
-# single-pass witness search derived them; every preset gives the same pair
-PINNED_THRESHOLDS = {1024: (80, 1020), 128: (12, 124), 64: (6, 60), 32: (3, 28), 16: (1, 12)}
+# secure_rfm_th and secure_abo_th at (bo_n_refs, bo_n_acts) (4, 1), (2, 1) and
+# (1, 2), at full size, as the earlier bisecting search derived them. Every
+# preset gives the same values except ddr5-3200an-prac at n_rh 256 and 128.
+PINNED_THRESHOLDS = {
+    1024: (80, 1020, 1012, 992), 512: (52, 508, 500, 477), 256: (24, 252, 242, 217),
+    128: (12, 124, 114, 85), 64: (6, 60, 48, 16), 38: (3, 34, 22, None),
+    32: (3, 28, 14, None), 16: (1, 12, None, None), 12: (1, 8, None, None),
+    8: (1, 4, None, None), 4: (1, None, None, None), 2: (1, None, None, None)}
+PINNED_PRAC_TIMING = {256: (25, 252, 242, 218), 128: (12, 124, 114, 86)}
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_derived_thresholds_pinned_at_full_size(name):
     t = preset(name)
-    assert {n_rh: (secure_rfm_th(n_rh, t), secure_abo_th(n_rh, t))
-            for n_rh in PINNED_THRESHOLDS} == PINNED_THRESHOLDS
+    pinned = {**PINNED_THRESHOLDS, **(PINNED_PRAC_TIMING if name == "ddr5-3200an-prac" else {})}
+    recoveries = ((4, 1), (2, 1), (1, 2))
+    assert {n_rh: (secure_rfm_th(n_rh, t), *(secure_abo_th(n_rh, t, *r) for r in recoveries))
+            for n_rh in pinned} == pinned
 
 
 # ---------------------------------------------------------------- sweep
