@@ -124,9 +124,8 @@ class WaveReplayResult:
 
 def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: TimingParams,
                     topo: Optional[Topology] = None, bank: int = 0,
-                    tie_break: str = "low", monitor_n_rh: Optional[int] = None,
-                    with_ref: bool = False,
-                    ref_resets_counters: bool = True) -> WaveReplayResult:
+                    monitor_n_rh: Optional[int] = None, with_ref: bool = False,
+                    ref_resets_counters: bool = False) -> WaveReplayResult:
     """Event-driven replay of the wave attack against the device model.
 
     The device enforces command timing; the generator consumes refresh
@@ -148,7 +147,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     else:
         raise ConfigError("mechanism/spec mismatch: wave needs PRFM or PRAC params")
     monitor = DisturbanceMonitor(monitor_n_rh, topo.rows_per_bank) if monitor_n_rh else None
-    dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor, tie_break=tie_break,
+    dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor,
                       ref_resets_counters=ref_resets_counters)
     attacker = WaveAttacker(spec_rows, priming)
 

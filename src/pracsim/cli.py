@@ -72,6 +72,8 @@ def _write_lines(path, lines):
 
 
 def cmd_analyze(args) -> int:
+    if args.nrh is not None and args.nrh < 1:
+        raise ConfigError("[analyze] --nrh must be >= 1")
     t = preset(args.preset)
     # an option the mechanism never reads is rejected, like a config key
     unread = {"prac": ("b0",), "prfm": ("bo_n_refs", "bo_n_acts")}[args.mech]
@@ -140,6 +142,8 @@ def cmd_attack_theory(args) -> int:
 
 
 def cmd_storage(args) -> int:
+    if any(n < 2 for n in args.nrh):   # the storage model's least n_rh
+        raise ConfigError("[storage] --nrh must be >= 2")
     topo = Topology()
     lines = ["mechanism,n_rh,cpu_bits,dram_bits"]
     for n in args.nrh:
@@ -268,8 +272,12 @@ def resolve_spec(cfg: dict) -> RunSpec:
     small = [key for key, value in size.items() if value < 1]
     if small:
         raise ConfigError(f"[workload] {', '.join(small)} must be >= 1")
-    t = timing_from_config(cfg, preset_name)
     topo = Topology.desk() if desk else Topology()
+    for key, top in (("attacker_rows", topo.rows_per_bank),
+                     ("attacker_banks", topo.bankgroups_per_rank)):
+        if not 1 <= wl.get(key, 1) <= top:
+            raise ConfigError(f"[workload] {key} must be in 1..{top}, got {wl[key]}")
+    t = timing_from_config(cfg, preset_name)
     # thresholds and table sizes are derived at the run's own timing,
     # before desk scaling
     mit = _mechanism(kind, n_rh, sec, topo, t)

@@ -101,8 +101,7 @@ class MemoryController:
         self.next_ref = t.tREFI
         self.completions: deque = deque()  # (time, Request), reads, in time order
         self.raa = [0] * topo.banks_total   # per-bank ACTs since its last PRFM RFM
-        # the device counts every command; perfbench reads controller_stat["acts"]
-        self.stat = {"acts": 0, "preventive_refreshes": 0}
+        self.preventive_refreshes = 0   # mitigation-triggered refresh_rows calls
         self.read_latencies: list = []
         self._last_done = 0
         self._next_id = 0
@@ -360,13 +359,12 @@ class MemoryController:
                 return
             self.dev.issue(ACT, (req.bank_idx, req.row), at)
             self.raa[req.bank_idx] += 1
-            self.stat["acts"] += 1
             self._choice_cache.pop(req.bank_idx, None)
             if self.mech is not None:
                 victims = self.mech.on_activation(req.bank_idx, req.row, at)
                 if victims:
                     self.dev.refresh_rows(req.bank_idx, victims, at)
-                    self.stat["preventive_refreshes"] += 1
+                    self.preventive_refreshes += 1
         else:  # RD / WR
             self.dev.issue(cmd, (req.bank_idx, req.row), at)
             oldest = next((r for r in self.bank_q[req.bank_idx] if self._eligible(r)), None)

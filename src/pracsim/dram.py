@@ -15,19 +15,20 @@ per refresh window. The back-off engine is a small FSM:
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
 
-An RFM finds each bank's hottest row in a heap of (-count, row) entries (the
-row negated under tie_break "high"), an index derived from `counters`: built
-at the bank's first RFM, fed one entry by every PRE that changes a counter,
-and rebuilt once it outgrows twice the counters. An entry whose count no
-longer matches `counters` is stale and is dropped when it reaches the top. A
-bank without counters reports row 0 and does no other work, and the monitor
-hears only from banks with tallies. So an RFM costs a few heap pops per bank
+An RFM finds each bank's hottest row, the lowest of any tie, in a heap of
+(-count, row) entries, an index derived from `counters`: built at the bank's
+first RFM, fed one entry by every PRE that changes a counter, and rebuilt
+once it outgrows twice the counters. An entry whose count no longer matches
+`counters` is stale and is dropped when it reaches the top. A bank without
+counters reports row 0 and does no other work, and the monitor hears only
+from banks with tallies. So an RFM costs a few heap pops per bank
 holding counters, not a scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
 ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation,
-or an ACT during back-off recovery, raises ProtocolError (constraint, missing
-slack), fatal to simulation and fuzz tests.
+an ACT during back-off recovery, or a REF/RFM while a bank holds an open row
+raises ProtocolError (constraint, missing slack), fatal to simulation and
+fuzz tests.
 """
 
 from __future__ import annotations
@@ -204,11 +205,9 @@ class DeviceState:
     """One memory channel's worth of DRAM state, mutated via issue()."""
 
     def __init__(self, topo: Topology, t: TimingParams, prac: Optional[dict] = None,
-                 ref_resets_counters: bool = True, tie_break: str = "low",
+                 ref_resets_counters: bool = True,
                  monitor: Optional[DisturbanceMonitor] = None,
                  counter_bits: Optional[int] = None):
-        if tie_break not in ("low", "high"):
-            raise ConfigError("tie_break must be 'low' or 'high'")
         if counter_bits is not None and counter_bits < 1:
             raise ConfigError("counter_bits must be >= 1")
         self.topo = topo
@@ -220,13 +219,12 @@ class DeviceState:
                 abo_th=prac["abo_th"], bo_n_refs=prac["bo_n_refs"],
                 bo_n_acts=prac["bo_n_acts"], window_acts=t.window_acts())
         self.ref_resets_counters = ref_resets_counters
-        self.tie_break = tie_break
-        self._tie_sign = 1 if tie_break == "low" else -1   # heap key: row, or -row under "high"
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
         self.monitor = monitor
         self.blocked_until = 0          # no command before this time
         self.burst_ok = 0               # no data burst before this time
         self.idle_at = 0                # every bank precharged: max of act_ok
+        self.open_banks = 0             # banks holding an open row
         self.ref_pointer = 0
         self.rows_per_ref = -(-topo.rows_per_bank // (t.tREFW // t.tREFI))
         self.cleared_counts = 0         # counter mass cleared by RFM/REF
@@ -280,6 +278,7 @@ class DeviceState:
             if self.fsm is not None and self.fsm.phase == "recovery":
                 raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
             b.open_row = row
+            self.open_banks += 1
             b.last_act = now
             self._raise_act_ok(b, now + self.t.tRC)
             b.pre_ok = now + self.t.tRAS
@@ -294,6 +293,7 @@ class DeviceState:
             self._check(b.pre_ok, now, "tRAS/tRTP/tWR")
             row = b.open_row
             b.open_row = None
+            self.open_banks -= 1
             self._raise_act_ok(b, now + self.t.tRP)
             # per-row tracking is assumed perfect regardless of mitigation
             old = b.counters.get(row, 0)
@@ -307,7 +307,7 @@ class DeviceState:
                 if len(heap) > 2 * len(b.counters) + HEAP_SLACK:
                     b.heap = self._heap_of(b.counters)
                 else:
-                    heappush(heap, (-count, self._tie_sign * row))
+                    heappush(heap, (-count, row))
             if self.fsm is not None:
                 if old < self.fsm.abo_th <= count:
                     self.rows_at_th += 1
@@ -321,18 +321,21 @@ class DeviceState:
             self._check(self.burst_ok, now, "data bus")
             self.burst_ok = now + BURST_PS
             b.pre_ok = max(b.pre_ok, now + (self.t.tRTP if cmd == RD else self.t.tWR))
-        elif cmd == REF:
-            self._check(self.idle_at, now, "tRP before REF")
-            self._serve_ref()
-            busy = self.t.tRFC
-        elif cmd == RFMAB:
-            self._check(self.idle_at, now, "tRP before RFM")
-            aggressors = self.serve_rfm()
-            busy = self.t.tRFM
-            if self.fsm is not None and self.fsm.on_rfm():
-                slack = self.backoff_deadline - now
-                if self.min_deadline_slack is None or slack < self.min_deadline_slack:
-                    self.min_deadline_slack = slack
+        elif cmd in (REF, RFMAB):
+            # every bank precharged, tRP ago, before any state changes
+            if self.open_banks:
+                raise ProtocolError("open-row", 0, f"{cmd} with an open row")
+            self._check(self.idle_at, now, f"tRP before {cmd}")
+            if cmd == REF:
+                self._serve_ref()
+                busy = self.t.tRFC
+            else:
+                aggressors = self.serve_rfm()
+                busy = self.t.tRFM
+                if self.fsm is not None and self.fsm.on_rfm():
+                    slack = self.backoff_deadline - now
+                    if self.min_deadline_slack is None or slack < self.min_deadline_slack:
+                        self.min_deadline_slack = slack
         else:
             raise ConfigError(f"unknown command {cmd!r}")
         self.blocked_until = now + busy
@@ -349,8 +352,7 @@ class DeviceState:
             self.rows_at_th -= 1
 
     def _heap_of(self, counters: dict) -> list:
-        sign = self._tie_sign
-        heap = [(-c, sign * r) for r, c in counters.items()]
+        heap = [(-c, r) for r, c in counters.items()]
         heapify(heap)
         return heap
 
@@ -360,11 +362,10 @@ class DeviceState:
         Returns the aggressor row of each bank, in bank order: the attacker
         feedback channel. A bank with no counters reports row 0 and refreshes
         its victims; a bank with counters reports the row on top of its heap
-        (module docstring; ties go to the lowest row, or the highest under
-        tie_break "high"). The monitor hears only from banks that hold tallies.
+        (module docstring; ties go to the lowest row). The monitor hears only
+        from banks that hold tallies.
         """
         aggressors = [0] * len(self.banks)
-        sign = self._tie_sign
         for bi, b in enumerate(self.banks):
             counters = b.counters
             if not counters:
@@ -373,8 +374,7 @@ class DeviceState:
             if heap is None:
                 heap = b.heap = self._heap_of(counters)
             while heap:
-                neg, key = heappop(heap)
-                aggressor = sign * key
+                neg, aggressor = heappop(heap)
                 if counters.get(aggressor) == -neg:
                     break
             else:
@@ -410,8 +410,6 @@ class DeviceState:
         rows = [(start + i) % self.topo.rows_per_bank for i in range(self.rows_per_ref)]
         self.ref_pointer = (start + self.rows_per_ref) % self.topo.rows_per_bank
         for b in self.banks:
-            if b.open_row is not None:
-                raise ProtocolError("ref-open-row", 0, "REF with an open row")
             if self.ref_resets_counters and b.counters:
                 for r in rows:
                     if r in b.counters:
@@ -424,10 +422,7 @@ class DeviceState:
 
     # ------------------------------------------------------------- accounting
 
-    def counter_mass(self) -> int:
-        return sum(sum(b.counters.values()) for b in self.banks)
-
     def conservation_holds(self) -> bool:
-        closed_acts = self.counts[PRE]   # one increment per ACT/PRE pair
-        return closed_acts == (self.counter_mass() + self.cleared_counts
-                               + self.saturated_increments)
+        """Each ACT/PRE pair's increment is held, cleared or lost to saturation."""
+        held = sum(sum(b.counters.values()) for b in self.banks)
+        return self.counts[PRE] == held + self.cleared_counts + self.saturated_increments

@@ -265,8 +265,6 @@ HYDRA_MIN_COUNTER_BITS = 6   # smallest row-count-cache entry granularity
 
 
 def storage_cost(mech: MitigationConfig, n_rh: int, topo: Topology) -> StorageBreakdown:
-    if n_rh < 2:
-        raise ConfigError("storage model needs n_rh >= 2")
     row_bits_bank = math.ceil(math.log2(topo.rows_per_bank))
     row_bits_total = math.ceil(math.log2(topo.rows_total))
     width = counter_width(n_rh)

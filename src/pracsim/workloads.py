@@ -324,12 +324,12 @@ def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunR
         ipcs=[c.ipc(end) for c in cores],
         instructions=[c.retired_instrs for c in cores],
         end_ps=end,
-        controller_stat=dict(controller.stat),
+        controller_stat={"acts": dev.counts["ACT"]},   # perfbench reads it
         device_counts=dict(dev.counts),
         read_latencies=list(controller.read_latencies),
         min_deadline_slack=dev.min_deadline_slack,
         max_pair_disturbance=0 if dev.monitor is None else dev.monitor.max_pair,
         first_violation=violations[0] if violations else None,
-        preventive_refreshes=controller.stat["preventive_refreshes"],
+        preventive_refreshes=controller.preventive_refreshes,
         backoffs=0 if dev.fsm is None else dev.fsm.asserts,
     )

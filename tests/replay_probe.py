@@ -63,8 +63,7 @@ def cases():
 def probe(label, b0, params, t, n_rh, with_ref) -> dict:
     victim_rows.cache_clear()
     t0 = time.perf_counter()
-    res = run_wave_attack(b0, params, t, topo=TOPO, monitor_n_rh=n_rh,
-                          with_ref=with_ref, ref_resets_counters=False)
+    res = run_wave_attack(b0, params, t, topo=TOPO, monitor_n_rh=n_rh, with_ref=with_ref)
     host_s = time.perf_counter() - t0
     info = victim_rows.cache_info()
     return {"case": label, "b0": b0, "realized_max": res.realized_max,

@@ -109,14 +109,12 @@ def test_criterion_3_theoretical_attack_math():
 
 def test_criterion_4_oracle_equivalence():
     t0 = time.time()
-    # threshold-triggered management: replay vs closed form, both tie orders
+    # threshold-triggered management: replay vs closed form
     for th in range(1, 17):
         p = PrfmParams(th)
         for b0 in range(1, 65):
-            closed = prfm_trajectory(b0, p).sizes
-            for tie in ("low", "high"):
-                got = run_wave_attack(b0, p, APP, tie_break=tie).sizes
-                assert got == closed, (b0, th, tie)
+            got = run_wave_attack(b0, p, APP).sizes
+            assert got == prfm_trajectory(b0, p).sizes, (b0, th)
     # back-off: divisors 2..8 via the service window, every recovery size
     for refs in (1, 2, 4):
         for divisor in range(2, 9):
@@ -156,8 +154,7 @@ def test_criterion_5_simulation_safety():
             worst = 0
             for b0 in range(1, 65):
                 res = run_wave_attack(b0, p, t_base, topo=desk,
-                                      monitor_n_rh=n_rh, with_ref=True,
-                                      ref_resets_counters=False)
+                                      monitor_n_rh=n_rh, with_ref=True)
                 worst = max(worst, res.realized_max)
                 if verdict.secure:
                     assert not res.monitor.violations, (th, n_rh, b0)
@@ -177,8 +174,7 @@ def test_criterion_5_simulation_safety():
                 worst = 0
                 for b0 in range(1, 65):
                     res = run_wave_attack(b0, p, t_prac, topo=desk,
-                                          monitor_n_rh=n_rh, with_ref=True,
-                                          ref_resets_counters=False)
+                                          monitor_n_rh=n_rh, with_ref=True)
                     worst = max(worst, res.realized_max)
                     if verdict.secure:
                         assert not res.monitor.violations, (abo, refs, n_rh, b0)

@@ -206,6 +206,34 @@ def test_nonpositive_workload_size_is_rejected(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [("attacker_rows", "70"), ("attacker_rows", "0"),
+                                        ("attacker_banks", "9"), ("attacker_banks", "0")])
+def test_attacker_outside_the_topology_is_rejected_before_derivation(tmp_path, capsys,
+                                                                     monkeypatch, key, value):
+    # a desk bank has 64 rows and a rank 8 bank groups; these once failed
+    # only at the first enqueue, or without naming the key
+    monkeypatch.setattr(cli, "secure_abo_th", lambda *a: pytest.fail("derived"))
+    ini = _write_ini(tmp_path / "a.ini", {"mitigation": {"kind": "prac", "n_rh": "64"},
+                                          "workload": {**TINY_WORKLOAD, "attacker": "dos",
+                                                       key: value}})
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--mech", "prfm", "--nrh", "0"],
+                                  ["analyze", "--mech", "prfm", "--require-secure", "--nrh", "0"],
+                                  ["analyze", "--mech", "prac", "--nrh", "-5"],
+                                  ["storage", "--nrh", "64", "1"]])
+def test_out_of_range_nrh_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # these once wrote a CSV with an empty or all-insecure verdict column,
+    # blamed --require-secure, or reported no secure abo_th for n_rh = 1
+    monkeypatch.setattr(cli, "secure_abo_th", lambda *a: pytest.fail("derived"))
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "--nrh must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trc_is_rejected(tmp_path):
     ini = _write_ini(tmp_path / "t.ini", {"timing": {"tras": "40ns", "trc": "200ns"},
                                           "workload": TINY_WORKLOAD})

@@ -187,8 +187,7 @@ def test_device_records_the_slack_of_every_recovery_opening_rfm(monkeypatch):
     # desk PRAC wave replays, REF on: the replay reports the device's minimum
     for b0 in (1, 7, 32, 64):
         slacks.clear()
-        rep = run_wave_attack(b0, PracParams(4, 4, 1), T_DESK_PRAC, with_ref=True,
-                              ref_resets_counters=False)
+        rep = run_wave_attack(b0, PracParams(4, 4, 1), T_DESK_PRAC, with_ref=True)
         assert slacks and rep.min_deadline_slack == min(slacks)
 
 

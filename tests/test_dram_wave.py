@@ -82,6 +82,24 @@ def test_refresh_waits_trp_after_the_last_pre(cmd):
     dev.issue(cmd, None, pre_at + BASE_T.tRP)
 
 
+@pytest.mark.parametrize("cmd", [REF, RFMAB])
+def test_refresh_with_an_open_row_is_rejected_before_any_change(cmd):
+    # bank 0's row 0 is in the first REF group; bank 5, later, holds row 5 open
+    dev = fresh_device()
+    now = 1_000_000
+    dev.issue(ACT, (0, 0), now)
+    dev.issue(PRE, (0, 0), now + BASE_T.tRAS)
+    dev.issue(ACT, (5, 5), now + BASE_T.tRC)
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(cmd, None, 2_000_000)
+    assert err.value.constraint == "open-row"
+    assert dev.banks[0].counters == {0: 1} and dev.banks[5].open_row == 5
+    assert dev.ref_pointer == 0 and dev.counts[cmd] == 0
+    dev.issue(PRE, (5, 5), 2_000_000)
+    dev.issue(cmd, None, 2_000_000 + BASE_T.tRP)
+    assert dev.banks[0].counters == {}
+
+
 @pytest.mark.parametrize("cmd", [ACT, PRE, RD])
 def test_commands_wait_out_a_preventive_refresh(cmd):
     # four victim rows occupy the bank for 4 tRC from the refresh
@@ -167,10 +185,9 @@ def test_serve_rfm_fallback_row_when_all_counters_zero():
 
 
 def test_serve_rfm_tie_break_orders():
-    for tie, expected in (("low", 3), ("high", 9)):
-        dev = fresh_device(tie_break=tie)
-        dev.banks[0].counters = {3: 5, 9: 5}
-        assert dev.serve_rfm()[0] == expected
+    dev = fresh_device()
+    dev.banks[0].counters = {3: 5, 9: 5}
+    assert dev.serve_rfm()[0] == 3
 
 
 def test_ref_covers_the_bank_in_one_window():
@@ -310,7 +327,7 @@ class _ScanningDevice(DeviceState):
             if b.counters:
                 best = max(b.counters.values())
                 rows = [r for r, c in b.counters.items() if c == best]
-                aggressor = min(rows) if self.tie_break == "low" else max(rows)
+                aggressor = min(rows)
                 self._clear(b, aggressor)
             if tallies.get(bi):
                 monitor.on_row_refreshed(bi, *victim_rows(aggressor, self.topo.rows_per_bank))
@@ -331,12 +348,12 @@ STALE_OPS = [("act", 0, 0, False), ("rfm", 0, 0, False), ("act", 0, 1, False),
              ("rfm", 0, 0, False)]
 
 
-def _replay_against_scan(ops, tie, bits, resets, abo_th):
+def _replay_against_scan(ops, bits, resets, abo_th):
     """Run `ops` on an indexed device and on the scanning reference; return
     how often a PRE shrank a bank's heap (a rebuild)."""
     t = desk_timing(PRAC_T)
     prac = None if abo_th is None else {"abo_th": abo_th, "bo_n_refs": 2, "bo_n_acts": 1}
-    devs = [cls(DESK, t, prac=prac, ref_resets_counters=resets, tie_break=tie,
+    devs = [cls(DESK, t, prac=prac, ref_resets_counters=resets,
                 monitor=DisturbanceMonitor(6, 64), counter_bits=bits)
             for cls in (DeviceState, _ScanningDevice)]
     fast, ref = devs
@@ -371,21 +388,19 @@ def _replay_against_scan(ops, tie, bits, resets, abo_th):
     return rebuilds
 
 
-@given(ops=st.lists(RFM_OPS, max_size=120), tie=st.sampled_from(["low", "high"]),
-       bits=st.sampled_from([2, 3]), resets=st.booleans(),
-       abo_th=st.sampled_from([None, 2, 3]))
-@example(ops=LONG_OPS, tie="high", bits=3, resets=False, abo_th=None)
-@example(ops=STALE_OPS, tie="low", bits=3, resets=False, abo_th=None)
+@given(ops=st.lists(RFM_OPS, max_size=120), bits=st.sampled_from([2, 3]),
+       resets=st.booleans(), abo_th=st.sampled_from([None, 2, 3]))
+@example(ops=LONG_OPS, bits=3, resets=False, abo_th=None)
+@example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
 @settings(max_examples=300, deadline=None)
-def test_indexed_rfm_matches_scanning_reference(ops, tie, bits, resets, abo_th):
+def test_indexed_rfm_matches_scanning_reference(ops, bits, resets, abo_th):
     """RFM through the per-bank heap gives the scan's events, counters,
     cleared mass, rows at abo_th and monitor state after every command."""
-    _replay_against_scan(ops, tie, bits, resets, abo_th)
+    _replay_against_scan(ops, bits, resets, abo_th)
 
 
-@pytest.mark.parametrize("tie", ["low", "high"])
-def test_long_pre_stretch_rebuilds_the_rfm_heap(tie):
-    assert _replay_against_scan(LONG_OPS, tie, 3, False, None) >= 1
+def test_long_pre_stretch_rebuilds_the_rfm_heap():
+    assert _replay_against_scan(LONG_OPS, 3, False, None) >= 1
 
 
 def test_rfm_heap_desync_raises_naming_the_bank():
@@ -403,22 +418,20 @@ def test_rfm_heap_desync_raises_naming_the_bank():
 
 # ------------------------------------------------------- oracle equivalence
 
-@pytest.mark.parametrize("tie", ["low", "high"])
-def test_wave_replay_matches_prfm_closed_form_sample(tie):
+def test_wave_replay_matches_prfm_closed_form_sample():
     for b0, th in ((8, 4), (1, 1), (5, 4), (17, 3), (64, 5), (33, 7)):
         traj = prfm_trajectory(b0, PrfmParams(th))
-        res = run_wave_attack(b0, PrfmParams(th), BASE_T, tie_break=tie)
-        assert res.sizes == traj.sizes, (b0, th, tie)
+        res = run_wave_attack(b0, PrfmParams(th), BASE_T)
+        assert res.sizes == traj.sizes, (b0, th)
 
 
-@pytest.mark.parametrize("tie", ["low", "high"])
-def test_wave_replay_matches_prac_closed_form_sample(tie):
+def test_wave_replay_matches_prac_closed_form_sample():
     for b0 in (1, 2, 5, 9, 16, 21, 33):
         for refs in (1, 2, 4):
             p = PracParams(abo_th=6, bo_n_refs=refs, bo_n_acts=1)
             traj = prac_trajectory(b0, p, PRAC_T)
-            res = run_wave_attack(b0, p, PRAC_T, tie_break=tie)
-            assert res.sizes == traj.sizes, (b0, refs, tie)
+            res = run_wave_attack(b0, p, PRAC_T)
+            assert res.sizes == traj.sizes, (b0, refs)
 
 
 def test_wave_replay_realized_max_matches_prediction():
