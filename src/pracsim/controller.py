@@ -11,7 +11,21 @@ layout, from least significant block bit upward:
 
     [mop offset] [bankgroup] [bank] [rank] [column high] [row]
 
-The layout is fixed and documented so runs are reproducible.
+The layout is fixed and documented so runs are reproducible. map_address
+is its one definition; the controller decodes each request from constants
+it derives from map_address once per Topology, and a test pins the two
+equal.
+
+Scheduling keeps a candidate index: each bank that holds a candidate (a
+request FR-FCFS+Cap would serve next, see _bank_choice) maps to its choice.
+A bank whose choice may have changed is marked stale instead, and _select
+rebuilds the stale banks before it scans the index. The marking points are
+every change a choice reads: an enqueue or a finished request marks its
+bank; a PRE (_close_row) or an ACT marks the bank it closes or opens; and a
+drain-mode flip, or the read count rising from or falling to 0, marks every
+queued bank, since write eligibility flips with them. A bank that holds only
+writes waiting for the drain has no candidate, so it leaves the scan until
+one of those flips.
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ def inverse_map_address(topo: Topology, rank: int, bankgroup: int,
     return block * BLOCK_BYTES
 
 
-@dataclass(eq=False)   # queues remove requests by identity
+@dataclass(eq=False, slots=True)   # queues remove requests by identity
 class Request:
     req_id: int
     core: int
@@ -105,8 +119,20 @@ class MemoryController:
         self.read_latencies: list = []
         self._last_done = 0
         self._next_id = 0
-        # bank_idx -> (local_ready, 0 if column else 1, arrival, req_id, cmd, req) | None
-        self._choice_cache: dict = {}
+        # the candidate index (module docstring): bank_idx -> (local_ready,
+        # 0 if column else 1, arrival, req_id, cmd, req), only for banks that
+        # hold a candidate, and the banks whose entry awaits a rebuild
+        self._choices: dict = {}
+        self._stale: set = set()
+        # the address decode, from map_address: one group of MOP_GROUP_BLOCKS
+        # blocks lies in bank _group_bank[group % banks_total], and its row
+        # is group // _groups_per_row
+        group_bytes = BLOCK_BYTES * MOP_GROUP_BLOCKS
+        self._group_bytes = group_bytes
+        self._capacity = topo.rows_total * topo.row_size_bytes
+        self._group_bank = [device.bank_index(*map_address(topo, g * group_bytes)[:3])
+                            for g in range(topo.banks_total)]
+        self._groups_per_row = topo.banks_total * (topo.row_size_bytes // group_bytes)
         self._kept = None                # (time made, key) of the decision step returned on
 
     # ------------------------------------------------------------- queue side
@@ -119,18 +145,22 @@ class MemoryController:
     def enqueue(self, core: int, address: int, is_write: bool, now: int) -> Request:
         if not self.can_accept(is_write):
             raise ConfigError("enqueue on a full queue; call can_accept first")
-        rank, bg, bank, row, _ = map_address(self.topo, address)
-        bank_idx = self.dev.bank_index(rank, bg, bank)
-        req = Request(self._next_id, core, now, is_write, bank_idx, row)
+        if not 0 <= address < self._capacity:
+            raise ConfigError(f"address {address:#x} outside capacity {self._capacity:#x}")
+        group = address // self._group_bytes
+        bank_idx = self._group_bank[group % len(self._group_bank)]
+        req = Request(self._next_id, core, now, is_write, bank_idx,
+                      group // self._groups_per_row)
         self._next_id += 1
+        self.bank_q.setdefault(bank_idx, []).append(req)
+        self._stale.add(bank_idx)
         if is_write:
             self.queued_writes += 1
+            self._update_drain_mode()
         else:
             if not self.queued_reads:
-                self._choice_cache.clear()   # write eligibility flips everywhere
+                self._stale.update(self.bank_q)   # write eligibility flips everywhere
             self.queued_reads += 1
-        self.bank_q.setdefault(bank_idx, []).append(req)
-        self._choice_cache.pop(bank_idx, None)
         self._kept = None
         return req
 
@@ -139,7 +169,7 @@ class MemoryController:
     def _close_row(self, bank_idx: int, at: int):
         b = self.dev.banks[bank_idx]   # the PRE may assert a back-off
         self.dev.issue(PRE, (bank_idx, b.open_row), max(at, b.pre_ok, self.dev.blocked_until))
-        self._choice_cache.pop(bank_idx, None)
+        self._stale.add(bank_idx)
 
     def _close_all_rows(self, at: int) -> int:
         """Precharge every open bank from `at`; returns when REF/RFM may issue."""
@@ -172,25 +202,23 @@ class MemoryController:
     # ------------------------------------------------------------- scheduling
 
     def _update_drain_mode(self):
+        """Follow the write count, with hysteresis; called wherever it changes."""
         before = self.draining
         if self.queued_writes >= DRAIN_HIGH:
             self.draining = True
         elif self.draining and self.queued_writes <= DRAIN_LOW:
             self.draining = False
         if self.draining != before:
-            self._choice_cache.clear()
+            self._stale.update(self.bank_q)
 
-    def _eligible(self, req: Request) -> bool:
-        if req.is_write:
-            return self.draining or not self.queued_reads
-        return True
-
-    def _bank_choice(self, bank_idx: int):
+    def _bank_choice(self, bank_idx: int, writes_ok: bool):
         """FR-FCFS+Cap within one bank: hits first until the oldest waiting
-        row-miss has been bypassed FRFCFS_CAP times. Returns the bank-local
-        ready time followed by the tail of _select's key (0 for a column
-        command else 1, arrival, req_id, cmd, req), ignoring channel-global
-        constraints; _select caches it until the bank or its queue changes."""
+        row-miss has been bypassed FRFCFS_CAP times; writes are candidates
+        only if `writes_ok`. Returns the bank-local ready time followed by the
+        tail of _select's key (0 for a column command else 1, arrival,
+        req_id, cmd, req), ignoring channel-global constraints, or None when
+        the bank holds no candidate; _select indexes it until the bank is
+        marked stale."""
         queue = self.bank_q.get(bank_idx)
         choice = None
         b = self.dev.banks[bank_idx]
@@ -199,7 +227,7 @@ class MemoryController:
         hit = None
         if queue:
             for r in queue:
-                if not self._eligible(r):
+                if r.is_write and not writes_ok:
                     continue
                 if oldest is None:
                     oldest = r
@@ -231,27 +259,33 @@ class MemoryController:
 
     def _select(self, now: int, deadline: Optional[int]):
         """The next command over all banks, or None: the least
-        (at, row-after-column, arrival, req_id, cmd, req). req_id is unique,
-        so the order is total and one pass finds the minimum; a key is built
-        only for a bank whose `at` can still win. While a back-off window is
-        open, `deadline` is its deadline and only commands the window allows
-        are candidates."""
+        (at, row-after-column, arrival, req_id, cmd, req). It first rebuilds
+        the stale banks of the candidate index (module docstring), with
+        write eligibility taken once for all of them, then scans only the
+        banks the index holds. req_id is unique, so the order is total and
+        one pass finds the minimum; a key is built only for a bank whose `at`
+        can still win. While a back-off window is open, `deadline` is its
+        deadline and only commands the window allows are candidates."""
+        choices = self._choices
+        stale = self._stale
+        if stale:
+            writes_ok = self.draining or not self.queued_reads
+            for bank_idx in stale:
+                choice = self._bank_choice(bank_idx, writes_ok)
+                if choice is None:
+                    choices.pop(bank_idx, None)
+                else:
+                    choices[bank_idx] = choice
+            stale.clear()
         dev = self.dev
-        row_floor = max(now, dev.blocked_until)
-        col_floor = max(row_floor, dev.burst_ok)
+        row_floor = dev.blocked_until if dev.blocked_until > now else now
+        col_floor = dev.burst_ok if dev.burst_ok > row_floor else row_floor
         raa = self.raa
         prfm_th = self.prfm_th
-        cache = self._choice_cache
         best = held = None
         best_at = held_at = float("inf")
         any_col = False
-        for bank_idx in self.bank_q:
-            choice = cache.get(bank_idx, False)
-            if choice is False:
-                choice = cache[bank_idx] = self._bank_choice(bank_idx)
-            if choice is None:
-                continue
-            local, row_cmd, arrival, req_id, cmd, req = choice
+        for bank_idx, (local, row_cmd, arrival, req_id, cmd, req) in choices.items():
             if row_cmd:
                 at = local if local > row_floor else row_floor
             else:
@@ -289,13 +323,14 @@ class MemoryController:
         self.bank_q[req.bank_idx].remove(req)
         if not self.bank_q[req.bank_idx]:
             del self.bank_q[req.bank_idx]
-        self._choice_cache.pop(req.bank_idx, None)
+        self._stale.add(req.bank_idx)
         if req.is_write:
             self.queued_writes -= 1
+            self._update_drain_mode()
         else:
             self.queued_reads -= 1
             if not self.queued_reads:
-                self._choice_cache.clear()   # writes become eligible everywhere
+                self._stale.update(self.bank_q)   # writes become eligible everywhere
             self.read_latencies.append(done_at - req.arrival)
             # reads leave in issue order on a strictly advancing command bus,
             # so run_cores may deliver completions from the front
@@ -310,13 +345,17 @@ class MemoryController:
     def step(self, now: int) -> int:
         """Run everything due at `now`; returns the next time work exists.
 
+        Each decision comes from _select over the candidate index (module
+        docstring), which carries every bank's choice from one step to the
+        next; a command marks stale only the banks it changes, or every
+        queued bank when it flips write eligibility.
+
         Returning on a future command, step keeps that decision. The next
         step takes it as its first decision, without a scan, only if no
         enqueue came since, no REF or recovery RFM issued first, and `now`
         lies between the time it was made and the command's time: nothing
         else changes the candidates, and raising the floor up to the
         winner's time moves only candidates that lost."""
-        self._update_drain_mode()
         fsm = self.dev.fsm
         kept, self._kept = self._kept, None
         while True:
@@ -346,7 +385,6 @@ class MemoryController:
                 self._kept = (now, best)
                 return min(at, self.next_ref)
             self._execute(cmd, req, at)
-            self._update_drain_mode()
 
     def _execute(self, cmd: str, req: Request, at: int):
         if cmd == PRE:
@@ -359,7 +397,7 @@ class MemoryController:
                 return
             self.dev.issue(ACT, (req.bank_idx, req.row), at)
             self.raa[req.bank_idx] += 1
-            self._choice_cache.pop(req.bank_idx, None)
+            self._stale.add(req.bank_idx)
             if self.mech is not None:
                 victims = self.mech.on_activation(req.bank_idx, req.row, at)
                 if victims:
@@ -367,7 +405,9 @@ class MemoryController:
                     self.preventive_refreshes += 1
         else:  # RD / WR
             self.dev.issue(cmd, (req.bank_idx, req.row), at)
-            oldest = next((r for r in self.bank_q[req.bank_idx] if self._eligible(r)), None)
+            writes_ok = self.draining or not self.queued_reads
+            oldest = next((r for r in self.bank_q[req.bank_idx]
+                           if writes_ok or not r.is_write), None)
             if oldest is not None and oldest is not req and oldest.row != req.row:
                 oldest.bypassed += 1
             self._finish(req, at + self.t.tCL + BURST_PS)

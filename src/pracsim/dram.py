@@ -26,9 +26,9 @@ holding counters, not a scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
 ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation,
-an ACT during back-off recovery, or a REF/RFM while a bank holds an open row
-raises ProtocolError (constraint, missing slack), fatal to simulation and
-fuzz tests.
+an ACT during back-off recovery or to a row outside the bank, or a REF/RFM
+while a bank holds an open row raises ProtocolError (constraint, missing
+slack), fatal to simulation and fuzz tests.
 """
 
 from __future__ import annotations
@@ -267,22 +267,31 @@ class DeviceState:
         slack if that is less, and never raises for it.
         """
         aggressors = None
-        busy = self.t.clock_period
-        self._check(self.blocked_until, now, "command bus/tRFC/tRFM")
+        t = self.t
+        busy = t.clock_period
+        if now < self.blocked_until:
+            raise ProtocolError("command bus/tRFC/tRFM", self.blocked_until - now)
         if cmd == ACT:
             bank_idx, row = addr
             b = self.banks[bank_idx]
             if b.open_row is not None:
                 raise ProtocolError("open-row", 0, "ACT with a row already open")
-            self._check(b.act_ok, now, "tRC/tRP")
+            if now < b.act_ok:
+                raise ProtocolError("tRC/tRP", b.act_ok - now)
             if self.fsm is not None and self.fsm.phase == "recovery":
                 raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
+            if not 0 <= row < self.topo.rows_per_bank:
+                raise ProtocolError("row-range", 0, f"ACT to row {row} outside "
+                                    f"0..{self.topo.rows_per_bank - 1}")
             b.open_row = row
             self.open_banks += 1
             b.last_act = now
-            self._raise_act_ok(b, now + self.t.tRC)
-            b.pre_ok = now + self.t.tRAS
-            b.col_ok = now + self.t.tRCD
+            # now >= act_ok, so act_ok rises; idle_at stays the maximum
+            b.act_ok = act_ok = now + t.tRC
+            if act_ok > self.idle_at:
+                self.idle_at = act_ok
+            b.pre_ok = now + t.tRAS
+            b.col_ok = now + t.tRCD
             if self.monitor is not None:
                 self.monitor.on_act(bank_idx, row)
         elif cmd == PRE:

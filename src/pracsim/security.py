@@ -338,6 +338,8 @@ class SweepGrid:
     def __post_init__(self):
         if self.mechanism not in ("prfm", "prac"):
             raise ConfigError("sweep mechanism must be 'prfm' or 'prac'")
+        if any(b0 < 1 for b0 in self.b0_values):
+            raise ConfigError("a decoy set size b0 must be >= 1")
 
 
 def sweep(grid: SweepGrid, t: TimingParams,

@@ -175,8 +175,10 @@ class CoreModel:
     def __init__(self, core_id: int, records: list, max_instructions: Optional[int]):
         self.core_id = core_id
         self.records = records
-        # a record wider than the window fills it rather than blocking forever
-        self.footprints = [min(r.bubble_count + 1, WINDOW_INSTRS) for r in self.records]
+        # per-record tables run_cores polls. A record wider than the window
+        # fills it rather than blocking forever, so a footprint fits a byte.
+        self.footprints = bytes(min(r.bubble_count + 1, WINDOW_INSTRS) for r in self.records)
+        self.writes = [r.op == "write" for r in self.records]
         self.max_instructions = max_instructions
         self.idx = 0
         self.frontend_ready = 0
@@ -199,15 +201,9 @@ class CoreModel:
         return (not self.fetched
                 and self.occupancy + self.footprints[self.idx] <= WINDOW_INSTRS)
 
-    def can_issue(self, now: int) -> bool:
-        return self.window_has_room() and self.frontend_ready <= now
-
-    def next_record(self) -> TraceRecord:
-        return self.records[self.idx]
-
     def issue(self, now: int, resp_time: Optional[int]):
-        """Dispatch the head record at `now`, once can_issue(now) holds;
-        resp_time is None for outstanding reads."""
+        """Dispatch the head record at `now`, once the window has room for it
+        and frontend_ready <= now; resp_time is None for outstanding reads."""
         size = self.records[self.idx].bubble_count + 1
         footprint = self.footprints[self.idx]
         entry = [size, footprint, resp_time]
@@ -291,21 +287,21 @@ def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunR
         all_done = True
         wake = None
         for core in cores:
-            if not core.fetched and core.frontend_ready <= now:
-                while core.can_issue(now):
-                    rec = core.next_record()
-                    is_write = rec.op == "write"
-                    if not controller.can_accept(is_write):
-                        break
+            # at most one record per core: issuing moves frontend_ready past now
+            if not core.fetched and core.frontend_ready <= now and core.window_has_room():
+                idx = core.idx
+                is_write = core.writes[idx]
+                if controller.can_accept(is_write):
                     entry = core.issue(now, now if is_write else None)
-                    req = controller.enqueue(core.core_id, rec.address, is_write, now)
+                    req = controller.enqueue(core.core_id, core.records[idx].address,
+                                             is_write, now)
                     if not is_write:
                         req_entry[req.req_id] = entry
             if not core.fetched:
                 all_done = False
-                if (core.frontend_ready > now and core.window_has_room()
-                        and (wake is None or core.frontend_ready < wake)):
-                    wake = core.frontend_ready
+                ready = core.frontend_ready
+                if ready > now and (wake is None or ready < wake) and core.window_has_room():
+                    wake = ready
             elif core.pending:
                 all_done = False
         nxt = controller.step(now)   # always later than now

@@ -40,6 +40,14 @@ def test_analyze_empty_grid_usage_error(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("b0", [["0"], ["4", "-5"]])
+def test_analyze_rejects_a_decoy_set_below_one(tmp_path, b0):
+    out = tmp_path / "a.csv"
+    assert main(["analyze", "--mech", "prfm", "--thresholds", "4", "--b0", *b0,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_analyze_require_secure_exit_code(tmp_path):
     # nothing is secure at n_rh = 1
     rc = main(["analyze", "--mech", "prfm", "--nrh", "1", "--require-secure",

@@ -48,6 +48,16 @@ def test_act_act_too_soon_is_a_trc_violation():
     assert err.value.slack_ps == 1
 
 
+@pytest.mark.parametrize("row", [-1, DESK.rows_per_bank, DESK.rows_per_bank + 8])
+def test_act_outside_the_bank_is_rejected_before_any_change(row):
+    dev = fresh_device(monitor=DisturbanceMonitor(8, DESK.rows_per_bank))
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(ACT, (0, row), 1_000_000)
+    assert err.value.constraint == "row-range"
+    assert dev.banks[0].open_row is None and dev.counts[ACT] == 0 and not dev.monitor.pair
+    dev.issue(ACT, (0, DESK.rows_per_bank - 1), 1_000_000)
+
+
 def test_one_command_per_clock_on_the_command_bus():
     dev = fresh_device()
     dev.issue(ACT, (0, 1), 1_000_000)
