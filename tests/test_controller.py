@@ -391,7 +391,7 @@ _WRITE_FLOOD = [[(i % 3, i % 5 != 0, (i * 7 + c) % 4, (i * 3 + c) % 6, i % 16)
 @settings(max_examples=60, deadline=None)
 def test_controller_matches_the_uncached_reference(kind, attacker, cores, abo_th, refs,
                                                    rfm_th):
-    """The choice cache and the kept decision change no command, time or IPC.
+    """The candidate index and the kept decision change no command, time or IPC.
     Requests to banks 0, 1, 4 and 8 (bank groups 0-2 of rank 0) and rows 0-5
     keep conflicts, hits and PRAC back-offs frequent; with `attacker`, a
     first core hammers four rows of bank 12 with no bubbles."""
