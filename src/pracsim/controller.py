@@ -26,6 +26,14 @@ drain-mode flip, or the read count rising from or falling to 0, marks every
 queued bank, since write eligibility flips with them. A bank that holds only
 writes waiting for the drain has no candidate, so it leaves the scan until
 one of those flips.
+
+Stepping has a horizon: step(now, until) issues commands back to back past
+`now` while the next one (or the next REF) comes before `until`, the first
+time the caller may act. It stops early at the first queued read completion
+and when a request leaves a full read or write queue, the two controller
+events a stalled core waits for. So run_cores visits its cores only when
+one of them may act, and every command still issues at the time it would
+if the controller were stepped at each time it returns.
 """
 
 from __future__ import annotations
@@ -134,6 +142,15 @@ class MemoryController:
                             for g in range(topo.banks_total)]
         self._groups_per_row = topo.banks_total * (topo.row_size_bytes // group_bytes)
         self._kept = None                # (time made, key) of the decision step returned on
+        self._until = 0                  # the running step's horizon, see step
+        # a command fits an open service window only if its bank can be
+        # precharged, tRP after its PRE, by the back-off deadline: the last
+        # ACT may issue no later than deadline - tRC, and closing every bank
+        # costs one command-bus hop each ahead of the recovery RFM. So `at`
+        # plus the command's entry here must not pass the deadline.
+        margin = (topo.banks_total + 2) * t.clock_period
+        self._window_tail = {cmd: tail + t.tRP + margin for cmd, tail in
+                             ((ACT, t.tRAS), (RD, t.tRTP), (WR, t.tWR), (PRE, 0))}
 
     # ------------------------------------------------------------- queue side
 
@@ -248,15 +265,6 @@ class MemoryController:
                 choice = (b.pre_ok, 1, req.arrival, req.req_id, PRE, req)
         return choice
 
-    def _window_allows(self, cmd: str, at: int, deadline: int) -> bool:
-        """A command fits the open service window only if its bank can be
-        precharged, tRP after its PRE, by the back-off deadline: the last ACT
-        may issue no later than deadline - tRC, and closing every bank costs
-        one command-bus hop each ahead of the recovery RFM."""
-        tail = {ACT: self.t.tRAS, RD: self.t.tRTP, WR: self.t.tWR}.get(cmd, 0) + self.t.tRP
-        margin = (self.topo.banks_total + 2) * self.t.clock_period
-        return at + tail + margin <= deadline
-
     def _select(self, now: int, deadline: Optional[int]):
         """The next command over all banks, or None: the least
         (at, row-after-column, arrival, req_id, cmd, req). It first rebuilds
@@ -265,7 +273,8 @@ class MemoryController:
         banks the index holds. req_id is unique, so the order is total and
         one pass finds the minimum; a key is built only for a bank whose `at`
         can still win. While a back-off window is open, `deadline` is its
-        deadline and only commands the window allows are candidates."""
+        deadline and only commands that fit it (_window_tail) are
+        candidates."""
         choices = self._choices
         stale = self._stale
         if stale:
@@ -282,6 +291,7 @@ class MemoryController:
         col_floor = dev.burst_ok if dev.burst_ok > row_floor else row_floor
         raa = self.raa
         prfm_th = self.prfm_th
+        window_tail = self._window_tail
         best = held = None
         best_at = held_at = float("inf")
         any_col = False
@@ -290,7 +300,7 @@ class MemoryController:
                 at = local if local > row_floor else row_floor
             else:
                 at = local if local > col_floor else col_floor
-            if deadline is not None and not self._window_allows(cmd, at, deadline):
+            if deadline is not None and at + window_tail[cmd] > deadline:
                 continue
             if not row_cmd:
                 any_col = True
@@ -324,6 +334,8 @@ class MemoryController:
         if not self.bank_q[req.bank_idx]:
             del self.bank_q[req.bank_idx]
         self._stale.add(req.bank_idx)
+        if not self.can_accept(req.is_write):
+            self._until = 0   # a core may be waiting for this free slot
         if req.is_write:
             self.queued_writes -= 1
             self._update_drain_mode()
@@ -339,25 +351,44 @@ class MemoryController:
                                    f"an earlier one at {self._last_done} ps")
             self._last_done = done_at
             self.completions.append((done_at, req))
+            if done_at < self._until:
+                self._until = done_at
 
     # ------------------------------------------------------------- main hooks
 
-    def step(self, now: int) -> int:
-        """Run everything due at `now`; returns the next time work exists.
+    def step(self, now: int, until: int = 0) -> int:
+        """Run everything due at `now`, and on past it up to the horizon
+        `until`; returns the next time work exists.
 
         Each decision comes from _select over the candidate index (module
         docstring), which carries every bank's choice from one step to the
         next; a command marks stale only the banks it changes, or every
         queued bank when it flips write eligibility.
 
+        The horizon: while the next time work exists (the next decision's
+        command or REF, whichever comes first) lies before the horizon, step
+        moves `now` there and goes on instead of returning, so one call
+        equals stepping at each returned time below the horizon. The caller
+        sets `until` to the first time it may act (run_cores: the earliest
+        frontend wake-up, at most the cycle cap; 0, the default, runs only
+        what is due at `now`). Step itself lowers the horizon to the first
+        queued read completion, and to 0 when a request leaves a full read
+        or write queue, since a core may then act. The run-ahead ends: each
+        pass issues a command or moves `now` forward, and `now` stays below
+        the horizon, which is finite.
+
         Returning on a future command, step keeps that decision. The next
         step takes it as its first decision, without a scan, only if no
         enqueue came since, no REF or recovery RFM issued first, and `now`
         lies between the time it was made and the command's time: nothing
         else changes the candidates, and raising the floor up to the
-        winner's time moves only candidates that lost."""
+        winner's time moves only candidates that lost. A decision inside the
+        horizon is taken the same way, in place."""
         fsm = self.dev.fsm
         kept, self._kept = self._kept, None
+        if self.completions and self.completions[0][0] < until:
+            until = self.completions[0][0]
+        self._until = until
         while True:
             phase = None if fsm is None else fsm.phase
             if phase == "recovery":
@@ -379,11 +410,20 @@ class MemoryController:
                 now = self._serve_recovery(now)
                 continue
             if best is None:
-                return self.next_ref
+                if self.next_ref >= self._until:
+                    return self.next_ref
+                now = self.next_ref
+                continue
             at, _, _, _, cmd, req = best
             if at > now:
-                self._kept = (now, best)
-                return min(at, self.next_ref)
+                nxt = at if at < self.next_ref else self.next_ref
+                if nxt >= self._until:
+                    self._kept = (now, best)
+                    return nxt
+                if nxt < at:
+                    now = nxt   # the REF comes first, inside the horizon
+                    continue
+                now = at
             self._execute(cmd, req, at)
 
     def _execute(self, cmd: str, req: Request, at: int):

@@ -48,8 +48,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
-import numpy as np
-
 from .dram import Topology
 from .timing import ConfigError, TimingParams
 
@@ -206,6 +204,7 @@ def _feasible_rounds(p: WaveParams, t: TimingParams, b0s):
         q, r = divmod(room, divisor * tRC + block), the last S that fits is
         q * divisor + min(r // tRC, divisor - 1), negative when room is.
     """
+    import numpy as np   # here, not at module level: the CLI starts without it
     removed, divisor, prime, block = p.wave(t)
     b0 = np.asarray(b0s, dtype=np.int64)
     # in place: a full-size bank has 64K sizes, so every temporary array counts
@@ -229,6 +228,7 @@ def _feasible_rounds(p: WaveParams, t: TimingParams, b0s):
 
 
 def _starting_sizes(p: WaveParams, t: TimingParams, rows_per_bank: int):
+    import numpy as np
     # an attacker cannot touch more distinct rows than it has activations
     return np.arange(1, max(1, min(rows_per_bank, act_budget(t, p))) + 1)
 

@@ -282,10 +282,10 @@ def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunR
             done_at, req = completions.popleft()
             cores[req.core].on_response(req_entry.pop(req.req_id), done_at)
         # ready cores hand requests to the controller; the same pass finds
-        # whether all are done and the next frontend wake-up (cores stalled
-        # on a full queue or window wake on those events)
+        # whether all are done and the next frontend wake-up, at most the
+        # cap (cores stalled on a full queue or window wake on those events)
         all_done = True
-        wake = None
+        wake = cap
         for core in cores:
             # at most one record per core: issuing moves frontend_ready past now
             if not core.fetched and core.frontend_ready <= now and core.window_has_room():
@@ -300,18 +300,19 @@ def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunR
             if not core.fetched:
                 all_done = False
                 ready = core.frontend_ready
-                if ready > now and (wake is None or ready < wake) and core.window_has_room():
+                if now < ready < wake and core.window_has_room():
                     wake = ready
             elif core.pending:
                 all_done = False
-        nxt = controller.step(now)   # always later than now
+        # until the horizon no core can act: each is fetched, waits for its
+        # wake-up, or needs a completion or a free queue slot, and the
+        # controller stops at the first of those itself
+        nxt = controller.step(now, 0 if all_done else wake)   # always later than now
         if all_done or now >= cap:
             break
         if completions and completions[0][0] < nxt:
             nxt = completions[0][0]
-        if wake is not None and wake < nxt:
-            nxt = wake
-        now = min(nxt, cap)
+        now = nxt if nxt < wake else wake
 
     end = now if now >= cap else max([c.retire_clock for c in cores] + [now])
     dev = controller.dev

@@ -1,5 +1,8 @@
 import hashlib
+import subprocess
+import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -454,3 +457,14 @@ def test_graphene_is_sized_at_the_run_refresh_window():
     longer = resolve_spec({**full, "timing": {"trefw": 64_000_000_000}}).mitigation
     assert longer.threshold == base.threshold
     assert longer.table_entries > base.table_entries
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # the analyzer's kernels import numpy on first use, so a run that
+    # derives no threshold never loads it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import pracsim.cli; "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

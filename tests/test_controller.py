@@ -9,6 +9,8 @@ from pracsim.attack import run_wave_attack
 from pracsim.cli import MECHANISMS, _mechanism
 from pracsim.controller import (
     MOP_GROUP_BLOCKS,
+    READ_QUEUE_DEPTH,
+    WRITE_QUEUE_DEPTH,
     DeadlineOverrun,
     MemoryController,
     inverse_map_address,
@@ -333,18 +335,64 @@ def test_a_late_step_or_an_enqueue_decides_afresh():
     assert dev.counts["ACT"] == 2 and dev.banks[0].open_row == 5
 
 
+def _step_to_stop(ctrl, now, until):
+    """Step `ctrl` at each time it returns, with no horizon, until a core could
+    act: the returned time reaches `until` or the first queued completion, or
+    a full queue gained a free slot. Returns the last returned time."""
+    while True:
+        full = [is_write for is_write in (False, True) if not ctrl.can_accept(is_write)]
+        now = ctrl.step(now)
+        if (now >= until or any(ctrl.can_accept(is_write) for is_write in full)
+                or (ctrl.completions and now >= ctrl.completions[0][0])):
+            return now
+
+
+@pytest.mark.parametrize("stop,requests,writes,until", [
+    ("wake", 40, True, T_DESK.tREFI + T_DESK.tRFC + 300_000),
+    ("all-done", 40, True, 0),
+    ("completion", 40, False, 10 * T_DESK.tREFI),
+    ("full read queue", READ_QUEUE_DEPTH, False, 10 * T_DESK.tREFI),
+    ("full write queue", WRITE_QUEUE_DEPTH, True, 10 * T_DESK.tREFI),
+])
+def test_one_step_to_the_horizon_matches_stepping_at_every_returned_time(stop, requests,
+                                                                         writes, until):
+    # REF falls due just after the start, inside every horizon but the last
+    # (0), so the run-ahead passes it; each case ends on its own stop
+    start = T_DESK.tREFI - 1
+    runs = []
+    for horizon in (True, False):
+        dev, ctrl = make()
+        for i in range(requests):
+            ctrl.enqueue(0, _desk_addr(i % 3, (i * 7) % 5), writes, start)
+        nxt = ctrl.step(start, until) if horizon else _step_to_stop(ctrl, start, until)
+        runs.append((nxt, dict(dev.counts), ctrl.read_latencies,
+                     [(done, req.req_id) for done, req in ctrl.completions]))
+    assert runs[0] == runs[1]
+    nxt, counts, _, completions = runs[0]
+    assert counts["REF"] == (stop != "all-done")
+    assert ctrl.bank_q   # work remains past the stop
+    if stop == "wake":
+        assert nxt >= until and not completions
+    elif stop == "completion":
+        assert nxt >= completions[0][0]
+    elif stop.startswith("full"):
+        assert ctrl.queued_reads + ctrl.queued_writes == requests - 1
+        assert not completions or nxt < completions[0][0]
+
+
 # ------------------------------------------------------- reference controller
 
 class _UncachedController(MemoryController):
-    """Reference: every queued bank's choice rebuilt at every _select, and no
-    decision kept from one step to the next."""
+    """Reference: every queued bank's choice rebuilt at every _select, no
+    decision kept from one step to the next, and no horizon: run_cores steps
+    it at every time it returns."""
 
     def _select(self, now, deadline):
         self._choices.clear()
         self._stale.update(self.bank_q)
         return super()._select(now, deadline)
 
-    def step(self, now):
+    def step(self, now, until=0):
         self._kept = None
         return super().step(now)
 
@@ -391,7 +439,8 @@ _WRITE_FLOOD = [[(i % 3, i % 5 != 0, (i * 7 + c) % 4, (i * 3 + c) % 6, i % 16)
 @settings(max_examples=60, deadline=None)
 def test_controller_matches_the_uncached_reference(kind, attacker, cores, abo_th, refs,
                                                    rfm_th):
-    """The candidate index and the kept decision change no command, time or IPC.
+    """The candidate index, the kept decision and the horizon change no
+    command, time or IPC.
     Requests to banks 0, 1, 4 and 8 (bank groups 0-2 of rank 0) and rows 0-5
     keep conflicts, hits and PRAC back-offs frequent; with `attacker`, a
     first core hammers four rows of bank 12 with no bubbles."""
