@@ -420,10 +420,9 @@ class MemoryController:
                 if nxt >= self._until:
                     self._kept = (now, best)
                     return nxt
-                if nxt < at:
-                    now = nxt   # the REF comes first, inside the horizon
-                    continue
-                now = at
+                now = nxt
+                if at >= self.next_ref:
+                    continue   # the REF is due first, even at the command's time
             self._execute(cmd, req, at)
 
     def _execute(self, cmd: str, req: Request, at: int):

@@ -380,6 +380,22 @@ def test_one_step_to_the_horizon_matches_stepping_at_every_returned_time(stop, r
         assert not completions or nxt < completions[0][0]
 
 
+def test_a_ref_due_at_a_commands_time_goes_first_inside_the_horizon():
+    # the read's RD falls due exactly at tREFI; stepped at the time it returns,
+    # the controller issues the REF first, so one step to a far horizon must too
+    start, until = T_DESK.tREFI - T_DESK.tRCD, 10 * T_DESK.tREFI
+    runs = []
+    for horizon in (True, False):
+        dev, ctrl = make()
+        dev.issue("ACT", (0, 0), start)
+        ctrl.enqueue(0, _desk_addr(0, 0), False, start)
+        nxt = ctrl.step(start, until) if horizon else _step_to_stop(ctrl, start, until)
+        runs.append((nxt, dict(dev.counts), ctrl.read_latencies,
+                     [(done, req.req_id) for done, req in ctrl.completions]))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["REF"] == 1 and runs[0][1]["ACT"] == 2   # the REF closed the row
+
+
 # ------------------------------------------------------- reference controller
 
 class _UncachedController(MemoryController):
@@ -430,9 +446,14 @@ _RECORD = st.tuples(st.integers(0, 6), st.booleans(), st.integers(0, 3), st.inte
 # the drawn traces seldom do, so drain-mode flips meet the reference too
 _WRITE_FLOOD = [[(i % 3, i % 5 != 0, (i * 7 + c) % 4, (i * 3 + c) % 6, i % 16)
                  for i in range(120)] for c in range(3)]
+# three cores of back-to-back reads fill the read queue, so the horizon's stop
+# at a freed read slot meets the reference on every run, not on a rare draw
+_READ_FLOOD = [[(0, False, (i + c) % 4, (i * 5 + c) % 6, i % 16) for i in range(120)]
+               for c in range(3)]
 
 
 @example(kind="prac", attacker=False, cores=_WRITE_FLOOD, abo_th=2, refs=1, rfm_th=3)
+@example(kind="none", attacker=False, cores=_READ_FLOOD, abo_th=2, refs=1, rfm_th=3)
 @given(kind=st.sampled_from(tuple(MECHANISMS)), attacker=st.booleans(),
        cores=st.lists(st.lists(_RECORD, min_size=1, max_size=60), min_size=1, max_size=3),
        abo_th=st.integers(1, 4), refs=st.sampled_from([1, 2, 4]), rfm_th=st.integers(1, 6))
