@@ -366,16 +366,17 @@ class MemoryController:
         queued bank when it flips write eligibility.
 
         The horizon: while the next time work exists (the next decision's
-        command or REF, whichever comes first) lies before the horizon, step
-        moves `now` there and goes on instead of returning, so one call
-        equals stepping at each returned time below the horizon. The caller
-        sets `until` to the first time it may act (run_cores: the earliest
-        frontend wake-up, at most the cycle cap; 0, the default, runs only
-        what is due at `now`). Step itself lowers the horizon to the first
-        queued read completion, and to 0 when a request leaves a full read
-        or write queue, since a core may then act. The run-ahead ends: each
-        pass issues a command or moves `now` forward, and `now` stays below
-        the horizon, which is finite.
+        command or REF, whichever comes first; a REF due at the command's
+        time goes first) lies before the horizon, step moves `now` there and
+        goes on instead of returning, so one call equals stepping at each
+        returned time below the horizon. The caller sets `until` to the
+        first time it may act (run_cores: the earliest frontend wake-up, at
+        most the cycle cap, or 0 once every core is done; 0, the default,
+        runs only what is due at `now`). Step itself lowers the horizon to
+        the first queued read completion, and to 0 when a request leaves a
+        full read or write queue, since a core may then act. The run-ahead
+        ends: each pass issues a command or moves `now` forward, and `now`
+        stays below the horizon, which is finite.
 
         Returning on a future command, step keeps that decision. The next
         step takes it as its first decision, without a scan, only if no
