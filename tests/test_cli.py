@@ -278,28 +278,54 @@ def test_simulate_and_replay_byte_identical(tmp_path):
 
 GOLDEN_WORKLOAD = {"mixes": "6", "seed": "3", "records": "200",
                    "instructions_per_core": "1500", "max_cycles": "1000000"}
-# (kind, n_rh, extra [workload] keys, sha256 of reports.csv)
+# (kind, n_rh, extra [workload] keys, sha256 of reports.csv,
+#  sha256 of the command schedule, see test_reports_csv_golden)
 GOLDEN = [
-    ("prac+prfm", 32, {}, "2e1d07fb7f700889ce28e0e79881f4e8d0bce15991a9126d516f0dfd746fe9fd"),
-    ("hydra", 32, {}, "7e747051e574b045b03672724b8e9ef426a293b44555e4324404f70c73b5bb1e"),
-    ("para", 32, {}, "4b5ddb4c3b17a1b8ab12c5895fd8a9896daf25fdeb4f3282645a5355765c0c0f"),
-    ("graphene", 32, {}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f"),
+    ("prac+prfm", 32, {}, "2e1d07fb7f700889ce28e0e79881f4e8d0bce15991a9126d516f0dfd746fe9fd",
+     "fd32260a61dd768031b4afe3b3719faf883a60a325abaf81bfbecab56ac5865d"),
+    ("hydra", 32, {}, "7e747051e574b045b03672724b8e9ef426a293b44555e4324404f70c73b5bb1e",
+     "4faf61b85e56d38ba27bf717a2476b1b6bff6eb6242edb16e1ac90f75d750758"),
+    ("para", 32, {}, "4b5ddb4c3b17a1b8ab12c5895fd8a9896daf25fdeb4f3282645a5355765c0c0f",
+     "3c0acb07e2b2bbde7a5e8f705792c0f12d4e8296b85c8a5509a161969568d1e0"),
+    ("graphene", 32, {}, "27bc4da8b4a3ef8526fb41852ed3f23eb60b9d733e495b17b957c00db8354c4f",
+     "cde9f99fb045366631fd86ea0ffa4521468379ebfd42c71fa043ca10d4bc69b7"),
     ("prfm", 32, {"attacker": "dos"},
-     "e31be469843020aec664398e7918ae21219cf82d65dc6d133fdc52d8474e1fb2"),
+     "e31be469843020aec664398e7918ae21219cf82d65dc6d133fdc52d8474e1fb2",
+     "de616aa5f0882d3136eb43d01e99ce4bbd1887729971f71c8b9bb0f6c3ef2303"),
     # 5-6 back-offs per mix: commands are chosen inside open service windows
     ("prac", 8, {"attacker": "dos"},
-     "717d199a00c9d7d094881486cdc6a6a6027349326bc815e1c1e7a4dec5a0c108"),
+     "717d199a00c9d7d094881486cdc6a6a6027349326bc815e1c1e7a4dec5a0c108",
+     "1335282a485b6f882602d991a41feca0ac29306f6f4f4b28c611e639d1ebda10"),
 ]
 
 
-@pytest.mark.parametrize("kind, n_rh, extra, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_reports_csv_golden(tmp_path, kind, n_rh, extra, digest):
+@pytest.mark.parametrize("kind, n_rh, extra, digest, schedule", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_reports_csv_golden(tmp_path, monkeypatch, kind, n_rh, extra, digest, schedule):
     """Pins reports.csv byte for byte on small desk campaigns, so changes
-    meant to keep behaviour (refactors, speedups) can show they do."""
+    meant to keep behaviour (refactors, speedups) can show they do. It also
+    pins the command schedule behind it: every DeviceState.issue and
+    refresh_rows call of the run, in order and with its time, since a
+    reordering can leave every reported number equal."""
+    log = hashlib.sha256()
+    issue, refresh_rows = DeviceState.issue, DeviceState.refresh_rows
+
+    def logged_issue(dev, cmd, addr, now):
+        log.update(f"{cmd} {addr} {now}\n".encode())
+        return issue(dev, cmd, addr, now)
+
+    def logged_refresh(dev, bank_idx, rows, now):
+        log.update(f"rows {bank_idx} {tuple(rows)} {now}\n".encode())
+        return refresh_rows(dev, bank_idx, rows, now)
+
+    monkeypatch.setattr(DeviceState, "issue", logged_issue)
+    monkeypatch.setattr(DeviceState, "refresh_rows", logged_refresh)
+    monkeypatch.setenv("PRACSIM_WORKERS", "1")   # every run in this process, in order
     ini = _write_ini(tmp_path / "g.ini", {"mitigation": {"kind": kind, "n_rh": str(n_rh)},
                                           "workload": {**GOLDEN_WORKLOAD, **extra}})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
     assert hashlib.sha256((tmp_path / "o" / "reports.csv").read_bytes()).hexdigest() == digest
+    assert log.hexdigest() == schedule
 
 
 def test_window_budget_leaves_trp_before_the_recovery_rfm(tmp_path):
