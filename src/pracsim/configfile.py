@@ -27,8 +27,8 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-# every duration except tRC, which is always rebuilt as tRAS + tRP
-_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams) if f.name != "tRC")
+# every duration a caller may set: not tRC, which is always tRAS + tRP
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingParams) if f.init)
 
 SCHEMA = {
     "timing": {"preset": str, **{f.lower(): parse_duration for f in _TIMING_FIELDS}},
@@ -79,10 +79,7 @@ def timing_from_config(cfg: dict, default_preset: str = "ddr5-3200an-base") -> T
     sec = cfg.get("timing", {})
     t = preset(sec.get("preset", default_preset))
     overrides = {f: sec[f.lower()] for f in _TIMING_FIELDS if f.lower() in sec}
-    if overrides:
-        trc = overrides.get("tRAS", t.tRAS) + overrides.get("tRP", t.tRP)
-        t = replace(t, tRC=trc, **overrides)
-    return t
+    return replace(t, **overrides)
 
 
 @dataclass

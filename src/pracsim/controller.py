@@ -25,7 +25,8 @@ bank; a PRE (_close_row) or an ACT marks the bank it closes or opens; and a
 drain-mode flip, or the read count rising from or falling to 0, marks every
 queued bank, since write eligibility flips with them. A bank that holds only
 writes waiting for the drain has no candidate, so it leaves the scan until
-one of those flips.
+one of those flips. A choice that is a row hit also names the oldest miss it
+bypasses, so issuing it raises that miss's count without a queue scan.
 
 Stepping has a horizon: step(now, until) issues commands back to back past
 `now` while the next one (or the next REF) comes before `until`, the first
@@ -128,8 +129,9 @@ class MemoryController:
         self._last_done = 0
         self._next_id = 0
         # the candidate index (module docstring): bank_idx -> (local_ready,
-        # 0 if column else 1, arrival, req_id, cmd, req), only for banks that
-        # hold a candidate, and the banks whose entry awaits a rebuild
+        # 0 if column else 1, arrival, req_id, cmd, req, passed), only for
+        # banks that hold a candidate, and the banks whose entry awaits a
+        # rebuild
         self._choices: dict = {}
         self._stale: set = set()
         # the address decode, from map_address: one group of MOP_GROUP_BLOCKS
@@ -141,7 +143,6 @@ class MemoryController:
         self._group_bank = [device.bank_index(*map_address(topo, g * group_bytes)[:3])
                             for g in range(topo.banks_total)]
         self._groups_per_row = topo.banks_total * (topo.row_size_bytes // group_bytes)
-        self._kept = None                # (time made, key) of the decision step returned on
         self._until = 0                  # the running step's horizon, see step
         # a command fits an open service window only if its bank can be
         # precharged, tRP after its PRE, by the back-off deadline: the last
@@ -178,7 +179,6 @@ class MemoryController:
             if not self.queued_reads:
                 self._stale.update(self.bank_q)   # write eligibility flips everywhere
             self.queued_reads += 1
-        self._kept = None
         return req
 
     # --------------------------------------------------------- device helpers
@@ -233,9 +233,13 @@ class MemoryController:
         row-miss has been bypassed FRFCFS_CAP times; writes are candidates
         only if `writes_ok`. Returns the bank-local ready time followed by the
         tail of _select's key (0 for a column command else 1, arrival,
-        req_id, cmd, req), ignoring channel-global constraints, or None when
-        the bank holds no candidate; _select indexes it until the bank is
-        marked stale."""
+        req_id, cmd, req, passed), ignoring channel-global constraints, or
+        None when the bank holds no candidate; _select indexes it until the
+        bank is marked stale. `passed` is the oldest eligible request when
+        the command is a row hit that bypasses it (a RD/WR while that
+        request's row is not open), else None: the miss whose count the
+        column command raises. It stays exact while indexed, since every
+        change to the queue or to write eligibility marks the bank stale."""
         queue = self.bank_q.get(bank_idx)
         choice = None
         b = self.dev.banks[bank_idx]
@@ -258,16 +262,18 @@ class MemoryController:
                                          and oldest.bypassed >= FRFCFS_CAP)):
                 req = hit
             if open_row == req.row:
-                choice = (b.col_ok, 0, req.arrival, req.req_id, WR if req.is_write else RD, req)
+                choice = (b.col_ok, 0, req.arrival, req.req_id, WR if req.is_write else RD,
+                          req, None if oldest.row == open_row else oldest)
             elif open_row is None:
-                choice = (b.act_ok, 1, req.arrival, req.req_id, ACT, req)
+                choice = (b.act_ok, 1, req.arrival, req.req_id, ACT, req, None)
             else:
-                choice = (b.pre_ok, 1, req.arrival, req.req_id, PRE, req)
+                choice = (b.pre_ok, 1, req.arrival, req.req_id, PRE, req, None)
         return choice
 
     def _select(self, now: int, deadline: Optional[int]):
         """The next command over all banks, or None: the least
-        (at, row-after-column, arrival, req_id, cmd, req). It first rebuilds
+        (at, row-after-column, arrival, req_id, cmd, req, passed), with
+        `passed` as _bank_choice gives it. It first rebuilds
         the stale banks of the candidate index (module docstring), with
         write eligibility taken once for all of them, then scans only the
         banks the index holds. req_id is unique, so the order is total and
@@ -295,7 +301,7 @@ class MemoryController:
         best = held = None
         best_at = held_at = float("inf")
         any_col = False
-        for bank_idx, (local, row_cmd, arrival, req_id, cmd, req) in choices.items():
+        for bank_idx, (local, row_cmd, arrival, req_id, cmd, req, passed) in choices.items():
             if row_cmd:
                 at = local if local > row_floor else row_floor
             else:
@@ -306,12 +312,12 @@ class MemoryController:
                 any_col = True
             elif cmd == ACT and prfm_th is not None and raa[bank_idx] >= prfm_th:
                 if at <= held_at:
-                    key = (at, 1, arrival, req_id, cmd, req)
+                    key = (at, 1, arrival, req_id, cmd, req, passed)
                     if held is None or key < held:
                         held, held_at = key, at
                 continue
             if at <= best_at:
-                key = (at, row_cmd, arrival, req_id, cmd, req)
+                key = (at, row_cmd, arrival, req_id, cmd, req, passed)
                 if best is None or key < best:
                     best, best_at = key, at
         # an activation that would first fire an all-bank RFM (closing every
@@ -360,10 +366,11 @@ class MemoryController:
         """Run everything due at `now`, and on past it up to the horizon
         `until`; returns the next time work exists.
 
-        Each decision comes from _select over the candidate index (module
-        docstring), which carries every bank's choice from one step to the
-        next; a command marks stale only the banks it changes, or every
-        queued bank when it flips write eligibility.
+        Every decision, the first of a call included, comes from _select
+        over the candidate index (module docstring), which carries every
+        bank's choice from one step to the next; a command marks stale only
+        the banks it changes, or every queued bank when it flips write
+        eligibility.
 
         The horizon: while the next time work exists (the next decision's
         command or REF, whichever comes first; a REF due at the command's
@@ -376,17 +383,8 @@ class MemoryController:
         the first queued read completion, and to 0 when a request leaves a
         full read or write queue, since a core may then act. The run-ahead
         ends: each pass issues a command or moves `now` forward, and `now`
-        stays below the horizon, which is finite.
-
-        Returning on a future command, step keeps that decision. The next
-        step takes it as its first decision, without a scan, only if no
-        enqueue came since, no REF or recovery RFM issued first, and `now`
-        lies between the time it was made and the command's time: nothing
-        else changes the candidates, and raising the floor up to the
-        winner's time moves only candidates that lost. A decision inside the
-        horizon is taken the same way, in place."""
+        stays below the horizon, which is finite."""
         fsm = self.dev.fsm
-        kept, self._kept = self._kept, None
         if self.completions and self.completions[0][0] < until:
             until = self.completions[0][0]
         self._until = until
@@ -394,18 +392,12 @@ class MemoryController:
             phase = None if fsm is None else fsm.phase
             if phase == "recovery":
                 now = self._serve_recovery(now)
-                kept = None
                 continue
             if now >= self.next_ref:
                 self._issue_ref(self.next_ref)
-                kept = None
                 continue
             deadline = self.dev.backoff_deadline if phase == "window" else None
-            if kept is not None and kept[0] <= now <= kept[1][0]:
-                best = kept[1]
-            else:
-                best = self._select(now, deadline)
-            kept = None
+            best = self._select(now, deadline)
             if deadline is not None and (best is None or best[0] > deadline):
                 # nothing more can be served inside the window: recover early
                 now = self._serve_recovery(now)
@@ -415,18 +407,17 @@ class MemoryController:
                     return self.next_ref
                 now = self.next_ref
                 continue
-            at, _, _, _, cmd, req = best
+            at, _, _, _, cmd, req, passed = best
             if at > now:
                 nxt = at if at < self.next_ref else self.next_ref
                 if nxt >= self._until:
-                    self._kept = (now, best)
                     return nxt
                 now = nxt
                 if at >= self.next_ref:
                     continue   # the REF is due first, even at the command's time
-            self._execute(cmd, req, at)
+            self._execute(cmd, req, passed, at)
 
-    def _execute(self, cmd: str, req: Request, at: int):
+    def _execute(self, cmd: str, req: Request, passed: Optional[Request], at: int):
         if cmd == PRE:
             self._close_row(req.bank_idx, at)
         elif cmd == ACT:
@@ -445,9 +436,6 @@ class MemoryController:
                     self.preventive_refreshes += 1
         else:  # RD / WR
             self.dev.issue(cmd, (req.bank_idx, req.row), at)
-            writes_ok = self.draining or not self.queued_reads
-            oldest = next((r for r in self.bank_q[req.bank_idx]
-                           if writes_ok or not r.is_write), None)
-            if oldest is not None and oldest is not req and oldest.row != req.row:
-                oldest.bypassed += 1
+            if passed is not None:
+                passed.bypassed += 1
             self._finish(req, at + self.t.tCL + BURST_PS)

@@ -239,6 +239,9 @@ def _starting_sizes(p: WaveParams, t: TimingParams, rows_per_bank: int):
 
 @dataclass(frozen=True)
 class Verdict:
+    """A wave-attack verdict. `witness_b0` is the wave's smallest starting
+    size that reaches n_rh, not the fewest rows any attack needs: with few
+    rows, other access patterns reach more activations than the wave."""
     secure: bool
     witness_b0: Optional[int] = None
 
@@ -285,8 +288,10 @@ is_secure_prfm = is_secure_prac = is_secure
 
 def max_activations_prac(p: PracParams, t: TimingParams,
                          rows_per_bank: int = Topology.rows_per_bank) -> int:
-    """Highest activation count under the back-off protocol, maximized over
-    the starting set size (decoys are primed to abo_th - 1 first)."""
+    """Highest activation count the wave attack reaches under the back-off
+    protocol, maximized over the starting set size (decoys are primed to
+    abo_th - 1 first). Other access patterns can reach more when rows are
+    few, so this bounds the wave, not every attack."""
     rounds = _feasible_rounds(p, t, _starting_sizes(p, t, rows_per_bank))
     return p.abo_th - 1 + sum(1 for _ in rounds)
 
@@ -344,9 +349,11 @@ class SweepGrid:
 
 def sweep(grid: SweepGrid, t: TimingParams,
           rows_per_bank: int = Topology.rows_per_bank) -> list:
-    """One row per grid point: the worst-case activation count and the
-    smallest RowHammer threshold the point is secure against. A PRFM cell
-    counts the rounds its own decoy set size b0 completes."""
+    """One row per grid point: the wave attack's activation count and the
+    smallest RowHammer threshold the point is secure against it. A PRFM cell
+    counts the rounds its own decoy set size b0 completes. The count is the
+    wave's, not a worst case over every access pattern: with few rows,
+    other patterns reach more."""
     if grid.thresholds is not None:
         thresholds = grid.thresholds
     else:

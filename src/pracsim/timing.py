@@ -13,7 +13,7 @@ DDR5-3200 value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 NS = 1000
 US = 1000 * NS
@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TimingParams:
-    tRC: int
+    tRC: int = field(init=False)   # always tRAS + tRP, set in __post_init__
     tRAS: int
     tRP: int
     tRCD: int
@@ -42,15 +42,13 @@ class TimingParams:
     clock_period: int = 625  # DDR5-3200: 1600 MHz command clock
 
     def __post_init__(self):
-        for name in ("tRC", "tRAS", "tRP", "tRCD", "tCL", "tRTP", "tWR",
+        for name in ("tRAS", "tRP", "tRCD", "tCL", "tRTP", "tWR",
                      "tREFW", "tREFI", "tRFC", "tRFM", "tABO_ACT",
                      "tBackoffSignal", "clock_period"):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer (ps), got {value!r}")
-        if self.tRC != self.tRAS + self.tRP:
-            raise ConfigError(
-                f"tRC ({self.tRC}) must equal tRAS + tRP ({self.tRAS + self.tRP})")
+        object.__setattr__(self, "tRC", self.tRAS + self.tRP)   # frozen
         if self.tREFI >= self.tREFW:
             raise ConfigError("tREFI must be smaller than tREFW")
         if self.tRFC >= self.tREFI:
@@ -62,7 +60,7 @@ class TimingParams:
 
 
 _BASE = TimingParams(
-    tRC=47 * NS, tRAS=32 * NS, tRP=15 * NS,
+    tRAS=32 * NS, tRP=15 * NS,
     tRCD=13750, tCL=13750,
     tRTP=7500, tWR=30 * NS,
     tREFW=32 * MS, tREFI=3900 * NS, tRFC=295 * NS,
@@ -80,7 +78,7 @@ def apply_prac_adjustments(base: TimingParams) -> TimingParams:
     """Fold the counter-update-at-precharge cost into the timing parameters.
 
     tRP grows by 21 ns while tRAS, tRTP and tWR shrink by 16, 2.5 and 20 ns;
-    tRC is recomputed from the new tRAS + tRP. Applied again to the
+    tRC, always tRAS + tRP, follows them. Applied again to the
     ddr5-3200an-prac preset, it drives tRAS to zero and raises ConfigError.
     """
     tras = base.tRAS - PRAC_TRAS_DECREASE
@@ -89,7 +87,7 @@ def apply_prac_adjustments(base: TimingParams) -> TimingParams:
     twr = base.tWR - PRAC_TWR_DECREASE
     if min(tras, trtp, twr) <= 0:
         raise ConfigError("adjustment would drive a timing parameter to zero or below")
-    return replace(base, tRAS=tras, tRP=trp, tRC=tras + trp, tRTP=trtp, tWR=twr)
+    return replace(base, tRAS=tras, tRP=trp, tRTP=trtp, tWR=twr)
 
 
 _PRESETS = {

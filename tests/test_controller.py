@@ -100,23 +100,29 @@ def test_enqueue_decodes_as_map_address(topo):
 # ------------------------------------------------------------- scheduling
 
 def test_frfcfs_cap_forces_the_old_miss_after_four_hits():
-    dev, ctrl = make()
-    # one bank: an old miss (row 9) plus five younger hits on the open row 0
-    hit_addrs = [inverse_map_address(DESK, 0, 0, 0, 0, c) for c in range(5)]
-    miss_addr = inverse_map_address(DESK, 0, 0, 0, 9, 0)
-    dev.issue("ACT", (0, 0), 0)
-    ctrl.enqueue(0, miss_addr, False, 10)
-    for i, a in enumerate(hit_addrs):
-        ctrl.enqueue(0, a, False, 20 + i)
-    now = 1_000_000
-    for _ in range(60):
-        now = max(ctrl.step(now), now + 1)
-        if not ctrl.bank_q:
-            break
-    assert dev.counts["RD"] == 6
-    order = [req.req_id for _, req in sorted(ctrl.completions, key=lambda c: c[0])]
-    # hits are ids 1..5, the miss is id 0: four hits bypass, then the miss
-    assert order == [1, 2, 3, 4, 0, 5]
+    # one bank, row 0 open: old misses, then five younger hits on row 0.
+    # An old read miss (row 9, id 0): the hits are ids 1..5, four bypass it,
+    # then the miss. An older write miss (row 9, id 0) ahead of a read miss
+    # (row 7, id 1): the write is no candidate while reads wait, so the hits
+    # (ids 2..6) bypass only the read miss, and never the write.
+    for misses, expect, bypassed in ((((9, False),), [1, 2, 3, 4, 0, 5], [4]),
+                                     (((9, True), (7, False)), [2, 3, 4, 5, 1, 6], [0, 4])):
+        dev, ctrl = make()
+        dev.issue("ACT", (0, 0), 0)
+        old = [ctrl.enqueue(0, inverse_map_address(DESK, 0, 0, 0, row, 0), is_write, 10 + i)
+               for i, (row, is_write) in enumerate(misses)]
+        for i in range(5):
+            ctrl.enqueue(0, inverse_map_address(DESK, 0, 0, 0, 0, i), False, 20 + i)
+        now = 1_000_000
+        for _ in range(60):
+            now = max(ctrl.step(now), now + 1)
+            if not ctrl.bank_q:
+                break
+        assert not ctrl.bank_q
+        assert dev.counts["RD"] == 6
+        order = [req.req_id for _, req in sorted(ctrl.completions, key=lambda c: c[0])]
+        assert order == expect
+        assert [req.bypassed for req in old] == bypassed
 
 
 def test_out_of_order_read_completion_raises():
@@ -249,13 +255,13 @@ def test_select_orders_columns_first_then_oldest_act_and_holds_prfm_acts():
     ctrl.enqueue(0, _desk_addr(1, 3), False, 10)
     col = ctrl.enqueue(0, _desk_addr(0, 0), False, 20)
     assert ctrl._select(floor, None)[0] == floor
-    assert ctrl._select(floor, None)[4:] == ("RD", col)
+    assert ctrl._select(floor, None)[4:6] == ("RD", col)
 
     # between two ready ACTs the older arrival wins, not the lower id or bank
     dev, ctrl = make()
     ctrl.enqueue(0, _desk_addr(0, 5), False, 20)
     older = ctrl.enqueue(0, _desk_addr(1, 3), False, 10)
-    assert ctrl._select(floor, None)[4:] == ("ACT", older)
+    assert ctrl._select(floor, None)[4:6] == ("ACT", older)
 
     # an ACT on a bank at the PRFM threshold (its RFM would close every row)
     # waits while a column command is pending, even one ready later
@@ -298,8 +304,9 @@ def _drive(ctrl, requests, end, probes):
     (Prfm(PrfmParams(8)), T_DESK, None),
 ], ids=["prac", "prfm"])
 def test_step_between_returned_times_changes_nothing(mit, t, prac):
-    # the controller keeps its pending decision between steps; stepping at
-    # intermediate times must give the run stepped only when due
+    # the candidate index carries every bank's choice between steps; stepping
+    # at intermediate times, when nothing is due, must give the run stepped
+    # only when due
     requests = [(_desk_addr(i % 3, (i * 7) % 5), i % 4 == 3) for i in range(500)]
     runs = []
     for probes in (0, 3):
@@ -316,7 +323,7 @@ def test_step_between_returned_times_changes_nothing(mit, t, prac):
 
 def test_a_late_step_or_an_enqueue_decides_afresh():
     # a step past the returned time: the read issues then, not at the time
-    # the pending decision named
+    # the last step returned
     dev, ctrl = make()
     ctrl.enqueue(0, 0, False, 0)
     due = ctrl.step(0)                    # the ACT issued; the read waits for tRCD
@@ -325,7 +332,7 @@ def test_a_late_step_or_an_enqueue_decides_afresh():
     assert [t for t, _ in ctrl.completions] == [late + T_DESK.tCL + BURST_PS]
 
     # an enqueue before the returned time: its ACT, ready earlier than the
-    # pending read, issues at once
+    # queued read's RD, issues at once
     dev, ctrl = make()
     ctrl.enqueue(0, _desk_addr(1, 3), False, 0)
     due = ctrl.step(0)
@@ -399,9 +406,9 @@ def test_a_ref_due_at_a_commands_time_goes_first_inside_the_horizon():
 # ------------------------------------------------------- reference controller
 
 class _UncachedController(MemoryController):
-    """Reference: every queued bank's choice rebuilt at every _select, no
-    decision kept from one step to the next, and no horizon: run_cores steps
-    it at every time it returns."""
+    """Reference: every queued bank's choice, and the miss its hit bypasses,
+    rebuilt at every _select, and no horizon: run_cores steps it at every
+    time it returns."""
 
     def _select(self, now, deadline):
         self._choices.clear()
@@ -409,7 +416,6 @@ class _UncachedController(MemoryController):
         return super()._select(now, deadline)
 
     def step(self, now, until=0):
-        self._kept = None
         return super().step(now)
 
 
@@ -460,8 +466,8 @@ _READ_FLOOD = [[(0, False, (i + c) % 4, (i * 5 + c) % 6, i % 16) for i in range(
 @settings(max_examples=60, deadline=None)
 def test_controller_matches_the_uncached_reference(kind, attacker, cores, abo_th, refs,
                                                    rfm_th):
-    """The candidate index, the kept decision and the horizon change no
-    command, time or IPC.
+    """The candidate index, with the bypassed miss each choice carries, and
+    the horizon change no command, time or IPC.
     Requests to banks 0, 1, 4 and 8 (bank groups 0-2 of rank 0) and rows 0-5
     keep conflicts, hits and PRAC back-offs frequent; with `attacker`, a
     first core hammers four rows of bank 12 with no bubbles."""

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from pracsim.timing import (
@@ -64,23 +66,20 @@ def test_prac_adjustments_idempotence_guard():
 
 def test_adjustment_rejects_nonpositive_result():
     base = preset("ddr5-3200an-base")
-    tiny = TimingParams(
-        tRC=base.tRC, tRAS=base.tRAS, tRP=base.tRP, tRCD=base.tRCD, tCL=base.tCL,
-        tRTP=2_000, tWR=base.tWR, tREFW=base.tREFW, tREFI=base.tREFI,
-        tRFC=base.tRFC, tRFM=base.tRFM, tABO_ACT=base.tABO_ACT,
-        tBackoffSignal=base.tBackoffSignal)
     with pytest.raises(ConfigError):
-        apply_prac_adjustments(tiny)
+        apply_prac_adjustments(replace(base, tRTP=2_000))
 
 
 def test_trc_consistency_enforced():
+    # tRC has one definition, tRAS + tRP: it follows them through replace,
+    # and no caller can give it
     base = preset("ddr5-3200an-base")
-    with pytest.raises(ConfigError):
-        TimingParams(
-            tRC=50 * NS, tRAS=base.tRAS, tRP=base.tRP, tRCD=base.tRCD,
-            tCL=base.tCL, tRTP=base.tRTP, tWR=base.tWR, tREFW=base.tREFW,
-            tREFI=base.tREFI, tRFC=base.tRFC, tRFM=base.tRFM,
-            tABO_ACT=base.tABO_ACT, tBackoffSignal=base.tBackoffSignal)
+    assert replace(base, tRAS=40 * NS, tRP=20 * NS).tRC == 60 * NS
+    with pytest.raises(ValueError, match="init=False"):
+        replace(base, tRC=50 * NS)
+    with pytest.raises(TypeError, match="tRC"):
+        TimingParams(**{f.name: getattr(base, f.name) for f in fields(base) if f.init},
+                     tRC=50 * NS)
 
 
 def test_window_acts_from_preset():
