@@ -15,14 +15,22 @@ per refresh window. The back-off engine is a small FSM:
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
 
-An RFM finds each bank's hottest row, the lowest of any tie, in a heap of
-(-count, row) entries, an index derived from `counters`: built at the bank's
-first RFM, fed one entry by every PRE that changes a counter, and rebuilt
-once it outgrows twice the counters. An entry whose count no longer matches
-`counters` is stale and is dropped when it reaches the top. A bank without
-counters reports row 0 and does no other work, and the monitor hears only
-from banks with tallies. So an RFM costs a few heap pops per bank
-holding counters, not a scan of every counter of every bank.
+The device keeps `counted_banks`, the set of banks whose `counters` is
+non-empty: a bank joins it at the PRE that creates its first counter and
+leaves it in `_clear`, the one place a counter falls, when that clears its
+last counter (an RFM, a targeted refresh or the REF reset). The RFM walk,
+the REF reset and the conservation check visit only that set, so their cost
+follows the banks an attack touches, not the 64 of the channel; summed over
+the set, conservation also fails for a bank the set misses.
+
+An RFM finds each counted bank's hottest row, the lowest of any tie, in a
+heap of (-count, row) entries, an index derived from `counters`: built at
+the bank's first RFM, fed one entry by every PRE that changes a counter, and
+rebuilt once it outgrows twice the counters. An entry whose count no longer
+matches `counters` is stale and is dropped when it reaches the top. A bank
+without counters reports row 0 and does no other work, and the monitor
+hears only from banks with tallies. So an RFM costs a few heap pops per
+bank holding counters, not a scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
 ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation,
@@ -164,26 +172,30 @@ class DisturbanceMonitor:
     refreshed. A tally reaching n_rh is a bitflip witness. Rows are
     bank-local: 0 <= row < rows_per_bank.
 
-    `tallies` counts each bank's `pair` keys; the device skips the refresh
-    call for a bank with none, which could not change anything here.
+    `pair` maps each tallied victim, keyed (bank, victim), to a dict of
+    aggressor -> count, so a refresh drops one entry per refreshed row.
+    `tallies` counts each bank's tallied victims (its `pair` keys); the
+    device skips the refresh call for a bank with none, which could not
+    change anything here.
     """
 
     def __init__(self, n_rh: int, rows_per_bank: int):
         self.n_rh = n_rh
         self.rows_per_bank = rows_per_bank
-        self.pair: dict = {}      # (bank, victim, aggressor) -> count
-        self.tallies = defaultdict(int)   # bank -> number of its keys in pair
+        self.pair: dict = {}      # (bank, victim) -> {aggressor: count}
+        self.tallies = defaultdict(int)   # bank -> number of its victims in pair
         self.max_pair = 0
         self.violations: list = []
 
     def on_act(self, bank: int, row: int):
         pair = self.pair
         for victim in victim_rows(row, self.rows_per_bank):
-            key = (bank, victim, row)
-            c = pair.get(key, 0) + 1
-            pair[key] = c
-            if c == 1:
+            by_aggressor = pair.get((bank, victim))
+            if by_aggressor is None:
+                by_aggressor = pair[bank, victim] = {}
                 self.tallies[bank] += 1
+            c = by_aggressor.get(row, 0) + 1
+            by_aggressor[row] = c
             if c > self.max_pair:
                 self.max_pair = c
             if c >= self.n_rh:
@@ -194,10 +206,7 @@ class DisturbanceMonitor:
         pair = self.pair
         before = len(pair)
         for row in rows:
-            # the blast radius is symmetric, so the aggressors that tallied
-            # this victim are exactly the rows within it
-            for aggressor in victim_rows(row, self.rows_per_bank):
-                pair.pop((bank, row, aggressor), None)
+            pair.pop((bank, row), None)
         self.tallies[bank] -= before - len(pair)
 
 
@@ -213,6 +222,7 @@ class DeviceState:
         self.topo = topo
         self.t = t
         self.banks = [BankState() for _ in range(topo.banks_total)]
+        self.counted_banks: set = set()   # indices of banks with counters, see module doc
         self.fsm = None
         if prac is not None:
             self.fsm = BackOffFsm(
@@ -305,16 +315,19 @@ class DeviceState:
             self.open_banks -= 1
             self._raise_act_ok(b, now + self.t.tRP)
             # per-row tracking is assumed perfect regardless of mitigation
-            old = b.counters.get(row, 0)
+            counters = b.counters
+            if not counters:
+                self.counted_banks.add(bank_idx)
+            old = counters.get(row, 0)
             count = old + 1
             if self.counter_max is not None and count > self.counter_max:
                 count = self.counter_max   # saturating counter
                 self.saturated_increments += 1
-            b.counters[row] = count
+            counters[row] = count
             heap = b.heap
             if heap is not None and count != old:
-                if len(heap) > 2 * len(b.counters) + HEAP_SLACK:
-                    b.heap = self._heap_of(b.counters)
+                if len(heap) > 2 * len(counters) + HEAP_SLACK:
+                    b.heap = self._heap_of(counters)
                 else:
                     heappush(heap, (-count, row))
             if self.fsm is not None:
@@ -353,9 +366,13 @@ class DeviceState:
 
     # ------------------------------------------------------------- refresh ops
 
-    def _clear(self, b: BankState, row: int):
-        """Reset an existing counter: the only way a counter falls."""
-        count = b.counters.pop(row)
+    def _clear(self, bank_idx: int, row: int):
+        """Reset an existing counter: the only way a counter falls. A bank
+        whose last counter this clears leaves `counted_banks`."""
+        counters = self.banks[bank_idx].counters
+        count = counters.pop(row)
+        if not counters:
+            self.counted_banks.discard(bank_idx)
         self.cleared_counts += count
         if self.fsm is not None and count >= self.fsm.abo_th:
             self.rows_at_th -= 1
@@ -370,15 +387,16 @@ class DeviceState:
 
         Returns the aggressor row of each bank, in bank order: the attacker
         feedback channel. A bank with no counters reports row 0 and refreshes
-        its victims; a bank with counters reports the row on top of its heap
-        (module docstring; ties go to the lowest row). The monitor hears only
-        from banks that hold tallies.
+        its victims; a bank with counters, one of `counted_banks` and the
+        only kind the walk visits, reports the row on top of its heap (module
+        docstring; ties go to the lowest row). The monitor hears only from
+        banks that hold tallies.
         """
         aggressors = [0] * len(self.banks)
-        for bi, b in enumerate(self.banks):
+        # a snapshot: _clear drops a bank whose last counter it clears
+        for bi in tuple(self.counted_banks):
+            b = self.banks[bi]
             counters = b.counters
-            if not counters:
-                continue
             heap = b.heap
             if heap is None:
                 heap = b.heap = self._heap_of(counters)
@@ -389,7 +407,7 @@ class DeviceState:
             else:
                 raise RuntimeError(f"bank {bi}: RFM heap ran empty while {len(counters)} "
                                    "rows hold counters")
-            self._clear(b, aggressor)
+            self._clear(bi, aggressor)
             aggressors[bi] = aggressor
         monitor = self.monitor
         if monitor is not None:
@@ -410,7 +428,7 @@ class DeviceState:
         self._raise_act_ok(b, busy_until)
         for r in rows:
             if r in b.counters:
-                self._clear(b, r)
+                self._clear(bank_idx, r)
         if self.monitor is not None and self.monitor.tallies.get(bank_idx):
             self.monitor.on_row_refreshed(bank_idx, *rows)
 
@@ -418,11 +436,14 @@ class DeviceState:
         start = self.ref_pointer
         rows = [(start + i) % self.topo.rows_per_bank for i in range(self.rows_per_ref)]
         self.ref_pointer = (start + self.rows_per_ref) % self.topo.rows_per_bank
-        for b in self.banks:
-            if self.ref_resets_counters and b.counters:
+        if self.ref_resets_counters:
+            banks = self.banks
+            # a snapshot: _clear drops a bank whose last counter it clears
+            for bi in tuple(self.counted_banks):
+                counters = banks[bi].counters
                 for r in rows:
-                    if r in b.counters:
-                        self._clear(b, r)
+                    if r in counters:
+                        self._clear(bi, r)
         if self.monitor is not None:
             # only banks with tallies can change; the walk updates counts in place
             for bi, n in self.monitor.tallies.items():
@@ -432,6 +453,9 @@ class DeviceState:
     # ------------------------------------------------------------- accounting
 
     def conservation_holds(self) -> bool:
-        """Each ACT/PRE pair's increment is held, cleared or lost to saturation."""
-        held = sum(sum(b.counters.values()) for b in self.banks)
+        """Each ACT/PRE pair's increment is held, cleared or lost to saturation.
+        Only counted banks are summed, so a bank holding counters outside
+        `counted_banks` breaks the balance too."""
+        banks = self.banks
+        held = sum(sum(banks[bi].counters.values()) for bi in self.counted_banks)
         return self.counts[PRE] == held + self.cleared_counts + self.saturated_increments

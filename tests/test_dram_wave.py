@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pracsim.attack import run_wave_attack
 from pracsim.dram import (
     ACT,
+    BLAST_RADIUS,
     BURST_PS,
     PRE,
     RD,
@@ -30,6 +31,17 @@ DESK = Topology.desk()
 
 def fresh_device(**kw):
     return DeviceState(DESK, BASE_T, **kw)
+
+
+def act_pre(dev, bank, row, times=1, now=1_000_000):
+    """`times` timing-legal ACT/PRE pairs on `row` from `now`, one per tRC;
+    returns the time after the last, when every bank is idle again."""
+    t = dev.t
+    for _ in range(times):
+        dev.issue(ACT, (bank, row), now)
+        dev.issue(PRE, (bank, row), now + t.tRAS)
+        now += t.tRC
+    return now
 
 
 def test_topology_defaults_match_dual_rank_64_banks():
@@ -179,14 +191,13 @@ def test_act_rejected_during_recovery():
 def test_serve_rfm_refreshes_the_hottest_rows_victims():
     mon = DisturbanceMonitor(64, 64)
     dev = fresh_device(monitor=mon)
-    dev.banks[0].counters = {3: 5, 9: 2}
-    mon.on_act(0, 3)
-    mon.on_act(0, 9)
+    act_pre(dev, 0, 9, 2, act_pre(dev, 0, 3, 5))
+    assert dev.banks[0].counters == {3: 5, 9: 2}
     aggressors = dev.serve_rfm()
     assert aggressors[0] == 3
     assert 3 not in dev.banks[0].counters
     # row 3's victims 1, 2, 4 and 5 were refreshed; row 9's were not
-    assert sorted(victim for _, victim, _ in mon.pair) == [7, 8, 10, 11]
+    assert sorted(victim for _, victim in mon.pair) == [7, 8, 10, 11]
 
 
 def test_serve_rfm_fallback_row_when_all_counters_zero():
@@ -195,8 +206,10 @@ def test_serve_rfm_fallback_row_when_all_counters_zero():
 
 
 def test_serve_rfm_tie_break_orders():
+    # row 9 is counted first, so the tie is not settled by insertion order
     dev = fresh_device()
-    dev.banks[0].counters = {3: 5, 9: 5}
+    act_pre(dev, 0, 3, 5, act_pre(dev, 0, 9, 5))
+    assert dev.banks[0].counters == {9: 5, 3: 5}
     assert dev.serve_rfm()[0] == 3
 
 
@@ -244,45 +257,69 @@ def test_monitor_counts_neighbors_and_resets_on_refresh():
     mon = DisturbanceMonitor(4, 64)
     for _ in range(3):
         mon.on_act(0, 10)
-    assert mon.pair[(0, 9, 10)] == 3
-    assert mon.pair[(0, 12, 10)] == 3
+    assert mon.pair[0, 9] == {10: 3}
+    assert mon.pair[0, 12] == {10: 3}
     assert not mon.violations
     mon.on_row_refreshed(0, 9)
-    assert (0, 9, 10) not in mon.pair
+    assert (0, 9) not in mon.pair
     mon.on_act(0, 10)
-    assert mon.pair[(0, 11, 10)] == 4
+    assert mon.pair[0, 11] == {10: 4}
     assert mon.violations  # reached n_rh on an unrefreshed victim
 
 
-class _ScanningMonitor(DisturbanceMonitor):
-    """Reference: a refreshed victim's tallies found by scanning them all."""
+class _FlatMonitor:
+    """Reference monitor, sharing no code with DisturbanceMonitor: one flat
+    (bank, victim, aggressor) -> count dict, its own neighbourhood, and a
+    refresh that scans every tally for the refreshed victims."""
+
+    def __init__(self, n_rh, rows_per_bank):
+        self.n_rh = n_rh
+        self.rows_per_bank = rows_per_bank
+        self.flat = {}
+        self.max_pair = 0
+        self.violations = []
+
+    def on_act(self, bank, row):
+        for victim in range(self.rows_per_bank):
+            if 0 < abs(victim - row) <= BLAST_RADIUS:
+                key = (bank, victim, row)
+                self.flat[key] = c = self.flat.get(key, 0) + 1
+                self.max_pair = max(self.max_pair, c)
+                if c >= self.n_rh:
+                    self.violations.append((bank, victim, row, c))
 
     def on_row_refreshed(self, bank, *rows):
-        for key in [k for k in self.pair if k[0] == bank and k[1] in rows]:
-            del self.pair[key]
+        for key in [k for k in self.flat if k[0] == bank and k[1] in rows]:
+            del self.flat[key]
 
 
-def _assert_tallies_count_pairs(mon):
-    # each bank's tally count equals its number of pair keys
-    assert {b: n for b, n in mon.tallies.items() if n} == Counter(k[0] for k in mon.pair)
+def _assert_matches_flat(mon, ref):
+    """The monitor's tallies, flattened, are the reference's; each bank's
+    `tallies` counts its tallied victims, and no victim entry is empty."""
+    assert all(mon.pair.values())
+    assert {(b, v, a): c for (b, v), by_aggressor in mon.pair.items()
+            for a, c in by_aggressor.items()} == ref.flat
+    victims = {(b, v) for b, v, _ in ref.flat}
+    assert {b: n for b, n in mon.tallies.items() if n} == Counter(b for b, _ in victims)
+    assert mon.max_pair == ref.max_pair
+    assert mon.violations == ref.violations
 
 
 @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
                               st.lists(st.integers(0, 15), min_size=1, max_size=3)),
                     max_size=300))
+# victim 6 is refreshed between the two triples, so it reaches n_rh twice
+@example(ops=[(True, 1, [7])] * 3 + [(False, 1, [6])] + [(True, 1, [7])] * 3)
 @settings(max_examples=200, deadline=None)
 def test_monitor_refresh_matches_scanning_reference(ops):
-    fast, ref = DisturbanceMonitor(6, 16), _ScanningMonitor(6, 16)
+    fast, ref = DisturbanceMonitor(3, 16), _FlatMonitor(3, 16)
     for is_act, bank, rows in ops:
         for mon in (fast, ref):
             if is_act:
                 mon.on_act(bank, rows[0])
             else:
                 mon.on_row_refreshed(bank, *rows)
-        assert fast.pair == ref.pair
-        _assert_tallies_count_pairs(fast)
-    assert fast.max_pair == ref.max_pair
-    assert fast.violations == ref.violations
+        _assert_matches_flat(fast, ref)
 
 
 @given(ops=st.lists(st.tuples(st.sampled_from(["act", "act", "ref", "rfm", "rows"]),
@@ -293,7 +330,7 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
     """REF, RFM and targeted refreshes skip banks without tallies; the monitor
     ends up as if every refreshed row of every bank had been reported."""
     t = desk_timing(BASE_T)
-    mon, ref = DisturbanceMonitor(5, 64), _ScanningMonitor(5, 64)
+    mon, ref = DisturbanceMonitor(5, 64), _FlatMonitor(5, 64)
     dev = DeviceState(DESK, t, monitor=mon, ref_resets_counters=ref_resets)
     now = 1_000_000
     ref_start = 0   # the reference's REF pointer: REFs walk groups of 8 rows
@@ -319,10 +356,71 @@ def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
             dev.refresh_rows(bank, victims, now)
             ref.on_row_refreshed(bank, *victims)
             now += len(victims) * t.tRC   # the refreshes occupy the bank
-        assert mon.pair == ref.pair
-        _assert_tallies_count_pairs(mon)
+        _assert_matches_flat(mon, ref)
         assert dev.conservation_holds()
-    assert mon.violations == ref.violations
+
+
+COUNTED_OPS = st.tuples(st.sampled_from(["act", "act", "act", "rfm", "ref", "rows"]),
+                        st.sampled_from([0, 1, 9, 33, 63]), st.integers(0, 15))
+
+
+@given(ops=st.lists(COUNTED_OPS, max_size=150), resets=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_counted_banks_follow_the_counters(ops, resets):
+    """After every command, `counted_banks` is the set of banks holding
+    counters, and an RFM's report, the cleared counter mass and the
+    conservation balance equal a scan of every bank. "act" opens `row` on a
+    closed bank and closes an open one; REF and RFM close every bank first."""
+    t = desk_timing(BASE_T)
+    dev = DeviceState(DESK, t, ref_resets_counters=resets, counter_bits=3)
+    banks = dev.banks
+    now = 1_000_000
+
+    def run(cmd, addr):
+        nonlocal now
+        if cmd == ACT:
+            ready = banks[addr[0]].act_ok
+        elif cmd == PRE:
+            ready = banks[addr[0]].pre_ok
+        else:
+            ready = dev.idle_at
+        now = max(now, dev.blocked_until, ready)
+        out = dev.issue(cmd, addr, now)
+        assert dev.counted_banks == {i for i, b in enumerate(banks) if b.counters}
+        held = sum(sum(b.counters.values()) for b in banks)
+        assert dev.counts[PRE] == held + dev.cleared_counts + dev.saturated_increments
+        assert dev.conservation_holds()
+        return out
+
+    for op, bank, row in ops:
+        if op == "act":
+            open_row = banks[bank].open_row
+            if open_row is None:
+                run(ACT, (bank, row))
+            else:
+                run(PRE, (bank, open_row))
+            continue
+        for bi, b in enumerate(banks):
+            if b.open_row is not None:
+                run(PRE, (bi, b.open_row))
+        if op == "rows":
+            rows = victim_rows(row, 64)
+            cleared = dev.cleared_counts + sum(banks[bank].counters.get(r, 0) for r in rows)
+            now = max(now, banks[bank].act_ok)
+            dev.refresh_rows(bank, rows, now)
+            assert dev.counted_banks == {i for i, b in enumerate(banks) if b.counters}
+            assert dev.cleared_counts == cleared and dev.conservation_holds()
+        elif op == "ref":
+            rows = {(dev.ref_pointer + i) % 64 for i in range(dev.rows_per_ref)}
+            cleared = dev.cleared_counts + resets * sum(
+                c for b in banks for r, c in b.counters.items() if r in rows)
+            assert run(REF, None) is None and dev.cleared_counts == cleared
+        else:
+            hottest = [min(b.counters, key=lambda r: (-b.counters[r], r)) if b.counters else 0
+                       for b in banks]
+            cleared = dev.cleared_counts + sum(
+                b.counters[r] for b, r in zip(banks, hottest) if b.counters)
+            assert run(RFMAB, None) == hottest and dev.cleared_counts == cleared
 
 
 class _ScanningDevice(DeviceState):
@@ -338,7 +436,7 @@ class _ScanningDevice(DeviceState):
                 best = max(b.counters.values())
                 rows = [r for r, c in b.counters.items() if c == best]
                 aggressor = min(rows)
-                self._clear(b, aggressor)
+                self._clear(bi, aggressor)
             if tallies.get(bi):
                 monitor.on_row_refreshed(bi, *victim_rows(aggressor, self.topo.rows_per_bank))
             aggressors.append(aggressor)
@@ -486,10 +584,11 @@ def test_counter_saturation_honored():
 def test_same_bank_rfm_is_rejected():
     # the controller only issues all-bank RFMs; the device knows no other kind
     dev = fresh_device()
-    dev.banks[1].counters = {4: 3}
-    with pytest.raises(ConfigError):
-        dev.issue("RFMsb", (1, 4), 1_000_000)
+    now = act_pre(dev, 1, 4, 3)
     assert dev.banks[1].counters == {4: 3}
+    with pytest.raises(ConfigError):
+        dev.issue("RFMsb", (1, 4), now)
+    assert dev.banks[1].counters == {4: 3} and dev.counted_banks == {1}
 
 
 def test_prac_optimistic_event_sequence_matches_prac4(monkeypatch):
