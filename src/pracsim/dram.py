@@ -190,12 +190,15 @@ class DisturbanceMonitor:
     def on_act(self, bank: int, row: int):
         pair = self.pair
         for victim in victim_rows(row, self.rows_per_bank):
-            by_aggressor = pair.get((bank, victim))
+            key = (bank, victim)
+            by_aggressor = pair.get(key)
             if by_aggressor is None:
-                by_aggressor = pair[bank, victim] = {}
+                pair[key] = {row: 1}
                 self.tallies[bank] += 1
-            c = by_aggressor.get(row, 0) + 1
-            by_aggressor[row] = c
+                c = 1
+            else:
+                c = by_aggressor.get(row, 0) + 1
+                by_aggressor[row] = c
             if c > self.max_pair:
                 self.max_pair = c
             if c >= self.n_rh:

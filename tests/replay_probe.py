@@ -11,7 +11,9 @@ timing at `Topology()` with the monitor on. For each, the script prints one
 JSON line: the realized max, the monitor violation count, the RFM and ACT
 counts, the least back-off deadline slack in ps (PRAC; null without a
 back-off), `victim_rows.cache_info()` for that replay alone, and host
-seconds.
+seconds. The monitor's refresh drops each refreshed row's tallies by key,
+without `victim_rows`, so the cache columns count the monitor's `on_act`
+lookups and one lookup per RFM for the victims of the aggressor it reports.
 The replays take a few seconds in all, so the test suite does not collect
 this script (its name does not start with `test_`):
 
