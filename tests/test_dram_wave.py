@@ -191,7 +191,7 @@ def test_act_rejected_during_recovery():
 def test_serve_rfm_refreshes_the_hottest_rows_victims():
     mon = DisturbanceMonitor(64, 64)
     dev = fresh_device(monitor=mon)
-    act_pre(dev, 0, 9, 2, act_pre(dev, 0, 3, 5))
+    act_pre(dev, 0, 9, 2, now=act_pre(dev, 0, 3, 5))
     assert dev.banks[0].counters == {3: 5, 9: 2}
     aggressors = dev.serve_rfm()
     assert aggressors[0] == 3
@@ -208,7 +208,7 @@ def test_serve_rfm_fallback_row_when_all_counters_zero():
 def test_serve_rfm_tie_break_orders():
     # row 9 is counted first, so the tie is not settled by insertion order
     dev = fresh_device()
-    act_pre(dev, 0, 3, 5, act_pre(dev, 0, 9, 5))
+    act_pre(dev, 0, 3, 5, now=act_pre(dev, 0, 9, 5))
     assert dev.banks[0].counters == {9: 5, 3: 5}
     assert dev.serve_rfm()[0] == 3
 
@@ -244,9 +244,7 @@ def test_conservation_of_activation_counts():
     dev = fresh_device()
     now = 1_000_000
     for row in (1, 2, 3, 1, 2, 1):
-        dev.issue(ACT, (0, row), now)
-        dev.issue(PRE, (0, row), now + BASE_T.tRAS)
-        now += BASE_T.tRC
+        now = act_pre(dev, 0, row, now=now)
     assert dev.conservation_holds()
     dev.serve_rfm()
     assert dev.conservation_holds()
@@ -515,9 +513,7 @@ def test_rfm_heap_desync_raises_naming_the_bank():
     dev = fresh_device()
     now = 1_000_000
     for row in (4, 7, 4):
-        dev.issue(ACT, (2, row), now)
-        dev.issue(PRE, (2, row), now + BASE_T.tRAS)
-        now += BASE_T.tRC
+        now = act_pre(dev, 2, row, now=now)
     dev.serve_rfm()                      # builds bank 2's heap, clears row 4
     dev.banks[2].heap[:] = [(-9, 7)]     # poisoned: a stale entry only
     with pytest.raises(RuntimeError, match="bank 2"):
@@ -572,11 +568,7 @@ def test_wave_with_periodic_refresh_never_exceeds_prediction():
 
 def test_counter_saturation_honored():
     dev = DeviceState(DESK, BASE_T, counter_bits=3)
-    now = 1_000_000
-    for _ in range(12):
-        dev.issue(ACT, (0, 5), now)
-        dev.issue(PRE, (0, 5), now + BASE_T.tRAS)
-        now += BASE_T.tRC
+    act_pre(dev, 0, 5, 12)
     assert dev.banks[0].counters[5] == 7   # 2^3 - 1, saturating
     assert dev.conservation_holds()
 
