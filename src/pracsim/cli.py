@@ -117,6 +117,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_attack_theory(args) -> int:
+    if not args.rfm_th and not args.abo_th:
+        raise ConfigError("[attack-theory] --rfm-th and --abo-th are both empty")
     t = preset(args.preset)
     rows = []
     for th in args.rfm_th:
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.set_defaults(func=cmd_attack_theory)
 
     st = sub.add_parser("storage", help="storage-cost table")
-    st.add_argument("--nrh", type=int, nargs="*", default=[1024, 256, 64, 16])
+    st.add_argument("--nrh", type=int, nargs="+", default=[1024, 256, 64, 16])
     st.add_argument("--out")
     st.set_defaults(func=cmd_storage)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import command_log
 from pracsim import cli
 from pracsim.cli import main, resolve_spec
 from pracsim.configfile import SCHEMA, RunManifest, parse_config, timing_from_config
@@ -38,9 +39,14 @@ def test_analyze_prfm_verdicts_at_64(tmp_path):
     assert verdicts[7] == "insecure"
 
 
-def test_analyze_empty_grid_usage_error(tmp_path):
-    assert main(["analyze", "--mech", "prfm", "--thresholds",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+@pytest.mark.parametrize("argv", [["analyze", "--mech", "prfm", "--thresholds"],
+                                  ["attack-theory", "--rfm-th", "--abo-th"],
+                                  ["storage", "--nrh"]], ids=lambda argv: argv[0])
+def test_analyze_empty_grid_usage_error(tmp_path, argv):
+    # an empty list of thresholds or n_rh values once wrote a header-only table
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("b0", [["0"], ["4", "-5"]])
@@ -261,21 +267,6 @@ def test_replay_with_timing_overrides_byte_identical(tmp_path):
     assert (out1 / "reports.csv").read_bytes() == (out2 / "reports.csv").read_bytes()
 
 
-def test_simulate_and_replay_byte_identical(tmp_path):
-    ini = tmp_path / "sim.ini"
-    ini.write_text(
-        "[mitigation]\nkind = prfm\nn_rh = 32\n\n"
-        "[workload]\nmixes = 6\nseed = 9\nrecords = 150\n"
-        "instructions_per_core = 800\nmax_cycles = 500000\n")
-    out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
-    assert main(["simulate", "--config", str(ini), "--out-dir", str(out1)]) == 0
-    man = out1 / "manifest.json"
-    assert man.exists()
-    assert main(["replay", str(man), "--out-dir", str(out2)]) == 0
-    assert (out1 / "reports.csv").read_bytes() == (out2 / "reports.csv").read_bytes()
-
-
 GOLDEN_WORKLOAD = {"mixes": "6", "seed": "3", "records": "200",
                    "instructions_per_core": "1500", "max_cycles": "1000000"}
 # (kind, n_rh, extra [workload] keys, sha256 of reports.csv,
@@ -308,22 +299,11 @@ def test_reports_csv_golden(tmp_path, monkeypatch, kind, n_rh, extra, digest, sc
     refresh_rows call of the run, in order and with its time, since a
     reordering can leave every reported number equal."""
     log = hashlib.sha256()
-    issue, refresh_rows = DeviceState.issue, DeviceState.refresh_rows
-
-    def logged_issue(dev, cmd, addr, now):
-        log.update(f"{cmd} {addr} {now}\n".encode())
-        return issue(dev, cmd, addr, now)
-
-    def logged_refresh(dev, bank_idx, rows, now):
-        log.update(f"rows {bank_idx} {tuple(rows)} {now}\n".encode())
-        return refresh_rows(dev, bank_idx, rows, now)
-
-    monkeypatch.setattr(DeviceState, "issue", logged_issue)
-    monkeypatch.setattr(DeviceState, "refresh_rows", logged_refresh)
     monkeypatch.setenv("PRACSIM_WORKERS", "1")   # every run in this process, in order
     ini = _write_ini(tmp_path / "g.ini", {"mitigation": {"kind": kind, "n_rh": str(n_rh)},
                                           "workload": {**GOLDEN_WORKLOAD, **extra}})
-    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
+    with command_log(lambda line: log.update(line.encode())):
+        assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
     assert hashlib.sha256((tmp_path / "o" / "reports.csv").read_bytes()).hexdigest() == digest
     assert log.hexdigest() == schedule
 
@@ -338,20 +318,6 @@ def test_window_budget_leaves_trp_before_the_recovery_rfm(tmp_path):
                      "seed": "2", "records": "300", "instructions_per_core": "2000",
                      "max_cycles": "600000"}})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
-
-
-def test_simulate_multiworker_identical(tmp_path, monkeypatch):
-    ini = tmp_path / "sim.ini"
-    ini.write_text(
-        "[mitigation]\nkind = none\n\n"
-        "[workload]\nmixes = 6\nseed = 2\nrecords = 120\n"
-        "instructions_per_core = 600\nmax_cycles = 400000\n")
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    monkeypatch.setenv("PRACSIM_WORKERS", "1")
-    assert main(["simulate", "--config", str(ini), "--out-dir", str(out1)]) == 0
-    monkeypatch.setenv("PRACSIM_WORKERS", "3")
-    assert main(["simulate", "--config", str(ini), "--out-dir", str(out2)]) == 0
-    assert (out1 / "reports.csv").read_bytes() == (out2 / "reports.csv").read_bytes()
 
 
 def test_manifest_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import command_log
 from pracsim.attack import run_wave_attack
 from pracsim.cli import MECHANISMS, _mechanism
 from pracsim.controller import (
@@ -428,19 +429,9 @@ def _logged_run(cls, kind, sec, traces):
     dev = DeviceState(DESK, t, prac=None if mit.prac is None else asdict(mit.prac),
                       counter_bits=counter_width(16))
     log = []
-    issue, refresh_rows = dev.issue, dev.refresh_rows
-
-    def logged_issue(cmd, addr, now):
-        log.append((cmd, addr, now))
-        return issue(cmd, addr, now)
-
-    def logged_refresh(bank_idx, rows, now):
-        log.append(("rows", bank_idx, tuple(rows), now))
-        return refresh_rows(bank_idx, rows, now)
-
-    dev.issue, dev.refresh_rows = logged_issue, logged_refresh
     ctrl = cls(DESK, t, dev, mit, seed=3)
-    res = run_cores(traces, ctrl, StopCondition(None, 400_000))
+    with command_log(log.append):
+        res = run_cores(traces, ctrl, StopCondition(None, 400_000))
     return log, res.ipcs, res.instructions, res.end_ps, res.read_latencies, dev.fsm
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from pracsim.dram import (
     Topology,
     victim_rows,
 )
-from pracsim.security import PracParams, PrfmParams, prac_trajectory, prfm_trajectory
+from pracsim.security import PracParams, PrfmParams, prfm_trajectory
 from pracsim.timing import ConfigError, preset
 from pracsim.workloads import desk_timing
 
@@ -33,15 +34,33 @@ def fresh_device(**kw):
     return DeviceState(DESK, BASE_T, **kw)
 
 
-def act_pre(dev, bank, row, times=1, now=1_000_000):
-    """`times` timing-legal ACT/PRE pairs on `row` from `now`, one per tRC;
-    returns the time after the last, when every bank is idle again."""
-    t = dev.t
-    for _ in range(times):
-        dev.issue(ACT, (bank, row), now)
-        dev.issue(PRE, (bank, row), now + t.tRAS)
-        now += t.tRC
-    return now
+class CommandBus:
+    """Issues each command to every device in `devs` at the earliest time the
+    first one accepts it, and never before the previous command."""
+
+    def __init__(self, *devs, now=1_000_000):
+        self.devs, self.now = devs, now
+
+    def issue(self, cmd, addr=None):
+        """Returns every device's result, in order."""
+        dev = self.devs[0]
+        ready = dev.blocked_until
+        if cmd == ACT:
+            ready = max(ready, dev.banks[addr[0]].act_ok)
+        elif cmd == PRE:
+            ready = max(ready, dev.banks[addr[0]].pre_ok)
+        elif cmd in (REF, RFMAB):
+            ready = max(ready, dev.idle_at)
+        self.now = max(self.now, ready)
+        return [d.issue(cmd, addr, self.now) for d in self.devs]
+
+    def refresh_rows(self, bank, rows):
+        return [d.refresh_rows(bank, rows, self.now) for d in self.devs]
+
+    def act_pre(self, bank, row, times=1):
+        for _ in range(times):
+            self.issue(ACT, (bank, row))
+            self.issue(PRE, (bank, row))
 
 
 def test_topology_defaults_match_dual_rank_64_banks():
@@ -156,42 +175,36 @@ def test_rows_cleared_by_the_recovery_do_not_assert_again():
     # row 9 crosses abo_th inside the window; the two recovery RFMs clear
     # rows 5 and 9, so the next arming close finds no row at the threshold
     dev = DeviceState(DESK, PRAC_T, prac={"abo_th": 2, "bo_n_refs": 2, "bo_n_acts": 1})
-    now = 1_000_000
-
-    def act_pre(row):
-        nonlocal now
-        dev.issue(ACT, (0, row), now)
-        dev.issue(PRE, (0, row), now + PRAC_T.tRAS)
-        now += PRAC_T.tRC
-
-    act_pre(5)
-    act_pre(5)
+    bus = CommandBus(dev)
+    bus.act_pre(0, 5, 2)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
-    act_pre(9)
-    act_pre(9)
+    bus.act_pre(0, 9, 2)
     assert dev.banks[0].counters == {5: 2, 9: 2} and dev.rows_at_th == 2
     for _ in range(2):
-        dev.issue(RFMAB, None, max(now, dev.blocked_until))
-        now = dev.blocked_until
+        bus.issue(RFMAB)
     assert dev.fsm.phase == "delay" and dev.rows_at_th == 0
-    act_pre(20)
+    bus.act_pre(0, 20)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "delay"
 
 
 def test_act_rejected_during_recovery():
-    dev = DeviceState(DESK, PRAC_T, prac={"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1})
-    dev.fsm.window_acts = 0   # assert leads straight to recovery
-    now = 1_000_000
-    dev.issue(ACT, (0, 3), now)
-    dev.issue(PRE, (0, 3), now + PRAC_T.tRAS)
-    with pytest.raises(ProtocolError):
-        dev.issue(ACT, (0, 4), now + PRAC_T.tRC)
+    # a tABO_ACT below tRC leaves no window ACT: the assert opens the recovery
+    t = replace(PRAC_T, tABO_ACT=PRAC_T.tRC - 1)
+    dev = DeviceState(DESK, t, prac={"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1})
+    assert dev.fsm.window_acts == 0
+    bus = CommandBus(dev)
+    bus.act_pre(0, 3)
+    assert dev.fsm.phase == "recovery"
+    with pytest.raises(ProtocolError, match="ACT during recovery"):
+        bus.issue(ACT, (0, 4))
 
 
 def test_serve_rfm_refreshes_the_hottest_rows_victims():
     mon = DisturbanceMonitor(64, 64)
     dev = fresh_device(monitor=mon)
-    act_pre(dev, 0, 9, 2, now=act_pre(dev, 0, 3, 5))
+    bus = CommandBus(dev)
+    bus.act_pre(0, 3, 5)
+    bus.act_pre(0, 9, 2)
     assert dev.banks[0].counters == {3: 5, 9: 2}
     aggressors = dev.serve_rfm()
     assert aggressors[0] == 3
@@ -208,7 +221,9 @@ def test_serve_rfm_fallback_row_when_all_counters_zero():
 def test_serve_rfm_tie_break_orders():
     # row 9 is counted first, so the tie is not settled by insertion order
     dev = fresh_device()
-    act_pre(dev, 0, 3, 5, now=act_pre(dev, 0, 9, 5))
+    bus = CommandBus(dev)
+    bus.act_pre(0, 9, 5)
+    bus.act_pre(0, 3, 5)
     assert dev.banks[0].counters == {9: 5, 3: 5}
     assert dev.serve_rfm()[0] == 3
 
@@ -221,10 +236,9 @@ def test_ref_covers_the_bank_in_one_window():
     mon.on_row_refreshed = lambda bank, *rows: refreshed.extend(rows)
     dev = DeviceState(DESK, t, monitor=mon)
     assert dev.rows_per_ref == 8  # 64 rows / (tREFW/tREFI = 8)
-    now = 1_000_000
+    bus = CommandBus(dev)
     for _ in range(8):
-        assert dev.issue(REF, None, now) is None
-        now += t.tREFI
+        assert bus.issue(REF) == [None]
     assert sorted(refreshed) == list(range(64))  # each row exactly once
 
 
@@ -238,17 +252,9 @@ def test_ref_resets_prac_counters_of_refreshed_rows():
     assert 2 not in dev.banks[0].counters
 
 
-def test_conservation_of_activation_counts():
+def test_wave_replay_acts_once_per_decoy_of_every_round():
     result = run_wave_attack(16, PrfmParams(4), BASE_T)
-    # re-run manually to inspect the device is impossible here; use a device
-    dev = fresh_device()
-    now = 1_000_000
-    for row in (1, 2, 3, 1, 2, 1):
-        now = act_pre(dev, 0, row, now=now)
-    assert dev.conservation_holds()
-    dev.serve_rfm()
-    assert dev.conservation_holds()
-    assert result.act_count == sum(result.sizes[:-1] or [0])
+    assert result.act_count == sum(result.sizes[:-1])
 
 
 def test_monitor_counts_neighbors_and_resets_on_refresh():
@@ -291,229 +297,154 @@ class _FlatMonitor:
             del self.flat[key]
 
 
-def _assert_matches_flat(mon, ref):
-    """The monitor's tallies, flattened, are the reference's; each bank's
-    `tallies` counts its tallied victims, and no victim entry is empty."""
-    assert all(mon.pair.values())
-    assert {(b, v, a): c for (b, v), by_aggressor in mon.pair.items()
-            for a, c in by_aggressor.items()} == ref.flat
-    victims = {(b, v) for b, v, _ in ref.flat}
-    assert {b: n for b, n in mon.tallies.items() if n} == Counter(b for b, _ in victims)
-    assert mon.max_pair == ref.max_pair
-    assert mon.violations == ref.violations
-
-
-@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
-                              st.lists(st.integers(0, 15), min_size=1, max_size=3)),
-                    max_size=300))
-# victim 6 is refreshed between the two triples, so it reaches n_rh twice
-@example(ops=[(True, 1, [7])] * 3 + [(False, 1, [6])] + [(True, 1, [7])] * 3)
-@settings(max_examples=200, deadline=None)
-def test_monitor_refresh_matches_scanning_reference(ops):
-    fast, ref = DisturbanceMonitor(3, 16), _FlatMonitor(3, 16)
-    for is_act, bank, rows in ops:
-        for mon in (fast, ref):
-            if is_act:
-                mon.on_act(bank, rows[0])
-            else:
-                mon.on_row_refreshed(bank, *rows)
-        _assert_matches_flat(fast, ref)
-
-
-@given(ops=st.lists(st.tuples(st.sampled_from(["act", "act", "ref", "rfm", "rows"]),
-                              st.integers(0, 3), st.integers(0, 63)), max_size=150),
-       ref_resets=st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_device_refresh_walk_matches_scanning_reference(ops, ref_resets):
-    """REF, RFM and targeted refreshes skip banks without tallies; the monitor
-    ends up as if every refreshed row of every bank had been reported."""
-    t = desk_timing(BASE_T)
-    mon, ref = DisturbanceMonitor(5, 64), _FlatMonitor(5, 64)
-    dev = DeviceState(DESK, t, monitor=mon, ref_resets_counters=ref_resets)
-    now = 1_000_000
-    ref_start = 0   # the reference's REF pointer: REFs walk groups of 8 rows
-    for op, bank, row in ops:
-        now = max(now, dev.blocked_until)
-        if op == "act":
-            dev.issue(ACT, (bank, row), now)
-            dev.issue(PRE, (bank, row), now + t.tRAS)
-            ref.on_act(bank, row)
-            now += t.tRC
-        elif op == "ref":
-            assert dev.issue(REF, None, now) is None
-            for bi in range(DESK.banks_total):
-                ref.on_row_refreshed(bi, *range(ref_start, ref_start + 8))
-            ref_start = (ref_start + 8) % 64
-        elif op == "rfm":
-            aggressors = dev.issue(RFMAB, None, now)
-            assert len(aggressors) == DESK.banks_total
-            for bi, aggressor in enumerate(aggressors):
-                ref.on_row_refreshed(bi, *victim_rows(aggressor, 64))
-        else:
-            victims = victim_rows(row, 64)
-            dev.refresh_rows(bank, victims, now)
-            ref.on_row_refreshed(bank, *victims)
-            now += len(victims) * t.tRC   # the refreshes occupy the bank
-        _assert_matches_flat(mon, ref)
-        assert dev.conservation_holds()
-
-
-COUNTED_OPS = st.tuples(st.sampled_from(["act", "act", "act", "rfm", "ref", "rows"]),
-                        st.sampled_from([0, 1, 9, 33, 63]), st.integers(0, 15))
-
-
-@given(ops=st.lists(COUNTED_OPS, max_size=150), resets=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_counted_banks_follow_the_counters(ops, resets):
-    """After every command, `counted_banks` is the set of banks holding
-    counters, and an RFM's report, the cleared counter mass and the
-    conservation balance equal a scan of every bank. "act" opens `row` on a
-    closed bank and closes an open one; REF and RFM close every bank first."""
-    t = desk_timing(BASE_T)
-    dev = DeviceState(DESK, t, ref_resets_counters=resets, counter_bits=3)
-    banks = dev.banks
-    now = 1_000_000
-
-    def run(cmd, addr):
-        nonlocal now
-        if cmd == ACT:
-            ready = banks[addr[0]].act_ok
-        elif cmd == PRE:
-            ready = banks[addr[0]].pre_ok
-        else:
-            ready = dev.idle_at
-        now = max(now, dev.blocked_until, ready)
-        out = dev.issue(cmd, addr, now)
-        assert dev.counted_banks == {i for i, b in enumerate(banks) if b.counters}
-        held = sum(sum(b.counters.values()) for b in banks)
-        assert dev.counts[PRE] == held + dev.cleared_counts + dev.saturated_increments
-        assert dev.conservation_holds()
-        return out
-
-    for op, bank, row in ops:
-        if op == "act":
-            open_row = banks[bank].open_row
-            if open_row is None:
-                run(ACT, (bank, row))
-            else:
-                run(PRE, (bank, open_row))
-            continue
-        for bi, b in enumerate(banks):
-            if b.open_row is not None:
-                run(PRE, (bi, b.open_row))
-        if op == "rows":
-            rows = victim_rows(row, 64)
-            cleared = dev.cleared_counts + sum(banks[bank].counters.get(r, 0) for r in rows)
-            now = max(now, banks[bank].act_ok)
-            dev.refresh_rows(bank, rows, now)
-            assert dev.counted_banks == {i for i, b in enumerate(banks) if b.counters}
-            assert dev.cleared_counts == cleared and dev.conservation_holds()
-        elif op == "ref":
-            rows = {(dev.ref_pointer + i) % 64 for i in range(dev.rows_per_ref)}
-            cleared = dev.cleared_counts + resets * sum(
-                c for b in banks for r, c in b.counters.items() if r in rows)
-            assert run(REF, None) is None and dev.cleared_counts == cleared
-        else:
-            hottest = [min(b.counters, key=lambda r: (-b.counters[r], r)) if b.counters else 0
-                       for b in banks]
-            cleared = dev.cleared_counts + sum(
-                b.counters[r] for b, r in zip(banks, hottest) if b.counters)
-            assert run(RFMAB, None) == hottest and dev.cleared_counts == cleared
-
-
 class _ScanningDevice(DeviceState):
-    """Reference: each bank's hottest row found by scanning all its counters."""
+    """Reference device: every RFM, REF and targeted refresh scans all banks
+    and reports every refreshed row of every bank to its own _FlatMonitor,
+    `flat`. It reads none of the live-state indexes: `counted_banks`, the
+    monitor's `tallies` and the RFM heap."""
+
+    def __init__(self, topo, t, flat, **kw):
+        super().__init__(topo, t, **kw)
+        self.flat = flat
+
+    def issue(self, cmd, addr, now):
+        out = super().issue(cmd, addr, now)
+        if cmd == ACT:
+            self.flat.on_act(*addr)
+        return out
 
     def serve_rfm(self):
         aggressors = []
-        monitor = self.monitor
-        tallies = {} if monitor is None else monitor.tallies
         for bi, b in enumerate(self.banks):
-            aggressor = 0
+            aggressor = min(b.counters, key=lambda r: (-b.counters[r], r), default=0)
             if b.counters:
-                best = max(b.counters.values())
-                rows = [r for r, c in b.counters.items() if c == best]
-                aggressor = min(rows)
                 self._clear(bi, aggressor)
-            if tallies.get(bi):
-                monitor.on_row_refreshed(bi, *victim_rows(aggressor, self.topo.rows_per_bank))
+            self.flat.on_row_refreshed(bi, *victim_rows(aggressor, self.topo.rows_per_bank))
             aggressors.append(aggressor)
         return aggressors
 
+    def _serve_ref(self):
+        n = self.topo.rows_per_bank
+        rows = [(self.ref_pointer + i) % n for i in range(self.rows_per_ref)]
+        self.ref_pointer = (self.ref_pointer + self.rows_per_ref) % n
+        for bi, b in enumerate(self.banks):
+            for r in rows:
+                if self.ref_resets_counters and r in b.counters:
+                    self._clear(bi, r)
+            self.flat.on_row_refreshed(bi, *rows)
 
-RFM_OPS = st.tuples(st.sampled_from(["act", "act", "act", "act", "rfm", "rfm", "ref", "rows"]),
-                    st.integers(0, 2), st.integers(0, 5), st.booleans())
-# sixty PREs over six rows of one bank between RFMs: 42 of them raise a
-# counter before all saturate at 7, so the heap outgrows 2 * 6 + HEAP_SLACK
-LONG_OPS = ([("act", 0, 0, False), ("rfm", 0, 0, False)]
-            + [("act", 0, r % 6, False) for r in range(60)] + [("rfm", 0, 0, False)] * 3)
-# row 1's entry for count 1 goes stale under its entry for 2 and tops the
-# heap, tied with row 2, after the RFM that clears row 1
-STALE_OPS = [("act", 0, 0, False), ("rfm", 0, 0, False), ("act", 0, 1, False),
-             ("act", 0, 1, False), ("act", 0, 2, False), ("rfm", 0, 0, False),
-             ("rfm", 0, 0, False)]
+    def refresh_rows(self, bank_idx, rows, now):
+        super().refresh_rows(bank_idx, rows, now)
+        self.flat.on_row_refreshed(bank_idx, *rows)
 
 
-def _replay_against_scan(ops, bits, resets, abo_th):
-    """Run `ops` on an indexed device and on the scanning reference; return
-    how often a PRE shrank a bank's heap (a rebuild)."""
+def _assert_matches_reference(dev, ref, out):
+    """After a command with results `out`, the device's counters, refresh
+    accounting, FSM and monitor are the reference's, and its live-state
+    indexes agree with what they index."""
+    assert out[0] == out[1]
+    assert [b.counters for b in dev.banks] == [b.counters for b in ref.banks]
+    assert (dev.cleared_counts, dev.saturated_increments, dev.rows_at_th, dev.fsm) == (
+        ref.cleared_counts, ref.saturated_increments, ref.rows_at_th, ref.fsm)
+    assert dev.counted_banks == {i for i, b in enumerate(dev.banks) if b.counters}
+    assert dev.conservation_holds()
+    mon, flat = dev.monitor, ref.flat
+    assert all(mon.pair.values())
+    assert {(b, v, a): c for (b, v), by_aggressor in mon.pair.items()
+            for a, c in by_aggressor.items()} == flat.flat
+    assert {b: n for b, n in mon.tallies.items() if n} == Counter(
+        b for b, _ in {(b, v) for b, v, _ in flat.flat})
+    assert (mon.max_pair, mon.violations) == (flat.max_pair, flat.violations)
+
+
+def _replay_against_reference(ops, bits, resets, abo_th):
+    """Run `ops` on a device and on the scanning reference in lockstep,
+    checking them after every command; returns how often a PRE shrank a
+    bank's RFM heap (a rebuild).
+
+    "act" opens `rows[0]` on a closed bank (an RFM instead during a back-off
+    recovery) and closes an open one; REF and RFM close every bank first;
+    "victims" refreshes the victims of `rows[0]`, "rows" the rows `rows`."""
     t = desk_timing(PRAC_T)
     prac = None if abo_th is None else {"abo_th": abo_th, "bo_n_refs": 2, "bo_n_acts": 1}
-    devs = [cls(DESK, t, prac=prac, ref_resets_counters=resets,
-                monitor=DisturbanceMonitor(6, 64), counter_bits=bits)
-            for cls in (DeviceState, _ScanningDevice)]
-    fast, ref = devs
+    kw = dict(prac=prac, ref_resets_counters=resets, counter_bits=bits)
+    dev = DeviceState(DESK, t, monitor=DisturbanceMonitor(3, 64), **kw)
+    ref = _ScanningDevice(DESK, t, _FlatMonitor(3, 64), **kw)
+    bus = CommandBus(dev, ref)
     rebuilds = 0
-    now = 1_000_000
-    for op, bank, row, flag in ops:
-        now = max(now, fast.blocked_until, fast.idle_at)
-        if op == "act" and fast.fsm is not None and fast.fsm.phase == "recovery":
-            op = "rfm"   # no ACT during recovery
-        heap = fast.banks[bank].heap
+
+    def run(cmd, addr=None):
+        nonlocal rebuilds
+        heap = dev.banks[addr[0]].heap if cmd == PRE else None
         before = None if heap is None else len(heap)
-        out = []
-        for dev in devs:
-            if op == "act":
-                dev.issue(ACT, (bank, row), now)
-                out.append(dev.issue(PRE, (bank, row), now + t.tRAS))
-            elif op == "rfm":
-                out.append(dev.issue(RFMAB, None, now))
-            elif op == "ref":
-                out.append(dev.issue(REF, None, now))
-            else:
-                out.append(dev.refresh_rows(bank, victim_rows(row, 64) if flag else (row,), now))
-        if op == "act" and before is not None and len(fast.banks[bank].heap) < before:
-            rebuilds += 1
-        assert out[0] == out[1]
-        assert [b.counters for b in fast.banks] == [b.counters for b in ref.banks]
-        assert fast.cleared_counts == ref.cleared_counts
-        assert fast.rows_at_th == ref.rows_at_th
-        assert fast.fsm == ref.fsm
-        assert fast.monitor.pair == ref.monitor.pair
-        assert fast.conservation_holds()
+        _assert_matches_reference(dev, ref, bus.issue(cmd, addr))
+        rebuilds += before is not None and len(dev.banks[addr[0]].heap) < before
+
+    for op, bank, rows in ops:
+        open_row = dev.banks[bank].open_row
+        if op == "act" and open_row is not None:
+            run(PRE, (bank, open_row))
+        elif op == "act" and not (dev.fsm is not None and dev.fsm.phase == "recovery"):
+            run(ACT, (bank, rows[0]))
+        elif op in ("victims", "rows"):
+            rows = victim_rows(rows[0], 64) if op == "victims" else rows
+            _assert_matches_reference(dev, ref, bus.refresh_rows(bank, rows))
+        else:
+            for bi, b in enumerate(dev.banks):
+                if b.open_row is not None:
+                    run(PRE, (bi, b.open_row))
+            run(REF if op == "ref" else RFMAB)
     return rebuilds
 
 
-@given(ops=st.lists(RFM_OPS, max_size=120), bits=st.sampled_from([2, 3]),
+def _pairs(bank, *rows):
+    """Ops for an ACT and its PRE on each of `rows` in turn."""
+    return [("act", bank, [row]) for row in rows for _ in range(2)]
+
+
+_RFM = ("rfm", 0, [0])
+OPS = st.tuples(st.sampled_from(["act"] * 4 + ["rfm", "rfm", "ref", "victims", "rows"]),
+                st.sampled_from([0, 1, 9, 33, 63]),   # both ranks: a rank holds 32 banks
+                st.lists(st.integers(0, 11), min_size=1, max_size=3))
+# sixty PREs over six rows of one bank between RFMs: 42 of them raise a
+# counter before all saturate at 7, so the heap outgrows 2 * 6 + HEAP_SLACK
+LONG_OPS = _pairs(0, 0) + [_RFM] + _pairs(0, *(r % 6 for r in range(60))) + [_RFM] * 3
+# row 1's entry for count 1 goes stale under its entry for 2 and tops the
+# heap, tied with row 2, after the RFM that clears row 1
+STALE_OPS = _pairs(0, 0) + [_RFM] + _pairs(0, 1, 1, 2) + [_RFM] * 2
+# victim 6 is refreshed between the two triples, so it reaches n_rh twice
+TWICE_OPS = _pairs(1, 7, 7, 7) + [("rows", 1, [6])] + _pairs(1, 7, 7, 7)
+# bank 1 holds the tallies of victims 1 and 2 but no counter, while row 0 is
+# open and once a targeted refresh has cleared row 0's counter; a targeted
+# refresh, an RFM (which reports row 0) and a REF must still reach them
+UNCOUNTED_OPS = ([("act", 1, [0]), ("victims", 1, [0]), ("act", 1, [0])]
+                 + [op for last in (_RFM, ("ref", 0, [0]))
+                    for op in _pairs(1, 0) + [("rows", 1, [0]), last]])
+
+
+@given(ops=st.lists(OPS, max_size=150), bits=st.sampled_from([2, 3, None]),
        resets=st.booleans(), abo_th=st.sampled_from([None, 2, 3]))
 @example(ops=LONG_OPS, bits=3, resets=False, abo_th=None)
 @example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
+@example(ops=TWICE_OPS, bits=None, resets=False, abo_th=None)
+@example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
 @settings(max_examples=300, deadline=None)
-def test_indexed_rfm_matches_scanning_reference(ops, bits, resets, abo_th):
-    """RFM through the per-bank heap gives the scan's events, counters,
-    cleared mass, rows at abo_th and monitor state after every command."""
-    _replay_against_scan(ops, bits, resets, abo_th)
+def test_refresh_paths_match_the_scanning_reference(ops, bits, resets, abo_th):
+    """REF, RFM and targeted refreshes walk only counted banks, tallied
+    victims and the RFM heap, and leave the device and its monitor as the
+    reference's scans of every bank do, after every command."""
+    _replay_against_reference(ops, bits, resets, abo_th)
 
 
 def test_long_pre_stretch_rebuilds_the_rfm_heap():
-    assert _replay_against_scan(LONG_OPS, 3, False, None) >= 1
+    assert _replay_against_reference(LONG_OPS, 3, False, None) >= 1
 
 
 def test_rfm_heap_desync_raises_naming_the_bank():
     dev = fresh_device()
-    now = 1_000_000
+    bus = CommandBus(dev)
     for row in (4, 7, 4):
-        now = act_pre(dev, 2, row, now=now)
+        bus.act_pre(2, row)
     dev.serve_rfm()                      # builds bank 2's heap, clears row 4
     dev.banks[2].heap[:] = [(-9, 7)]     # poisoned: a stale entry only
     with pytest.raises(RuntimeError, match="bank 2"):
@@ -521,22 +452,6 @@ def test_rfm_heap_desync_raises_naming_the_bank():
 
 
 # ------------------------------------------------------- oracle equivalence
-
-def test_wave_replay_matches_prfm_closed_form_sample():
-    for b0, th in ((8, 4), (1, 1), (5, 4), (17, 3), (64, 5), (33, 7)):
-        traj = prfm_trajectory(b0, PrfmParams(th))
-        res = run_wave_attack(b0, PrfmParams(th), BASE_T)
-        assert res.sizes == traj.sizes, (b0, th)
-
-
-def test_wave_replay_matches_prac_closed_form_sample():
-    for b0 in (1, 2, 5, 9, 16, 21, 33):
-        for refs in (1, 2, 4):
-            p = PracParams(abo_th=6, bo_n_refs=refs, bo_n_acts=1)
-            traj = prac_trajectory(b0, p, PRAC_T)
-            res = run_wave_attack(b0, p, PRAC_T)
-            assert res.sizes == traj.sizes, (b0, refs)
-
 
 def test_wave_replay_realized_max_matches_prediction():
     # most aggressive PRAC-4 configuration: a row can receive 9 activations
@@ -568,7 +483,7 @@ def test_wave_with_periodic_refresh_never_exceeds_prediction():
 
 def test_counter_saturation_honored():
     dev = DeviceState(DESK, BASE_T, counter_bits=3)
-    act_pre(dev, 0, 5, 12)
+    CommandBus(dev).act_pre(0, 5, 12)
     assert dev.banks[0].counters[5] == 7   # 2^3 - 1, saturating
     assert dev.conservation_holds()
 
@@ -576,10 +491,11 @@ def test_counter_saturation_honored():
 def test_same_bank_rfm_is_rejected():
     # the controller only issues all-bank RFMs; the device knows no other kind
     dev = fresh_device()
-    now = act_pre(dev, 1, 4, 3)
+    bus = CommandBus(dev)
+    bus.act_pre(1, 4, 3)
     assert dev.banks[1].counters == {4: 3}
     with pytest.raises(ConfigError):
-        dev.issue("RFMsb", (1, 4), now)
+        bus.issue("RFMsb", (1, 4))
     assert dev.banks[1].counters == {4: 3} and dev.counted_banks == {1}
 
 

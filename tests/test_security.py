@@ -19,7 +19,6 @@ from pracsim.security import (
     max_activations_prac,
     prac_trajectory,
     prfm_trajectory,
-    recinit_series,
     secure_abo_th,
     secure_rfm_th,
     sweep,
@@ -84,14 +83,6 @@ def test_unknown_model_rejected():
         prac_trajectory(4, PracParams(10), PRAC_T, model="nonsense")
 
 
-@given(b0=st.integers(1, 256), th=st.integers(1, 32))
-@settings(max_examples=200, deadline=None)
-def test_cumulative_form_equals_bank_counter_step_form(b0, th):
-    traj = prfm_trajectory(b0, PrfmParams(th), max_steps=5000)
-    stepped = recinit_series(b0, th, len(traj.sizes) - 1)
-    assert tuple(stepped) == traj.sizes
-
-
 @given(b0=st.integers(1, 300), removed=st.sampled_from([1, 2, 4]),
        divisor=st.integers(1, 12))
 @settings(max_examples=200, deadline=None)
@@ -129,20 +120,11 @@ def test_prac_budget_period():
 
 # ---------------------------------------------------------------- verdicts
 
-def test_prfm_secure_at_64_for_thresholds_up_to_five():
-    for th in range(1, 6):
-        assert is_secure_prfm(64, PrfmParams(th), APP).secure
-
-
 def test_prfm_insecure_at_64_for_threshold_seven():
     # frozen witness from the vectorized scan
     v = is_secure_prfm(64, PrfmParams(7), APP)
     assert not v.secure
     assert v.witness_b0 == 9520
-
-
-def test_prfm_secure_at_32_threshold_three():
-    assert is_secure_prfm(32, PrfmParams(3), APP).secure
 
 
 def test_prfm_insecure_at_32_threshold_four():
@@ -156,16 +138,6 @@ def test_nrh_one_insecure_for_any_config():
         v = is_secure_prfm(1, PrfmParams(th), APP)
         assert not v.secure
         assert v.witness_b0 == 1  # one activation precedes any preventive refresh
-
-
-def test_prac_most_aggressive_boundary():
-    p = PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1)
-    for n in (10, 11, 12, 16, 32, 64, 128, 1024):
-        assert is_secure_prac(n, p, PRAC_T).secure
-    for n in (2, 5, 8, 9):
-        v = is_secure_prac(n, p, PRAC_T)
-        assert not v.secure
-        assert v.witness_b0 == 1
 
 
 def test_prac_priming_alone_breaks_low_thresholds():
@@ -186,11 +158,6 @@ def test_anti_monotonicity_of_security():
 
 # ------------------------------------------------------- max activation counts
 
-def test_prac_max_activations_most_aggressive_is_nine():
-    p = PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1)
-    assert max_activations_prac(p, PRAC_T) == 9
-
-
 def test_prfm_max_count_minimal_at_threshold_one():
     rows = sweep(SweepGrid("prfm", thresholds=(1,), b0_values=(1, 7, 64, 256)), APP)
     assert [r[3] for r in rows] == [1, 1, 1, 1]
@@ -208,6 +175,9 @@ def test_secure_threshold_derivations():
     assert secure_rfm_th(16, APP) == 1
     assert secure_abo_th(10, PRAC_T) == 6
     assert secure_abo_th(16, PRAC_T) == 12
+    # the sweep's cell for that threshold is secure from the same n_rh
+    [cell] = sweep(SweepGrid("prac", thresholds=(6,), bo_n_refs_values=(4,)), PRAC_T)
+    assert cell[4] == 10
 
 
 # ------------------------------------------------ kernel against a scalar loop
@@ -361,14 +331,6 @@ def test_derived_thresholds_pinned_at_full_size(name):
 
 
 # ---------------------------------------------------------------- sweep
-
-def test_sweep_prac_minimum_cell_is_nine():
-    rows = sweep(SweepGrid("prac"), PRAC_T)
-    refs4 = [r for r in rows if r[2] == 4]
-    assert min(r[3] for r in refs4) == 9
-    cell = [r for r in refs4 if r[1] == 6][0]
-    assert cell[3] == 9 and cell[4] == 10
-
 
 def test_sweep_prfm_threshold_80_reaches_past_512():
     rows = sweep(SweepGrid("prfm", thresholds=(80,)), APP)
