@@ -403,9 +403,6 @@ def _pairs(bank, *rows):
 
 
 _RFM = ("rfm", 0, [0])
-OPS = st.tuples(st.sampled_from(["act"] * 4 + ["rfm", "rfm", "ref", "victims", "rows"]),
-                st.sampled_from([0, 1, 9, 33, 63]),   # both ranks: a rank holds 32 banks
-                st.lists(st.integers(0, 11), min_size=1, max_size=3))
 # sixty PREs over six rows of one bank between RFMs: 42 of them raise a
 # counter before all saturate at 7, so the heap outgrows 2 * 6 + HEAP_SLACK
 LONG_OPS = _pairs(0, 0) + [_RFM] + _pairs(0, *(r % 6 for r in range(60))) + [_RFM] * 3
@@ -422,17 +419,51 @@ UNCOUNTED_OPS = ([("act", 1, [0]), ("victims", 1, [0]), ("act", 1, [0])]
                     for op in _pairs(1, 0) + [("rows", 1, [0]), last]])
 
 
-@given(ops=st.lists(OPS, max_size=150), bits=st.sampled_from([2, 3, None]),
-       resets=st.booleans(), abo_th=st.sampled_from([None, 2, 3]))
-@example(ops=LONG_OPS, bits=3, resets=False, abo_th=None)
-@example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
+def _drawing(*kinds):
+    """Draws ops of ACTs mixed with `kinds`, on banks of both ranks (a rank
+    holds 32 banks), with every counter width, REF reset and `abo_th`."""
+    ops = st.tuples(st.sampled_from(["act"] * 4 + list(kinds)),
+                    st.sampled_from([0, 1, 9, 33, 63]),
+                    st.lists(st.integers(0, 11), min_size=1, max_size=3))
+    return given(ops=st.lists(ops, max_size=150), bits=st.sampled_from([2, 3, None]),
+                 resets=st.booleans(), abo_th=st.sampled_from([None, 2, 3]))
+
+
+@_drawing("victims", "rows", "rfm", "ref")
 @example(ops=TWICE_OPS, bits=None, resets=False, abo_th=None)
 @example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
-@settings(max_examples=300, deadline=None)
-def test_refresh_paths_match_the_scanning_reference(ops, bits, resets, abo_th):
-    """REF, RFM and targeted refreshes walk only counted banks, tallied
-    victims and the RFM heap, and leave the device and its monitor as the
-    reference's scans of every bank do, after every command."""
+@settings(max_examples=75, deadline=None)
+def test_monitor_refresh_matches_scanning_reference(ops, bits, resets, abo_th):
+    """A targeted refresh walks only the tallied victims of its bank and
+    leaves the monitor as the reference's scan of every tally does."""
+    _replay_against_reference(ops, bits, resets, abo_th)
+
+
+@_drawing("ref", "ref", "rows")
+@example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
+@settings(max_examples=75, deadline=None)
+def test_device_refresh_walk_matches_scanning_reference(ops, bits, resets, abo_th):
+    """A REF walks only counted banks and tallied victims, and resets (or
+    keeps) counters and tallies as the reference's scan of every bank does."""
+    _replay_against_reference(ops, bits, resets, abo_th)
+
+
+@_drawing("rfm", "rfm", "ref", "victims", "rows")
+@example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
+@settings(max_examples=75, deadline=None)
+def test_counted_banks_follow_the_counters(ops, bits, resets, abo_th):
+    """`counted_banks` holds exactly the banks with counters after every
+    command of every kind."""
+    _replay_against_reference(ops, bits, resets, abo_th)
+
+
+@_drawing("rfm", "rfm", "rows")
+@example(ops=LONG_OPS, bits=3, resets=False, abo_th=None)
+@example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
+@settings(max_examples=75, deadline=None)
+def test_indexed_rfm_matches_scanning_reference(ops, bits, resets, abo_th):
+    """An RFM served from the heaps of the counted banks reports and clears
+    the rows the reference's scan of every bank does."""
     _replay_against_reference(ops, bits, resets, abo_th)
 
 
