@@ -21,7 +21,7 @@ from pracsim.dram import (
     Topology,
     victim_rows,
 )
-from pracsim.security import PracParams, PrfmParams, prfm_trajectory
+from pracsim.security import PracParams, PrfmParams, prac_trajectory, prfm_trajectory
 from pracsim.timing import ConfigError, preset
 from pracsim.workloads import desk_timing
 
@@ -417,50 +417,56 @@ TWICE_OPS = _pairs(1, 7, 7, 7) + [("rows", 1, [6])] + _pairs(1, 7, 7, 7)
 UNCOUNTED_OPS = ([("act", 1, [0]), ("victims", 1, [0]), ("act", 1, [0])]
                  + [op for last in (_RFM, ("ref", 0, [0]))
                     for op in _pairs(1, 0) + [("rows", 1, [0]), last]])
+# the top rows of a bank: row 63 is a victim of rows 61 and 62 only, and the
+# targeted refresh of 62's victims clears it
+EDGE_OPS = _pairs(2, 62, 63, 61, 62, 62) + [("victims", 2, [62])] + _pairs(2, 62, 63)
 
 
-def _drawing(*kinds):
-    """Draws ops of ACTs mixed with `kinds`, on banks of both ranks (a rank
-    holds 32 banks), with every counter width, REF reset and `abo_th`."""
-    ops = st.tuples(st.sampled_from(["act"] * 4 + list(kinds)),
-                    st.sampled_from([0, 1, 9, 33, 63]),
-                    st.lists(st.integers(0, 11), min_size=1, max_size=3))
-    return given(ops=st.lists(ops, max_size=150), bits=st.sampled_from([2, 3, None]),
+def _drawing(kinds, banks=(0, 1, 9, 33, 63), rows=(*range(8), *range(58, 64)), min_ops=10):
+    """Draws `min_ops` to 150 ops of ACTs mixed with `kinds` on `banks` and
+    `rows` (by default both ranks of 32 banks and both edges of a 64-row bank,
+    where victims are clipped), with every counter width, REF reset and `abo_th`."""
+    ops = st.tuples(st.sampled_from(["act"] * 4 + list(kinds)), st.sampled_from(banks),
+                    st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+    return given(ops=st.lists(ops, min_size=min_ops, max_size=150),
+                 bits=st.sampled_from([2, 3, None]),
                  resets=st.booleans(), abo_th=st.sampled_from([None, 2, 3]))
 
 
-@_drawing("victims", "rows", "rfm", "ref")
+@_drawing(["victims", "rows", "rfm", "ref"])
 @example(ops=TWICE_OPS, bits=None, resets=False, abo_th=None)
 @example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
-@settings(max_examples=75, deadline=None)
+@example(ops=EDGE_OPS, bits=None, resets=False, abo_th=None)
+@settings(max_examples=200, deadline=None)
 def test_monitor_refresh_matches_scanning_reference(ops, bits, resets, abo_th):
     """A targeted refresh walks only the tallied victims of its bank and
     leaves the monitor as the reference's scan of every tally does."""
     _replay_against_reference(ops, bits, resets, abo_th)
 
 
-@_drawing("ref", "ref", "rows")
+@_drawing(["ref", "ref", "rows"])
 @example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_device_refresh_walk_matches_scanning_reference(ops, bits, resets, abo_th):
     """A REF walks only counted banks and tallied victims, and resets (or
     keeps) counters and tallies as the reference's scan of every bank does."""
     _replay_against_reference(ops, bits, resets, abo_th)
 
 
-@_drawing("rfm", "rfm", "ref", "victims", "rows")
+@_drawing(["rfm", "rfm", "ref", "victims", "rows"])
 @example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_counted_banks_follow_the_counters(ops, bits, resets, abo_th):
     """`counted_banks` holds exactly the banks with counters after every
     command of every kind."""
     _replay_against_reference(ops, bits, resets, abo_th)
 
 
-@_drawing("rfm", "rfm", "rows")
+# three banks of six rows, so the heaps fill, go stale and saturate
+@_drawing(["rfm", "rfm", "rows"], banks=(0, 1, 33), rows=range(6), min_ops=20)
 @example(ops=LONG_OPS, bits=3, resets=False, abo_th=None)
 @example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_indexed_rfm_matches_scanning_reference(ops, bits, resets, abo_th):
     """An RFM served from the heaps of the counted banks reports and clears
     the rows the reference's scan of every bank does."""
@@ -486,9 +492,11 @@ def test_rfm_heap_desync_raises_naming_the_bank():
 
 def test_wave_replay_realized_max_matches_prediction():
     # most aggressive PRAC-4 configuration: a row can receive 9 activations
+    # at the preset's own tABO_ACT, which is not a multiple of tRC
     p = PracParams(abo_th=6, bo_n_refs=4, bo_n_acts=1)
-    worst = max(run_wave_attack(b0, p, PRAC_T).realized_max for b0 in range(1, 65))
-    assert worst == 9
+    runs = {b0: run_wave_attack(b0, p, PRAC_T) for b0 in range(1, 65)}
+    assert [r.sizes for r in runs.values()] == [prac_trajectory(b0, p, PRAC_T).sizes for b0 in runs]
+    assert max(r.realized_max for r in runs.values()) == 9
     # threshold-triggered management: first-zero index of the trajectory
     res = run_wave_attack(8, PrfmParams(4), BASE_T)
     assert res.realized_max == prfm_trajectory(8, PrfmParams(4)).first_zero == 10
