@@ -131,8 +131,13 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     The device enforces command timing; the generator consumes refresh
     feedback. Sizes per round reproduce the closed-form trajectories, and
     realized_max is the highest activation count any aggressor collected
-    between refreshes of its victims.
+    between refreshes of its victims. A REF clears no counter (see
+    pracsim.dram), so `ref_resets_counters` accepts only False.
     """
+    # perfbench's safety_replay (perfbench/suite.py) is the keyword's last caller
+    if ref_resets_counters is not False:
+        raise ConfigError("a REF never clears activation counters; "
+                          "ref_resets_counters must be False")
     topo = topo or Topology.desk()
     if spec_rows > topo.rows_per_bank:
         raise ConfigError("decoy set larger than the bank")
@@ -147,8 +152,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     else:
         raise ConfigError("mechanism/spec mismatch: wave needs PRFM or PRAC params")
     monitor = DisturbanceMonitor(monitor_n_rh, topo.rows_per_bank) if monitor_n_rh else None
-    dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor,
-                      ref_resets_counters=ref_resets_counters)
+    dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor)
     attacker = WaveAttacker(spec_rows, priming)
 
     now = t.tRC  # headroom so the first command never lands at time zero

@@ -4,7 +4,10 @@ Banks hold an open-row register and per-row activation counters
 (incremented while a row is being closed, i.e. at PRE). The per-bank RAA
 counters that trigger periodic refresh management are the host's: whoever
 issues the ACTs keeps them. A rank-level refresh pointer walks all rows once
-per refresh window. The back-off engine is a small FSM:
+per refresh window. A REF moves that pointer and tells the monitor which
+rows it refreshed, and nothing else: it clears no activation counter, as the
+analyzer assumes. Only an RFM or a targeted refresh lowers a counter. The
+back-off engine is a small FSM:
 
     delay    bo_n_acts activations re-arm the assert; the arming
              activation's precharge asserts if any row's counter is at
@@ -18,10 +21,10 @@ per refresh window. The back-off engine is a small FSM:
 The device keeps `counted_banks`, the set of banks whose `counters` is
 non-empty: a bank joins it at the PRE that creates its first counter and
 leaves it in `_clear`, the one place a counter falls, when that clears its
-last counter (an RFM, a targeted refresh or the REF reset). The RFM walk,
-the REF reset and the conservation check visit only that set, so their cost
-follows the banks an attack touches, not the 64 of the channel; summed over
-the set, conservation also fails for a bank the set misses.
+last counter (an RFM or a targeted refresh). The RFM walk and the
+conservation check visit only that set, so their cost follows the banks an
+attack touches, not the 64 of the channel; summed over the set,
+conservation also fails for a bank the set misses.
 
 An RFM finds each counted bank's hottest row, the lowest of any tie, in a
 heap of (-count, row) entries, an index derived from `counters`: built at
@@ -217,7 +220,6 @@ class DeviceState:
     """One memory channel's worth of DRAM state, mutated via issue()."""
 
     def __init__(self, topo: Topology, t: TimingParams, prac: Optional[dict] = None,
-                 ref_resets_counters: bool = True,
                  monitor: Optional[DisturbanceMonitor] = None,
                  counter_bits: Optional[int] = None):
         if counter_bits is not None and counter_bits < 1:
@@ -231,7 +233,6 @@ class DeviceState:
             self.fsm = BackOffFsm(
                 abo_th=prac["abo_th"], bo_n_refs=prac["bo_n_refs"],
                 bo_n_acts=prac["bo_n_acts"], window_acts=t.window_acts())
-        self.ref_resets_counters = ref_resets_counters
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
         self.monitor = monitor
         self.blocked_until = 0          # no command before this time
@@ -240,7 +241,7 @@ class DeviceState:
         self.open_banks = 0             # banks holding an open row
         self.ref_pointer = 0
         self.rows_per_ref = -(-topo.rows_per_bank // (t.tREFW // t.tREFI))
-        self.cleared_counts = 0         # counter mass cleared by RFM/REF
+        self.cleared_counts = 0         # counter mass cleared by RFMs and targeted refreshes
         self.rows_at_th = 0             # rows whose counter is at abo_th or above
         self.saturated_increments = 0   # increments swallowed at saturation
         # least backoff_deadline - t over the RFMs that opened a recovery
@@ -439,14 +440,6 @@ class DeviceState:
         start = self.ref_pointer
         rows = [(start + i) % self.topo.rows_per_bank for i in range(self.rows_per_ref)]
         self.ref_pointer = (start + self.rows_per_ref) % self.topo.rows_per_bank
-        if self.ref_resets_counters:
-            banks = self.banks
-            # a snapshot: _clear drops a bank whose last counter it clears
-            for bi in tuple(self.counted_banks):
-                counters = banks[bi].counters
-                for r in rows:
-                    if r in counters:
-                        self._clear(bi, r)
         if self.monitor is not None:
             # only banks with tallies can change; the walk updates counts in place
             for bi, n in self.monitor.tallies.items():

@@ -163,9 +163,6 @@ def recinit_series(b0: int, rfm_th: int, steps: int) -> list:
     bank = 0
     for _ in range(steps):
         b = sizes[-1]
-        if b == 0:
-            sizes.append(0)
-            continue
         nxt = b - (bank + b) // rfm_th
         bank = (bank + b) % rfm_th
         sizes.append(max(nxt, 0))

@@ -2,7 +2,7 @@
 neighbours at 64K rows per bank, and two PRAC back-off replays.
 
     prfm  n_rh 32, 64: rfm_th = secure_rfm_th + 1 at its witness b0 (REF off,
-          and for n_rh 64 also REF on without counter reset), and the secure
+          and for n_rh 64 also REF on), and the secure
           rfm_th at that same b0 (REF off)
     prac  abo_th = secure_abo_th(n_rh, bo_n_refs=4) for n_rh 32, 64 at b0 2,048
 

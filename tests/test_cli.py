@@ -283,10 +283,10 @@ GOLDEN = [
     ("prfm", 32, {"attacker": "dos"},
      "e31be469843020aec664398e7918ae21219cf82d65dc6d133fdc52d8474e1fb2",
      "de616aa5f0882d3136eb43d01e99ce4bbd1887729971f71c8b9bb0f6c3ef2303"),
-    # 5-6 back-offs per mix: commands are chosen inside open service windows
+    # 6-8 back-offs per mix: commands are chosen inside open service windows
     ("prac", 8, {"attacker": "dos"},
-     "717d199a00c9d7d094881486cdc6a6a6027349326bc815e1c1e7a4dec5a0c108",
-     "1335282a485b6f882602d991a41feca0ac29306f6f4f4b28c611e639d1ebda10"),
+     "13b1f9cbf0937af422addea6acd4c15c442bd02dca23473e9cb4cab516006f22",
+     "55edbe689888d82083c8f7cd39b0ab960bf2887dc3608d465bd6c33bcc55e167"),
 ]
 
 
@@ -318,6 +318,19 @@ def test_window_budget_leaves_trp_before_the_recovery_rfm(tmp_path):
                      "seed": "2", "records": "300", "instructions_per_core": "2000",
                      "max_cycles": "600000"}})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
+
+
+def test_ref_keeps_the_counters_the_derived_abo_th_relies_on(tmp_path):
+    """A config fuzzer's find: a REF that cleared counters cleared aggressor
+    row 6 (REF group 0-7) but not the tally of its victim row 8 (group 8-15),
+    which then reached n_rh under the analyzer-derived abo_th."""
+    ini = _write_ini(tmp_path / "f.ini", {
+        "mitigation": {"kind": "prac", "n_rh": "12"}, "timing": {"trp": "30ns"},
+        "workload": {"attacker": "dos", "attacker_rows": "8", "attacker_banks": "1",
+                     "seed": "1", "mixes": "6", "records": "120",
+                     "instructions_per_core": "600"}})
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "reports.csv").exists()
 
 
 def test_manifest_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -138,7 +139,24 @@ def test_refresh_with_an_open_row_is_rejected_before_any_change(cmd):
     assert dev.ref_pointer == 0 and dev.counts[cmd] == 0
     dev.issue(PRE, (5, 5), 2_000_000)
     dev.issue(cmd, None, 2_000_000 + BASE_T.tRP)
-    assert dev.banks[0].counters == {}
+    assert dev.banks[0].counters == ({0: 1} if cmd == REF else {})
+
+
+@pytest.mark.parametrize("cmd", [ACT, PRE, RD, WR])
+def test_command_against_the_open_row_state_is_rejected_before_any_change(cmd):
+    # bank 0 holds row 2 open and bank 1 is closed; every timing constraint is met
+    addr = {ACT: (0, 3), PRE: (1, 0), RD: (0, 3), WR: (1, 0)}[cmd]
+    dev = fresh_device(monitor=DisturbanceMonitor(8, DESK.rows_per_bank))
+    dev.issue(ACT, (0, 2), 1_000_000)
+
+    def state():
+        return deepcopy(({k: v for k, v in vars(dev).items() if k != "monitor"},
+                         dev.monitor.pair))
+    before = state()
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(cmd, addr, 1_000_000 + BASE_T.tRAS)
+    assert err.value.constraint == "open-row"
+    assert state() == before
 
 
 @pytest.mark.parametrize("cmd", [ACT, PRE, RD])
@@ -242,19 +260,25 @@ def test_ref_covers_the_bank_in_one_window():
     assert sorted(refreshed) == list(range(64))  # each row exactly once
 
 
-def test_ref_resets_prac_counters_of_refreshed_rows():
+def test_ref_keeps_prac_counters_that_an_rfm_clears():
     t = desk_timing(BASE_T)
     dev = DeviceState(DESK, t)
     dev.issue(ACT, (0, 2), 1_000_000)
     dev.issue(PRE, (0, 2), 1_000_000 + t.tRAS)
-    assert dev.banks[0].counters[2] == 1
     dev.issue(REF, None, 2_000_000)   # pointer starts at row 0, covers 0..7
-    assert 2 not in dev.banks[0].counters
+    assert dev.banks[0].counters == {2: 1}
+    dev.issue(RFMAB, None, 2_000_000 + t.tRFC)
+    assert dev.banks[0].counters == {}
 
 
 def test_wave_replay_acts_once_per_decoy_of_every_round():
     result = run_wave_attack(16, PrfmParams(4), BASE_T)
     assert result.act_count == sum(result.sizes[:-1])
+
+
+def test_wave_replay_rejects_a_ref_counter_reset():
+    with pytest.raises(ConfigError):
+        run_wave_attack(16, PrfmParams(4), BASE_T, ref_resets_counters=True)
 
 
 def test_monitor_counts_neighbors_and_resets_on_refresh():
@@ -327,10 +351,7 @@ class _ScanningDevice(DeviceState):
         n = self.topo.rows_per_bank
         rows = [(self.ref_pointer + i) % n for i in range(self.rows_per_ref)]
         self.ref_pointer = (self.ref_pointer + self.rows_per_ref) % n
-        for bi, b in enumerate(self.banks):
-            for r in rows:
-                if self.ref_resets_counters and r in b.counters:
-                    self._clear(bi, r)
+        for bi in range(len(self.banks)):
             self.flat.on_row_refreshed(bi, *rows)
 
     def refresh_rows(self, bank_idx, rows, now):
@@ -357,7 +378,7 @@ def _assert_matches_reference(dev, ref, out):
     assert (mon.max_pair, mon.violations) == (flat.max_pair, flat.violations)
 
 
-def _replay_against_reference(ops, bits, resets, abo_th):
+def _replay_against_reference(ops, bits, abo_th):
     """Run `ops` on a device and on the scanning reference in lockstep,
     checking them after every command; returns how often a PRE shrank a
     bank's RFM heap (a rebuild).
@@ -367,7 +388,7 @@ def _replay_against_reference(ops, bits, resets, abo_th):
     "victims" refreshes the victims of `rows[0]`, "rows" the rows `rows`."""
     t = desk_timing(PRAC_T)
     prac = None if abo_th is None else {"abo_th": abo_th, "bo_n_refs": 2, "bo_n_acts": 1}
-    kw = dict(prac=prac, ref_resets_counters=resets, counter_bits=bits)
+    kw = dict(prac=prac, counter_bits=bits)
     dev = DeviceState(DESK, t, monitor=DisturbanceMonitor(3, 64), **kw)
     ref = _ScanningDevice(DESK, t, _FlatMonitor(3, 64), **kw)
     bus = CommandBus(dev, ref)
@@ -425,56 +446,55 @@ EDGE_OPS = _pairs(2, 62, 63, 61, 62, 62) + [("victims", 2, [62])] + _pairs(2, 62
 def _drawing(kinds, banks=(0, 1, 9, 33, 63), rows=(*range(8), *range(58, 64)), min_ops=10):
     """Draws `min_ops` to 150 ops of ACTs mixed with `kinds` on `banks` and
     `rows` (by default both ranks of 32 banks and both edges of a 64-row bank,
-    where victims are clipped), with every counter width, REF reset and `abo_th`."""
+    where victims are clipped), with every counter width and `abo_th`."""
     ops = st.tuples(st.sampled_from(["act"] * 4 + list(kinds)), st.sampled_from(banks),
                     st.lists(st.sampled_from(rows), min_size=1, max_size=3))
     return given(ops=st.lists(ops, min_size=min_ops, max_size=150),
-                 bits=st.sampled_from([2, 3, None]),
-                 resets=st.booleans(), abo_th=st.sampled_from([None, 2, 3]))
+                 bits=st.sampled_from([2, 3, None]), abo_th=st.sampled_from([None, 2, 3]))
 
 
 @_drawing(["victims", "rows", "rfm", "ref"])
-@example(ops=TWICE_OPS, bits=None, resets=False, abo_th=None)
-@example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
-@example(ops=EDGE_OPS, bits=None, resets=False, abo_th=None)
+@example(ops=TWICE_OPS, bits=None, abo_th=None)
+@example(ops=UNCOUNTED_OPS, bits=None, abo_th=None)
+@example(ops=EDGE_OPS, bits=None, abo_th=None)
 @settings(max_examples=200, deadline=None)
-def test_monitor_refresh_matches_scanning_reference(ops, bits, resets, abo_th):
+def test_monitor_refresh_matches_scanning_reference(ops, bits, abo_th):
     """A targeted refresh walks only the tallied victims of its bank and
     leaves the monitor as the reference's scan of every tally does."""
-    _replay_against_reference(ops, bits, resets, abo_th)
+    _replay_against_reference(ops, bits, abo_th)
 
 
 @_drawing(["ref", "ref", "rows"])
-@example(ops=UNCOUNTED_OPS, bits=None, resets=False, abo_th=None)
+@example(ops=UNCOUNTED_OPS, bits=None, abo_th=None)
 @settings(max_examples=100, deadline=None)
-def test_device_refresh_walk_matches_scanning_reference(ops, bits, resets, abo_th):
-    """A REF walks only counted banks and tallied victims, and resets (or
-    keeps) counters and tallies as the reference's scan of every bank does."""
-    _replay_against_reference(ops, bits, resets, abo_th)
+def test_device_refresh_walk_matches_scanning_reference(ops, bits, abo_th):
+    """A REF walks only the banks with tallies, keeps every counter, and
+    drops tallies as the reference's scan of every bank does."""
+    _replay_against_reference(ops, bits, abo_th)
 
 
 @_drawing(["rfm", "rfm", "ref", "victims", "rows"])
-@example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
+@example(ops=STALE_OPS, bits=3, abo_th=None)
 @settings(max_examples=200, deadline=None)
-def test_counted_banks_follow_the_counters(ops, bits, resets, abo_th):
+def test_counted_banks_follow_the_counters(ops, bits, abo_th):
     """`counted_banks` holds exactly the banks with counters after every
     command of every kind."""
-    _replay_against_reference(ops, bits, resets, abo_th)
+    _replay_against_reference(ops, bits, abo_th)
 
 
 # three banks of six rows, so the heaps fill, go stale and saturate
 @_drawing(["rfm", "rfm", "rows"], banks=(0, 1, 33), rows=range(6), min_ops=20)
-@example(ops=LONG_OPS, bits=3, resets=False, abo_th=None)
-@example(ops=STALE_OPS, bits=3, resets=False, abo_th=None)
+@example(ops=LONG_OPS, bits=3, abo_th=None)
+@example(ops=STALE_OPS, bits=3, abo_th=None)
 @settings(max_examples=300, deadline=None)
-def test_indexed_rfm_matches_scanning_reference(ops, bits, resets, abo_th):
+def test_indexed_rfm_matches_scanning_reference(ops, bits, abo_th):
     """An RFM served from the heaps of the counted banks reports and clears
     the rows the reference's scan of every bank does."""
-    _replay_against_reference(ops, bits, resets, abo_th)
+    _replay_against_reference(ops, bits, abo_th)
 
 
 def test_long_pre_stretch_rebuilds_the_rfm_heap():
-    assert _replay_against_reference(LONG_OPS, 3, False, None) >= 1
+    assert _replay_against_reference(LONG_OPS, 3, None) >= 1
 
 
 def test_rfm_heap_desync_raises_naming_the_bank():
