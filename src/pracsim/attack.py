@@ -132,7 +132,9 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     feedback. Sizes per round reproduce the closed-form trajectories, and
     realized_max is the highest activation count any aggressor collected
     between refreshes of its victims. A REF clears no counter (see
-    pracsim.dram), so `ref_resets_counters` accepts only False.
+    pracsim.dram), so `ref_resets_counters` accepts only False. A REF that
+    falls due during an open back-off waits until its recovery ends, since
+    the window's ACTs must issue by the back-off deadline.
     """
     # perfbench's safety_replay (perfbench/suite.py) is the keyword's last caller
     if ref_resets_counters is not False:
@@ -166,7 +168,8 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
 
     def maybe_ref():
         nonlocal next_ref
-        if next_ref is not None and now >= next_ref:
+        if next_ref is not None and now >= next_ref and (
+                dev.fsm is None or dev.fsm.phase == "delay"):
             dev.issue(REF, None, max(now, dev.blocked_until))
             tick(t.tRFC)
             next_ref += t.tREFI

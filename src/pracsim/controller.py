@@ -1,8 +1,9 @@
 """Memory-controller model: request queues, FR-FCFS with a cap on
 column-over-row reordering, open-page policy, strict periodic refresh,
 refresh-management issuance from its per-bank RAA counters, and back-off
-deadline handling. It keeps no timing state: each command is scheduled at
-the DeviceState's ready times.
+service: a window's commands while they can issue by its deadline, then the
+recovery RFMs. It keeps no timing state and reads no DRAM timing but tREFI
+and tCL: each command is scheduled at the DeviceState's ready times.
 
 Address interleaving follows the minimalist open-page idea: a short run of
 consecutive cache blocks stays in one row, then the stream stripes across
@@ -104,7 +105,8 @@ class Request:
 
 
 class DeadlineOverrun(AssertionError):
-    """Recovery RFMs missed the back-off deadline: a scheduler bug."""
+    """Never raised: the device holds a back-off window's ACTs to its
+    deadline (ProtocolError "tABO_ACT"). perfbench/suite.py imports it."""
 
 
 class MemoryController:
@@ -144,14 +146,6 @@ class MemoryController:
                             for g in range(topo.banks_total)]
         self._groups_per_row = topo.banks_total * (topo.row_size_bytes // group_bytes)
         self._until = 0                  # the running step's horizon, see step
-        # a command fits an open service window only if its bank can be
-        # precharged, tRP after its PRE, by the back-off deadline: the last
-        # ACT may issue no later than deadline - tRC, and closing every bank
-        # costs one command-bus hop each ahead of the recovery RFM. So `at`
-        # plus the command's entry here must not pass the deadline.
-        margin = (topo.banks_total + 2) * t.clock_period
-        self._window_tail = {cmd: tail + t.tRP + margin for cmd, tail in
-                             ((ACT, t.tRAS), (RD, t.tRTP), (WR, t.tWR), (PRE, 0))}
 
     # ------------------------------------------------------------- queue side
 
@@ -198,23 +192,16 @@ class MemoryController:
     def _issue_ref(self, at: int):
         at = self._close_all_rows(at)
         if self.dev.fsm is not None:
-            # an open back-off, or one the closing rows asserted, cannot wait
-            # out a whole tRFC, so its recovery goes first
+            # an open back-off, or one the closing rows asserted, would see
+            # its window lapse within a tRFC, so its recovery goes first
             at = self._serve_recovery(at)
         self.dev.issue(REF, None, at)
         self.next_ref += self.t.tREFI
 
     def _issue_rfm(self, at: int):
-        """One all-bank RFM once every bank is closed. The RFM that opens a
-        back-off recovery, whichever path issued it, must start by the
-        deadline (tABO_ACT after the assert): the device records its slack,
-        and a negative one raises here."""
-        at = self._close_all_rows(at)
-        dev = self.dev
-        dev.issue(RFMAB, None, at)   # its aggressor report needs no action here
-        if dev.min_deadline_slack is not None and dev.min_deadline_slack < 0:
-            raise DeadlineOverrun(f"recovery RFM at {at} ps missed deadline "
-                                  f"{dev.backoff_deadline} ps")
+        """One all-bank RFM once every bank is closed; its aggressor report
+        needs no action here."""
+        self.dev.issue(RFMAB, None, self._close_all_rows(at))
 
     # ------------------------------------------------------------- scheduling
 
@@ -279,8 +266,7 @@ class MemoryController:
         banks the index holds. req_id is unique, so the order is total and
         one pass finds the minimum; a key is built only for a bank whose `at`
         can still win. While a back-off window is open, `deadline` is its
-        deadline and only commands that fit it (_window_tail) are
-        candidates."""
+        deadline and only commands that can issue by it are candidates."""
         choices = self._choices
         stale = self._stale
         if stale:
@@ -297,7 +283,6 @@ class MemoryController:
         col_floor = dev.burst_ok if dev.burst_ok > row_floor else row_floor
         raa = self.raa
         prfm_th = self.prfm_th
-        window_tail = self._window_tail
         best = held = None
         best_at = held_at = float("inf")
         any_col = False
@@ -306,7 +291,7 @@ class MemoryController:
                 at = local if local > row_floor else row_floor
             else:
                 at = local if local > col_floor else col_floor
-            if deadline is not None and at + window_tail[cmd] > deadline:
+            if deadline is not None and at > deadline:
                 continue
             if not row_cmd:
                 any_col = True
@@ -398,7 +383,7 @@ class MemoryController:
                 continue
             deadline = self.dev.backoff_deadline if phase == "window" else None
             best = self._select(now, deadline)
-            if deadline is not None and (best is None or best[0] > deadline):
+            if deadline is not None and best is None:
                 # nothing more can be served inside the window: recover early
                 now = self._serve_recovery(now)
                 continue

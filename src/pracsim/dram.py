@@ -13,10 +13,16 @@ back-off engine is a small FSM:
              activation's precharge asserts if any row's counter is at
              abo_th or above (the device keeps a count of such rows)
     window   ends at an RFM or after tABO_ACT/tRC row closes (PREs, not ACTs);
-             the RFM that opens the recovery should start by the back-off
-             deadline, and the device records its slack (min_deadline_slack)
+             each ACT must issue by the back-off deadline (below)
     recovery bo_n_refs RFM commands must arrive; each refreshes the victims
              of the bank's hottest row and clears that row's counter
+
+tABO_ACT is read as JESD79-5C's back-off window: once the alert asserts, the
+host may go on with normal traffic for tABO_ACT, so every window ACT issues
+by backoff_deadline = assert_ts + tABO_ACT, and the recovery RFMs follow with
+no deadline of their own. The analyzer's divisor bo_n_acts + tABO_ACT/tRC
+(`PracParams.divisor`) counts the same ACTs. A later window ACT raises
+ProtocolError("tABO_ACT"); min_deadline_slack keeps the least slack.
 
 The device keeps `counted_banks`, the set of banks whose `counters` is
 non-empty: a bank joins it at the PRE that creates its first counter and
@@ -37,9 +43,10 @@ bank holding counters, not a scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
 ready times, preventive-refresh occupancy, tRP before REF/RFM. A violation,
-an ACT during back-off recovery or to a row outside the bank, or a REF/RFM
-while a bank holds an open row raises ProtocolError (constraint, missing
-slack), fatal to simulation and fuzz tests.
+an ACT during back-off recovery, after the back-off deadline or to a row
+outside the bank, or a REF/RFM while a bank holds an open row raises
+ProtocolError (constraint, missing slack) before any state changes, fatal to
+simulation and fuzz tests.
 """
 
 from __future__ import annotations
@@ -151,20 +158,17 @@ class BackOffFsm:
                 self.phase = "recovery"
                 self.refs_needed = self.bo_n_refs
 
-    def on_rfm(self) -> bool:
-        """Count one RFM; returns whether it opened a recovery."""
+    def on_rfm(self):
+        """Count one RFM."""
         if self.phase == "window":
             # controller may start recovery early; unused window slots lapse
             self.phase = "recovery"
             self.refs_needed = self.bo_n_refs
-        if self.phase != "recovery":
-            return False
-        opened = self.refs_needed == self.bo_n_refs
-        self.refs_needed -= 1
-        if self.refs_needed == 0:
-            self.phase = "delay"
-            self.delay_left = self.bo_n_acts
-        return opened
+        if self.phase == "recovery":
+            self.refs_needed -= 1
+            if self.refs_needed == 0:
+                self.phase = "delay"
+                self.delay_left = self.bo_n_acts
 
 
 class DisturbanceMonitor:
@@ -244,7 +248,7 @@ class DeviceState:
         self.cleared_counts = 0         # counter mass cleared by RFMs and targeted refreshes
         self.rows_at_th = 0             # rows whose counter is at abo_th or above
         self.saturated_increments = 0   # increments swallowed at saturation
-        # least backoff_deadline - t over the RFMs that opened a recovery
+        # least backoff_deadline - t over the ACTs of back-off windows
         self.min_deadline_slack: Optional[int] = None
         self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
 
@@ -267,7 +271,7 @@ class DeviceState:
 
     @property
     def backoff_deadline(self) -> int:
-        """Latest start of the first recovery RFM: tABO_ACT after the assert."""
+        """Latest issue time of a window ACT: tABO_ACT after the assert."""
         return self.fsm.assert_ts + self.t.tABO_ACT
 
     # ------------------------------------------------------------- commands
@@ -277,8 +281,9 @@ class DeviceState:
 
         Returns an RFMab's report, serve_rfm's aggressor row per bank, and
         None for every other command. A back-off a PRE asserts shows in
-        `fsm`; an RFM that opens a recovery lowers `min_deadline_slack` to its
-        slack if that is less, and never raises for it.
+        `fsm`; an ACT of its window lowers `min_deadline_slack` to its slack
+        if that is less, and raises ProtocolError("tABO_ACT") if that is
+        negative.
         """
         aggressors = None
         t = self.t
@@ -292,11 +297,18 @@ class DeviceState:
                 raise ProtocolError("open-row", 0, "ACT with a row already open")
             if now < b.act_ok:
                 raise ProtocolError("tRC/tRP", b.act_ok - now)
-            if self.fsm is not None and self.fsm.phase == "recovery":
-                raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
             if not 0 <= row < self.topo.rows_per_bank:
                 raise ProtocolError("row-range", 0, f"ACT to row {row} outside "
                                     f"0..{self.topo.rows_per_bank - 1}")
+            fsm = self.fsm
+            if fsm is not None and fsm.phase != "delay":
+                if fsm.phase == "recovery":
+                    raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
+                slack = self.backoff_deadline - now
+                if slack < 0:
+                    raise ProtocolError("tABO_ACT", -slack)
+                if self.min_deadline_slack is None or slack < self.min_deadline_slack:
+                    self.min_deadline_slack = slack
             b.open_row = row
             self.open_banks += 1
             b.last_act = now
@@ -358,10 +370,8 @@ class DeviceState:
             else:
                 aggressors = self.serve_rfm()
                 busy = self.t.tRFM
-                if self.fsm is not None and self.fsm.on_rfm():
-                    slack = self.backoff_deadline - now
-                    if self.min_deadline_slack is None or slack < self.min_deadline_slack:
-                        self.min_deadline_slack = slack
+                if self.fsm is not None:
+                    self.fsm.on_rfm()
         else:
             raise ConfigError(f"unknown command {cmd!r}")
         self.blocked_until = now + busy

@@ -165,7 +165,7 @@ def recinit_series(b0: int, rfm_th: int, steps: int) -> list:
         b = sizes[-1]
         nxt = b - (bank + b) // rfm_th
         bank = (bank + b) % rfm_th
-        sizes.append(max(nxt, 0))
+        sizes.append(nxt)
     return sizes
 
 

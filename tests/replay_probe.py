@@ -9,8 +9,9 @@ neighbours at 64K rows per bank, and two PRAC back-off replays.
 Every replay runs on `ddr5-3200an-base` (PRFM) or `ddr5-3200an-prac` (PRAC)
 timing at `Topology()` with the monitor on. For each, the script prints one
 JSON line: the realized max, the monitor violation count, the RFM and ACT
-counts, the least back-off deadline slack in ps (PRAC; null without a
-back-off), `victim_rows.cache_info()` for that replay alone, and host
+counts, the least slack in ps of a back-off window's ACTs to its deadline
+(PRAC; null without a window ACT), `victim_rows.cache_info()` for that
+replay alone, and host
 seconds. The monitor's refresh drops each refreshed row's tallies by key,
 without `victim_rows`, so the cache columns count the monitor's `on_act`
 lookups and one lookup per RFM for the victims of the aggressor it reports.

@@ -10,8 +10,8 @@ benign cores, under analyzer-derived thresholds.
 
 Each run has 6 mixes of 300 records, 2,000 instructions per core and a cap
 of 600,000 cycles. A run fails when `simulate` exits non-zero: a
-DeadlineOverrun or ProtocolError, broken counter conservation, or a monitor
-violation under the derived thresholds. The script prints each failing run
+ProtocolError (a back-off window ACT after its deadline among them), broken
+counter conservation, or a monitor violation under the derived thresholds. The script prints each failing run
 with its error and exits 1 if any failed. It takes about 90 s on a 2-vCPU
 machine, so the test suite does not collect it (its name does not start
 with `test_`):

@@ -283,10 +283,10 @@ GOLDEN = [
     ("prfm", 32, {"attacker": "dos"},
      "e31be469843020aec664398e7918ae21219cf82d65dc6d133fdc52d8474e1fb2",
      "de616aa5f0882d3136eb43d01e99ce4bbd1887729971f71c8b9bb0f6c3ef2303"),
-    # 6-8 back-offs per mix: commands are chosen inside open service windows
+    # 6-8 back-offs per mix: window ACTs issue by the back-off deadline
     ("prac", 8, {"attacker": "dos"},
-     "13b1f9cbf0937af422addea6acd4c15c442bd02dca23473e9cb4cab516006f22",
-     "55edbe689888d82083c8f7cd39b0ab960bf2887dc3608d465bd6c33bcc55e167"),
+     "08eae32dd0438ba4a8ae22001abdca202d414029732becd1d5109e3b2e1e20ab",
+     "041e487f03d1e6dfa2c39ab0730ac87a526ec7f6b719a5f187a6a999fb343211"),
 ]
 
 
@@ -308,16 +308,18 @@ def test_reports_csv_golden(tmp_path, monkeypatch, kind, n_rh, extra, digest, sc
     assert log.hexdigest() == schedule
 
 
-def test_window_budget_leaves_trp_before_the_recovery_rfm(tmp_path):
-    """Window commands are budgeted up to their bank's precharge plus tRP,
-    which the device requires before the recovery RFM; budgeting only to
-    the PRE overran the back-off deadline on this run."""
-    ini = _write_ini(tmp_path / "w.ini", {
-        "mitigation": {"kind": "prac", "n_rh": "8"},
-        "workload": {"attacker": "dos", "attacker_banks": "8", "attacker_rows": "2",
-                     "seed": "2", "records": "300", "instructions_per_core": "2000",
-                     "max_cycles": "600000"}})
+@pytest.mark.parametrize("kind, tabo_act", [("prac", "30ns"), ("prac-optimistic", "30ns"),
+                                             ("prac-optimistic", "45ns")])
+def test_a_short_tabo_act_window_runs_clean(tmp_path, kind, tabo_act):
+    """A config fuzzer's find: a tABO_ACT below about tRC leaves too little
+    time for every bank's tRP before an RFM, so the deadline bounds the
+    window's ACTs, and the recovery RFMs follow them."""
+    ini = _write_ini(tmp_path / "a.ini", {
+        "mitigation": {"kind": kind, "n_rh": "4"}, "timing": {"tabo_act": tabo_act},
+        "workload": {"seed": "1", "mixes": "6", "records": "120",
+                     "instructions_per_core": "600"}})
     assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "reports.csv").exists()
 
 
 def test_ref_keeps_the_counters_the_derived_abo_th_relies_on(tmp_path):

@@ -6,18 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import command_log
-from pracsim.attack import run_wave_attack
 from pracsim.cli import MECHANISMS, _mechanism
 from pracsim.controller import (
     MOP_GROUP_BLOCKS,
     READ_QUEUE_DEPTH,
     WRITE_QUEUE_DEPTH,
-    DeadlineOverrun,
     MemoryController,
     inverse_map_address,
     map_address,
 )
-from pracsim.dram import BURST_PS, RFMAB, DeviceState, Topology
+from pracsim.dram import BURST_PS, DeviceState, Topology
 from pracsim.mitigations import NoMitigation, PracN, PracPlusPrfm, Prfm, counter_width
 from pracsim.security import PracParams, PrfmParams
 from pracsim.timing import ConfigError, preset
@@ -168,7 +166,8 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
 
 def test_prfm_rfm_that_opens_a_recovery_is_held_to_the_deadline():
     # a PRFM RFM whose row closes assert a back-off is the recovery's first
-    # RFM; the deadline applies to it, not to the RFM after it
+    # RFM and ends the window early; the window's ACTs before it still
+    # issue by the deadline
     trace = [TraceRecord(0, "read", inverse_map_address(DESK, 0, i % 3, 0, (i // 3) % 5, 0))
              for i in range(3000)]
     prac = {"abo_th": 4, "bo_n_refs": 2, "bo_n_acts": 1}
@@ -176,70 +175,6 @@ def test_prfm_rfm_that_opens_a_recovery_is_held_to_the_deadline():
     res = run_cores([trace], ctrl, StopCondition(None, 10 ** 9))
     assert res.instructions[0] == 3000 and dev.fsm.asserts > 0
     assert dev.min_deadline_slack is not None and dev.min_deadline_slack >= 0
-
-
-def _checking_slack(monkeypatch) -> list:
-    """Wrap DeviceState.issue. Before each RFM, the FSM tells whether it opens
-    a recovery: a window is open, or a recovery has had none of its RFMs.
-    After it, the device's minimum must have taken in that RFM's slack,
-    backoff_deadline - t, and any other command must leave it alone. Returns
-    the list the slacks of the opening RFMs go to."""
-    slacks = []
-    issue = DeviceState.issue
-
-    def checked(dev, cmd, addr, now):
-        fsm = dev.fsm
-        opens = cmd == RFMAB and fsm is not None and (fsm.phase == "window" or (
-            fsm.phase == "recovery" and fsm.refs_needed == fsm.bo_n_refs))
-        before = dev.min_deadline_slack
-        out = issue(dev, cmd, addr, now)
-        if opens:
-            slack = dev.backoff_deadline - now
-            slacks.append(slack)
-            assert dev.min_deadline_slack == (slack if before is None else min(before, slack))
-        else:
-            assert dev.min_deadline_slack == before
-        return out
-
-    monkeypatch.setattr(DeviceState, "issue", checked)
-    return slacks
-
-
-def test_device_records_the_slack_of_every_recovery_opening_rfm(monkeypatch):
-    slacks = _checking_slack(monkeypatch)
-    # controller: PRFM RFMs and the recovery path both open recoveries
-    trace = [TraceRecord(0, "read", inverse_map_address(DESK, 0, i % 3, 0, (i // 3) % 5, 0))
-             for i in range(3000)]
-    prac = {"abo_th": 4, "bo_n_refs": 2, "bo_n_acts": 1}
-    dev, ctrl = make(PracPlusPrfm(PracParams(4, 2, 1), PrfmParams(16)), t=T_DESK_PRAC, prac=prac)
-    res = run_cores([trace], ctrl, StopCondition(None, 10 ** 9))
-    assert dev.counts["REF"] > 0
-    assert len(slacks) == dev.fsm.asserts - (dev.fsm.phase == "window") > 0
-    assert res.min_deadline_slack == min(slacks) >= 0
-    # desk PRAC wave replays, REF on: the replay reports the device's minimum
-    for b0 in (1, 7, 32, 64):
-        slacks.clear()
-        rep = run_wave_attack(b0, PracParams(4, 4, 1), T_DESK_PRAC, with_ref=True)
-        assert slacks and rep.min_deadline_slack == min(slacks)
-
-
-@pytest.mark.parametrize("late", [0, 1])
-def test_late_recovery_rfm_raises_deadline_overrun(late):
-    # the device records the slack of the RFM that opens a recovery and does
-    # not raise; the controller raises once that slack is negative
-    prac = {"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1}
-    dev, ctrl = make(PracN(PracParams(1, 2, 1)), t=T_DESK_PRAC, prac=prac)
-    dev.issue("ACT", (0, 3), 1_000_000)
-    dev.issue("PRE", (0, 3), 1_000_000 + T_DESK_PRAC.tRAS)
-    assert dev.fsm.phase == "window"
-    at = dev.backoff_deadline + late
-    if late:
-        with pytest.raises(DeadlineOverrun, match=f"recovery RFM at {at} ps missed deadline "
-                                                  f"{dev.backoff_deadline} ps"):
-            ctrl._issue_rfm(at)
-    else:
-        ctrl._issue_rfm(at)
-    assert dev.min_deadline_slack == -late and dev.counts["RFMab"] == 1
 
 
 def _desk_addr(bankgroup: int, row: int, column: int = 0) -> int:

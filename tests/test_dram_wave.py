@@ -42,8 +42,8 @@ class CommandBus:
     def __init__(self, *devs, now=1_000_000):
         self.devs, self.now = devs, now
 
-    def issue(self, cmd, addr=None):
-        """Returns every device's result, in order."""
+    def ready(self, cmd, addr=None):
+        """The time `cmd` would issue at."""
         dev = self.devs[0]
         ready = dev.blocked_until
         if cmd == ACT:
@@ -52,7 +52,11 @@ class CommandBus:
             ready = max(ready, dev.banks[addr[0]].pre_ok)
         elif cmd in (REF, RFMAB):
             ready = max(ready, dev.idle_at)
-        self.now = max(self.now, ready)
+        return max(self.now, ready)
+
+    def issue(self, cmd, addr=None):
+        """Returns every device's result, in order."""
+        self.now = self.ready(cmd, addr)
         return [d.issue(cmd, addr, self.now) for d in self.devs]
 
     def refresh_rows(self, bank, rows):
@@ -187,6 +191,29 @@ def test_backoff_asserts_within_signal_latency_of_the_crossing():
     dev.issue(PRE, (0, 3), 1_000_000 + PRAC_T.tRAS)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
     assert dev.fsm.assert_ts == 1_000_000 + PRAC_T.tRAS + PRAC_T.tBackoffSignal
+
+
+@pytest.mark.parametrize("late", [0, 1])
+def test_window_act_is_held_to_the_backoff_deadline(late):
+    # an ACT at the deadline issues with slack 0; one a picosecond later is
+    # rejected before any device or monitor field changes
+    dev = DeviceState(DESK, PRAC_T, prac={"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1},
+                      monitor=DisturbanceMonitor(8, DESK.rows_per_bank))
+    dev.issue(ACT, (0, 3), 1_000_000)
+    dev.issue(PRE, (0, 3), 1_000_000 + PRAC_T.tRAS)
+    at = dev.backoff_deadline + late
+    if not late:
+        dev.issue(ACT, (1, 5), at)
+        assert dev.min_deadline_slack == 0 and dev.banks[1].open_row == 5
+        return
+
+    def state():
+        return deepcopy(vars(dev) | {"monitor": vars(dev.monitor)})
+    before = state()
+    with pytest.raises(ProtocolError) as err:
+        dev.issue(ACT, (1, 5), at)
+    assert (err.value.constraint, err.value.slack_ps) == ("tABO_ACT", 1)
+    assert state() == before and dev.min_deadline_slack is None
 
 
 def test_rows_cleared_by_the_recovery_do_not_assert_again():
@@ -384,8 +411,9 @@ def _replay_against_reference(ops, bits, abo_th):
     bank's RFM heap (a rebuild).
 
     "act" opens `rows[0]` on a closed bank (an RFM instead during a back-off
-    recovery) and closes an open one; REF and RFM close every bank first;
-    "victims" refreshes the victims of `rows[0]`, "rows" the rows `rows`."""
+    recovery or once the window's deadline has passed) and closes an open
+    one; REF and RFM close every bank first; "victims" refreshes the victims
+    of `rows[0]`, "rows" the rows `rows`."""
     t = desk_timing(PRAC_T)
     prac = None if abo_th is None else {"abo_th": abo_th, "bo_n_refs": 2, "bo_n_acts": 1}
     kw = dict(prac=prac, counter_bits=bits)
@@ -402,10 +430,11 @@ def _replay_against_reference(ops, bits, abo_th):
         rebuilds += before is not None and len(dev.banks[addr[0]].heap) < before
 
     for op, bank, rows in ops:
-        open_row = dev.banks[bank].open_row
+        open_row, fsm = dev.banks[bank].open_row, dev.fsm
         if op == "act" and open_row is not None:
             run(PRE, (bank, open_row))
-        elif op == "act" and not (dev.fsm is not None and dev.fsm.phase == "recovery"):
+        elif op == "act" and (fsm is None or fsm.phase == "delay" or fsm.phase == "window"
+                              and bus.ready(ACT, (bank, rows[0])) <= dev.backoff_deadline):
             run(ACT, (bank, rows[0]))
         elif op in ("victims", "rows"):
             rows = victim_rows(rows[0], 64) if op == "victims" else rows

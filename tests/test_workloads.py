@@ -200,8 +200,9 @@ def test_trace_replay_is_order_preserving_per_core():
 
 
 def test_fuzzed_traces_never_overrun_the_backoff_deadline():
-    # randomized request streams against an aggressive back-off config;
-    # a deadline overrun raises DeadlineOverrun and fails the run
+    # randomized request streams against an aggressive back-off config; a
+    # window ACT after the back-off deadline raises ProtocolError and fails
+    # the run; min_deadline_slack is the least slack of the window ACTs
     import random as _random
 
     from pracsim.mitigations import PracN
