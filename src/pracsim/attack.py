@@ -180,7 +180,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
         dev.issue(ACT, (bank, row), now)
         raa += 1
         dev.issue(PRE, (bank, row), now + t.tRAS)
-        realized = max(realized, dev.banks[bank].counters.get(row, 0))
+        realized = max(realized, dev.counters[bank][row])
         tick(t.tRC)
 
     def rfm():

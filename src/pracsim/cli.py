@@ -3,8 +3,9 @@ simulation campaigns, storage tables, and CSV emission.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error,
 3 security requirement violated under --require-secure. The PRACSIM_WORKERS
-environment variable sets the campaign worker count; output rows are sorted
-by key, so the worker count never changes the bytes written.
+environment variable sets the campaign worker count, an integer >= 1
+(default 1); output rows are sorted by key, so the worker count never
+changes the bytes written.
 
 `simulate`, `replay` and the acceptance campaign share one path: a config
 dict is resolved once into a RunSpec (resolve_spec), and run_mix runs each
@@ -353,8 +354,11 @@ def run_mix(spec: RunSpec, mix_index: int, traces=None,
 
 
 def _simulate(cfg: dict, out_dir: Optional[str]) -> int:
+    text = os.environ.get("PRACSIM_WORKERS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"PRACSIM_WORKERS must be an integer >= 1, got {text!r}")
+    workers = int(text)
     spec = resolve_spec(cfg)
-    workers = int(os.environ.get("PRACSIM_WORKERS", "1"))
     if workers > 1:
         # imported here: multiprocessing costs every single-worker run ~2.5 MB
         from concurrent.futures import ProcessPoolExecutor

@@ -98,5 +98,12 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        with open(path) as fh:
-            return cls(**json.load(fh))
+        """Raises ConfigError for a file that cannot be read, is not JSON, or
+        misses or adds a field."""
+        try:
+            with open(path) as fh:
+                return cls(**json.load(fh))
+        except OSError as exc:
+            raise ConfigError(f"cannot read manifest {path}: {exc.strerror}") from None
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"malformed manifest {path}: {exc}") from None

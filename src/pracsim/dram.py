@@ -24,21 +24,20 @@ no deadline of their own. The analyzer's divisor bo_n_acts + tABO_ACT/tRC
 (`PracParams.divisor`) counts the same ACTs. A later window ACT raises
 ProtocolError("tABO_ACT"); min_deadline_slack keeps the least slack.
 
-The device keeps `counted_banks`, the set of banks whose `counters` is
-non-empty: a bank joins it at the PRE that creates its first counter and
-leaves it in `_clear`, the one place a counter falls, when that clears its
-last counter (an RFM or a targeted refresh). The RFM walk and the
-conservation check visit only that set, so their cost follows the banks an
-attack touches, not the 64 of the channel; summed over the set,
-conservation also fails for a bank the set misses.
+The device's `counters` maps bank -> {row: count} and holds a bank only
+while it has a counter: the PRE that creates a bank's first counter adds
+the bank, and `_clear`, the one place a counter falls (an RFM or a targeted
+refresh), deletes it with its last counter. The monitor's `pair` is keyed
+by bank the same way. So the RFM walk, the REF walk and the conservation
+check visit only the banks an attack touches, not the 64 of the channel.
 
-An RFM finds each counted bank's hottest row, the lowest of any tie, in a
-heap of (-count, row) entries, an index derived from `counters`: built at
+An RFM finds each bank's hottest row, the lowest of any tie, in a heap of
+(-count, row) entries, an index derived from the bank's counters: built at
 the bank's first RFM, fed one entry by every PRE that changes a counter, and
 rebuilt once it outgrows twice the counters. An entry whose count no longer
-matches `counters` is stale and is dropped when it reaches the top. A bank
-without counters reports row 0 and does no other work, and the monitor
-hears only from banks with tallies. So an RFM costs a few heap pops per
+matches the counters is stale and is dropped when it reaches the top. A
+bank without counters reports row 0 and does no other work, and the monitor
+hears only from banks in its `pair`. So an RFM costs a few heap pops per
 bank holding counters, not a scan of every counter of every bank.
 
 DeviceState owns DRAM timing in picoseconds: bank, command-bus and data-bus
@@ -51,8 +50,7 @@ simulation and fuzz tests.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import ClassVar, Optional
@@ -110,8 +108,7 @@ class Topology:
 @dataclass
 class BankState:
     open_row: Optional[int] = None
-    counters: dict = field(default_factory=dict)   # row -> activation count
-    heap: Optional[list] = None                    # RFM index of counters, see module doc
+    heap: Optional[list] = None   # RFM index of the bank's counters, see module doc
     act_ok: int = 0
     pre_ok: int = 0
     col_ok: int = 0
@@ -179,29 +176,26 @@ class DisturbanceMonitor:
     refreshed. A tally reaching n_rh is a bitflip witness. Rows are
     bank-local: 0 <= row < rows_per_bank.
 
-    `pair` maps each tallied victim, keyed (bank, victim), to a dict of
-    aggressor -> count, so a refresh drops one entry per refreshed row.
-    `tallies` counts each bank's tallied victims (its `pair` keys); the
-    device skips the refresh call for a bank with none, which could not
-    change anything here.
+    `pair` maps bank -> {victim: {aggressor: count}} and holds a bank only
+    while it has a tallied victim, so a refresh drops one entry per
+    refreshed row, and the device walks only the banks in `pair`.
     """
 
     def __init__(self, n_rh: int, rows_per_bank: int):
         self.n_rh = n_rh
         self.rows_per_bank = rows_per_bank
-        self.pair: dict = {}      # (bank, victim) -> {aggressor: count}
-        self.tallies = defaultdict(int)   # bank -> number of its victims in pair
+        self.pair: dict = {}      # bank -> {victim: {aggressor: count}}
         self.max_pair = 0
         self.violations: list = []
 
     def on_act(self, bank: int, row: int):
-        pair = self.pair
+        victims = self.pair.get(bank)
+        if victims is None:
+            victims = self.pair[bank] = {}
         for victim in victim_rows(row, self.rows_per_bank):
-            key = (bank, victim)
-            by_aggressor = pair.get(key)
+            by_aggressor = victims.get(victim)
             if by_aggressor is None:
-                pair[key] = {row: 1}
-                self.tallies[bank] += 1
+                victims[victim] = {row: 1}
                 c = 1
             else:
                 c = by_aggressor.get(row, 0) + 1
@@ -212,12 +206,15 @@ class DisturbanceMonitor:
                 self.violations.append((bank, victim, row, c))
 
     def on_row_refreshed(self, bank: int, *rows: int):
-        """The victim rows `rows` of `bank` were refreshed: drop their tallies."""
-        pair = self.pair
-        before = len(pair)
+        """The victim rows `rows` of `bank` were refreshed: drop their counts,
+        and the bank once it has no victim left."""
+        victims = self.pair.get(bank)
+        if victims is None:
+            return
         for row in rows:
-            pair.pop((bank, row), None)
-        self.tallies[bank] -= before - len(pair)
+            victims.pop(row, None)
+        if not victims:
+            del self.pair[bank]
 
 
 class DeviceState:
@@ -231,7 +228,7 @@ class DeviceState:
         self.topo = topo
         self.t = t
         self.banks = [BankState() for _ in range(topo.banks_total)]
-        self.counted_banks: set = set()   # indices of banks with counters, see module doc
+        self.counters: dict = {}   # bank -> {row: activation count}, see module doc
         self.fsm = None
         if prac is not None:
             self.fsm = BackOffFsm(
@@ -331,9 +328,9 @@ class DeviceState:
             self.open_banks -= 1
             self._raise_act_ok(b, now + self.t.tRP)
             # per-row tracking is assumed perfect regardless of mitigation
-            counters = b.counters
-            if not counters:
-                self.counted_banks.add(bank_idx)
+            counters = self.counters.get(bank_idx)
+            if counters is None:
+                counters = self.counters[bank_idx] = {}
             old = counters.get(row, 0)
             count = old + 1
             if self.counter_max is not None and count > self.counter_max:
@@ -382,11 +379,11 @@ class DeviceState:
 
     def _clear(self, bank_idx: int, row: int):
         """Reset an existing counter: the only way a counter falls. A bank
-        whose last counter this clears leaves `counted_banks`."""
-        counters = self.banks[bank_idx].counters
+        whose last counter this clears leaves `counters`."""
+        counters = self.counters[bank_idx]
         count = counters.pop(row)
         if not counters:
-            self.counted_banks.discard(bank_idx)
+            del self.counters[bank_idx]
         self.cleared_counts += count
         if self.fsm is not None and count >= self.fsm.abo_th:
             self.rows_at_th -= 1
@@ -401,16 +398,14 @@ class DeviceState:
 
         Returns the aggressor row of each bank, in bank order: the attacker
         feedback channel. A bank with no counters reports row 0 and refreshes
-        its victims; a bank with counters, one of `counted_banks` and the
-        only kind the walk visits, reports the row on top of its heap (module
-        docstring; ties go to the lowest row). The monitor hears only from
-        banks that hold tallies.
+        its victims; a bank with counters, the only kind the walk visits,
+        reports the row on top of its heap (module docstring; ties go to the
+        lowest row). The monitor hears only from the banks in its `pair`.
         """
         aggressors = [0] * len(self.banks)
         # a snapshot: _clear drops a bank whose last counter it clears
-        for bi in tuple(self.counted_banks):
+        for bi, counters in tuple(self.counters.items()):
             b = self.banks[bi]
-            counters = b.counters
             heap = b.heap
             if heap is None:
                 heap = b.heap = self._heap_of(counters)
@@ -426,10 +421,9 @@ class DeviceState:
         monitor = self.monitor
         if monitor is not None:
             rows_per_bank = self.topo.rows_per_bank
-            # the walk updates counts in place, so iterating the tallies is safe
-            for bi, n in monitor.tallies.items():
-                if n:
-                    monitor.on_row_refreshed(bi, *victim_rows(aggressors[bi], rows_per_bank))
+            # a snapshot: the monitor drops a bank whose last tally it drops
+            for bi in tuple(monitor.pair):
+                monitor.on_row_refreshed(bi, *victim_rows(aggressors[bi], rows_per_bank))
         return aggressors
 
     def refresh_rows(self, bank_idx: int, rows, now: int) -> None:
@@ -440,10 +434,11 @@ class DeviceState:
         b.pre_ok = max(b.pre_ok, busy_until)
         b.col_ok = max(b.col_ok, busy_until)
         self._raise_act_ok(b, busy_until)
+        counters = self.counters.get(bank_idx, {})
         for r in rows:
-            if r in b.counters:
+            if r in counters:
                 self._clear(bank_idx, r)
-        if self.monitor is not None and self.monitor.tallies.get(bank_idx):
+        if self.monitor is not None:
             self.monitor.on_row_refreshed(bank_idx, *rows)
 
     def _serve_ref(self):
@@ -451,17 +446,13 @@ class DeviceState:
         rows = [(start + i) % self.topo.rows_per_bank for i in range(self.rows_per_ref)]
         self.ref_pointer = (start + self.rows_per_ref) % self.topo.rows_per_bank
         if self.monitor is not None:
-            # only banks with tallies can change; the walk updates counts in place
-            for bi, n in self.monitor.tallies.items():
-                if n:
-                    self.monitor.on_row_refreshed(bi, *rows)
+            # only banks in `pair` can change; a snapshot, as the walk drops banks
+            for bi in tuple(self.monitor.pair):
+                self.monitor.on_row_refreshed(bi, *rows)
 
     # ------------------------------------------------------------- accounting
 
     def conservation_holds(self) -> bool:
-        """Each ACT/PRE pair's increment is held, cleared or lost to saturation.
-        Only counted banks are summed, so a bank holding counters outside
-        `counted_banks` breaks the balance too."""
-        banks = self.banks
-        held = sum(sum(banks[bi].counters.values()) for bi in self.counted_banks)
+        """Each ACT/PRE pair's increment is held, cleared or lost to saturation."""
+        held = sum(sum(counters.values()) for counters in self.counters.values())
         return self.counts[PRE] == held + self.cleared_counts + self.saturated_increments

@@ -12,8 +12,8 @@ JSON line: the realized max, the monitor violation count, the RFM and ACT
 counts, the least slack in ps of a back-off window's ACTs to its deadline
 (PRAC; null without a window ACT), `victim_rows.cache_info()` for that
 replay alone, and host
-seconds. The monitor's refresh drops each refreshed row's tallies by key,
-without `victim_rows`, so the cache columns count the monitor's `on_act`
+seconds. The monitor's refresh drops each refreshed row from its bank's
+victims without `victim_rows`, so the cache columns count the monitor's `on_act`
 lookups and one lookup per RFM for the victims of the aggressor it reports.
 The replays take a few seconds in all, so the test suite does not collect
 this script (its name does not start with `test_`):

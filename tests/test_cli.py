@@ -343,6 +343,42 @@ def test_manifest_round_trip(tmp_path):
     assert back == m
 
 
+_MANIFEST = '{"command": "simulate", "config": {}, "seed": 0, "preset_name": "x", "outputs": []'
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["replay", "missing.json"], None, "cannot read manifest", id="no-manifest"),
+    pytest.param(["replay", "m.json"], "{", "malformed manifest", id="not-json"),
+    pytest.param(["replay", "m.json"], '{"command": "simulate", "config": {}}',
+                 "malformed manifest", id="missing-fields"),
+    pytest.param(["replay", "m.json"], _MANIFEST + ', "extra": 1}', "malformed manifest",
+                 id="unknown-field"),
+    pytest.param(["replay", "m.json"], _MANIFEST.replace("simulate", "analyze") + "}",
+                 "cannot replay", id="analyze-manifest"),
+    pytest.param(["simulate", "--config", "missing.ini"], None, "config file not found",
+                 id="no-config"),
+])
+def test_unreadable_manifest_or_config_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                        argv, text, message):
+    # a missing or malformed manifest once exited 1 with a raw OSError or TypeError
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "m.json").write_text(text)
+    assert main([*argv, "--out-dir", "o"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-1"])
+def test_worker_count_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, workers):
+    # "abc" once exited 1 with a raw ValueError, and 0 or -1 ran serially
+    monkeypatch.setenv("PRACSIM_WORKERS", workers)
+    ini = _write_ini(tmp_path / "w.ini", {"workload": TINY_WORKLOAD})
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "PRACSIM_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_subcommand_usage_exit():
     assert main(["frobnicate"]) == 2
 

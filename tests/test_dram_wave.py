@@ -1,4 +1,3 @@
-from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
 
@@ -139,11 +138,11 @@ def test_refresh_with_an_open_row_is_rejected_before_any_change(cmd):
     with pytest.raises(ProtocolError) as err:
         dev.issue(cmd, None, 2_000_000)
     assert err.value.constraint == "open-row"
-    assert dev.banks[0].counters == {0: 1} and dev.banks[5].open_row == 5
+    assert dev.counters == {0: {0: 1}} and dev.banks[5].open_row == 5
     assert dev.ref_pointer == 0 and dev.counts[cmd] == 0
     dev.issue(PRE, (5, 5), 2_000_000)
     dev.issue(cmd, None, 2_000_000 + BASE_T.tRP)
-    assert dev.banks[0].counters == ({0: 1} if cmd == REF else {})
+    assert dev.counters == ({0: {0: 1}, 5: {5: 1}} if cmd == REF else {})
 
 
 @pytest.mark.parametrize("cmd", [ACT, PRE, RD, WR])
@@ -182,7 +181,7 @@ def test_pre_increments_the_closed_rows_counter():
     dev = fresh_device()
     dev.issue(ACT, (0, 7), 1_000_000)
     dev.issue(PRE, (0, 7), 1_000_000 + BASE_T.tRAS)
-    assert dev.banks[0].counters[7] == 1
+    assert dev.counters == {0: {7: 1}}
 
 
 def test_backoff_asserts_within_signal_latency_of_the_crossing():
@@ -224,7 +223,7 @@ def test_rows_cleared_by_the_recovery_do_not_assert_again():
     bus.act_pre(0, 5, 2)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
     bus.act_pre(0, 9, 2)
-    assert dev.banks[0].counters == {5: 2, 9: 2} and dev.rows_at_th == 2
+    assert dev.counters == {0: {5: 2, 9: 2}} and dev.rows_at_th == 2
     for _ in range(2):
         bus.issue(RFMAB)
     assert dev.fsm.phase == "delay" and dev.rows_at_th == 0
@@ -250,12 +249,12 @@ def test_serve_rfm_refreshes_the_hottest_rows_victims():
     bus = CommandBus(dev)
     bus.act_pre(0, 3, 5)
     bus.act_pre(0, 9, 2)
-    assert dev.banks[0].counters == {3: 5, 9: 2}
+    assert dev.counters == {0: {3: 5, 9: 2}}
     aggressors = dev.serve_rfm()
     assert aggressors[0] == 3
-    assert 3 not in dev.banks[0].counters
+    assert dev.counters == {0: {9: 2}}
     # row 3's victims 1, 2, 4 and 5 were refreshed; row 9's were not
-    assert sorted(victim for _, victim in mon.pair) == [7, 8, 10, 11]
+    assert list(mon.pair) == [0] and sorted(mon.pair[0]) == [7, 8, 10, 11]
 
 
 def test_serve_rfm_fallback_row_when_all_counters_zero():
@@ -269,7 +268,7 @@ def test_serve_rfm_tie_break_orders():
     bus = CommandBus(dev)
     bus.act_pre(0, 9, 5)
     bus.act_pre(0, 3, 5)
-    assert dev.banks[0].counters == {9: 5, 3: 5}
+    assert dev.counters == {0: {9: 5, 3: 5}}
     assert dev.serve_rfm()[0] == 3
 
 
@@ -293,9 +292,9 @@ def test_ref_keeps_prac_counters_that_an_rfm_clears():
     dev.issue(ACT, (0, 2), 1_000_000)
     dev.issue(PRE, (0, 2), 1_000_000 + t.tRAS)
     dev.issue(REF, None, 2_000_000)   # pointer starts at row 0, covers 0..7
-    assert dev.banks[0].counters == {2: 1}
+    assert dev.counters == {0: {2: 1}}
     dev.issue(RFMAB, None, 2_000_000 + t.tRFC)
-    assert dev.banks[0].counters == {}
+    assert dev.counters == {}
 
 
 def test_wave_replay_acts_once_per_decoy_of_every_round():
@@ -312,13 +311,13 @@ def test_monitor_counts_neighbors_and_resets_on_refresh():
     mon = DisturbanceMonitor(4, 64)
     for _ in range(3):
         mon.on_act(0, 10)
-    assert mon.pair[0, 9] == {10: 3}
-    assert mon.pair[0, 12] == {10: 3}
+    assert mon.pair[0][9] == {10: 3}
+    assert mon.pair[0][12] == {10: 3}
     assert not mon.violations
     mon.on_row_refreshed(0, 9)
-    assert (0, 9) not in mon.pair
+    assert 9 not in mon.pair[0]
     mon.on_act(0, 10)
-    assert mon.pair[0, 11] == {10: 4}
+    assert mon.pair[0][11] == {10: 4}
     assert mon.violations  # reached n_rh on an unrefreshed victim
 
 
@@ -351,8 +350,8 @@ class _FlatMonitor:
 class _ScanningDevice(DeviceState):
     """Reference device: every RFM, REF and targeted refresh scans all banks
     and reports every refreshed row of every bank to its own _FlatMonitor,
-    `flat`. It reads none of the live-state indexes: `counted_banks`, the
-    monitor's `tallies` and the RFM heap."""
+    `flat`. It reads no RFM heap, and it walks every bank where the device
+    walks only the banks of its `counters` and of the monitor's `pair`."""
 
     def __init__(self, topo, t, flat, **kw):
         super().__init__(topo, t, **kw)
@@ -366,9 +365,10 @@ class _ScanningDevice(DeviceState):
 
     def serve_rfm(self):
         aggressors = []
-        for bi, b in enumerate(self.banks):
-            aggressor = min(b.counters, key=lambda r: (-b.counters[r], r), default=0)
-            if b.counters:
+        for bi in range(len(self.banks)):
+            counters = self.counters.get(bi, {})
+            aggressor = min(counters, key=lambda r: (-counters[r], r), default=0)
+            if counters:
                 self._clear(bi, aggressor)
             self.flat.on_row_refreshed(bi, *victim_rows(aggressor, self.topo.rows_per_bank))
             aggressors.append(aggressor)
@@ -388,20 +388,18 @@ class _ScanningDevice(DeviceState):
 
 def _assert_matches_reference(dev, ref, out):
     """After a command with results `out`, the device's counters, refresh
-    accounting, FSM and monitor are the reference's, and its live-state
-    indexes agree with what they index."""
+    accounting, FSM and monitor are the reference's, and its `counters` and
+    the monitor's `pair` hold exactly the banks and victims with entries."""
     assert out[0] == out[1]
-    assert [b.counters for b in dev.banks] == [b.counters for b in ref.banks]
+    assert dev.counters == ref.counters and all(dev.counters.values())
     assert (dev.cleared_counts, dev.saturated_increments, dev.rows_at_th, dev.fsm) == (
         ref.cleared_counts, ref.saturated_increments, ref.rows_at_th, ref.fsm)
-    assert dev.counted_banks == {i for i, b in enumerate(dev.banks) if b.counters}
     assert dev.conservation_holds()
     mon, flat = dev.monitor, ref.flat
-    assert all(mon.pair.values())
-    assert {(b, v, a): c for (b, v), by_aggressor in mon.pair.items()
+    assert all(victims and all(victims.values()) for victims in mon.pair.values())
+    assert {(b, v, a): c for b, victims in mon.pair.items()
+            for v, by_aggressor in victims.items()
             for a, c in by_aggressor.items()} == flat.flat
-    assert {b: n for b, n in mon.tallies.items() if n} == Counter(
-        b for b, _ in {(b, v) for b, v, _ in flat.flat})
     assert (mon.max_pair, mon.violations) == (flat.max_pair, flat.violations)
 
 
@@ -502,15 +500,6 @@ def test_device_refresh_walk_matches_scanning_reference(ops, bits, abo_th):
     _replay_against_reference(ops, bits, abo_th)
 
 
-@_drawing(["rfm", "rfm", "ref", "victims", "rows"])
-@example(ops=STALE_OPS, bits=3, abo_th=None)
-@settings(max_examples=200, deadline=None)
-def test_counted_banks_follow_the_counters(ops, bits, abo_th):
-    """`counted_banks` holds exactly the banks with counters after every
-    command of every kind."""
-    _replay_against_reference(ops, bits, abo_th)
-
-
 # three banks of six rows, so the heaps fill, go stale and saturate
 @_drawing(["rfm", "rfm", "rows"], banks=(0, 1, 33), rows=range(6), min_ops=20)
 @example(ops=LONG_OPS, bits=3, abo_th=None)
@@ -572,7 +561,7 @@ def test_wave_with_periodic_refresh_never_exceeds_prediction():
 def test_counter_saturation_honored():
     dev = DeviceState(DESK, BASE_T, counter_bits=3)
     CommandBus(dev).act_pre(0, 5, 12)
-    assert dev.banks[0].counters[5] == 7   # 2^3 - 1, saturating
+    assert dev.counters == {0: {5: 7}}   # 2^3 - 1, saturating
     assert dev.conservation_holds()
 
 
@@ -581,10 +570,10 @@ def test_same_bank_rfm_is_rejected():
     dev = fresh_device()
     bus = CommandBus(dev)
     bus.act_pre(1, 4, 3)
-    assert dev.banks[1].counters == {4: 3}
+    assert dev.counters == {1: {4: 3}}
     with pytest.raises(ConfigError):
         bus.issue("RFMsb", (1, 4))
-    assert dev.banks[1].counters == {4: 3} and dev.counted_banks == {1}
+    assert dev.counters == {1: {4: 3}}
 
 
 def test_prac_optimistic_event_sequence_matches_prac4(monkeypatch):
