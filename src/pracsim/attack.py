@@ -15,11 +15,15 @@ refreshed and the generator drops that row from the next round. Within a
 round, still-live rows are hammered first; a row whose victims were
 refreshed before its turn still receives its planned activation at the
 round's tail and leaves the rotation at the boundary.
+
+`run_wave_attack` replays it in one command loop with no helper call per
+command, since the analyzer's cross-check runs hundreds of these replays.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Optional, Union
 
 from .controller import inverse_map_address
@@ -132,9 +136,14 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     feedback. Sizes per round reproduce the closed-form trajectories, and
     realized_max is the highest activation count any aggressor collected
     between refreshes of its victims. A REF clears no counter (see
-    pracsim.dram), so `ref_resets_counters` accepts only False. A REF that
-    falls due during an open back-off waits until its recovery ends, since
-    the window's ACTs must issue by the back-off deadline.
+    pracsim.dram), so `ref_resets_counters` accepts only False.
+
+    One loop issues every command. For each row the priming and then the
+    wave yield, it issues a REF if one is due, the row's ACT/PRE pair, and
+    then the refresh management the pair makes due: under PRAC every RFM of
+    an open recovery, under PRFM one RFM per rfm_th ACTs. A REF that falls
+    due during an open back-off waits until its recovery ends, since the
+    window's ACTs must issue by the back-off deadline.
     """
     # perfbench's safety_replay (perfbench/suite.py) is the keyword's last caller
     if ref_resets_counters is not False:
@@ -154,55 +163,42 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     else:
         raise ConfigError("mechanism/spec mismatch: wave needs PRFM or PRAC params")
     monitor = DisturbanceMonitor(monitor_n_rh, topo.rows_per_bank) if monitor_n_rh else None
+    # Built through this module's DeviceState name, looked up at call time,
+    # and issue bound from the instance: a caller that patches the name to
+    # capture the device, or wraps DeviceState.issue on the class to count
+    # or log commands, sees every command of the replay.
     dev = DeviceState(topo, t, prac=prac_cfg, monitor=monitor)
+    issue, counters, fsm = dev.issue, dev.counters, dev.fsm
     attacker = WaveAttacker(spec_rows, priming)
+    tRC, tRAS, tRFC, tRFM, tREFI = t.tRC, t.tRAS, t.tRFC, t.tRFM, t.tREFI
 
-    now = t.tRC  # headroom so the first command never lands at time zero
-    next_ref = now + t.tREFI if with_ref else None
+    now = tRC  # headroom so the first command never lands at time zero
+    next_ref = now + tREFI if with_ref else float("inf")
     realized = 0
     raa = 0   # the bank's ACTs since its last PRFM RFM
-
-    def tick(step_ps: int):
-        nonlocal now
-        now = max(now + step_ps, dev.blocked_until)
-
-    def maybe_ref():
-        nonlocal next_ref
-        if next_ref is not None and now >= next_ref and (
-                dev.fsm is None or dev.fsm.phase == "delay"):
-            dev.issue(REF, None, max(now, dev.blocked_until))
-            tick(t.tRFC)
-            next_ref += t.tREFI
-
-    def act_pre(row: int):
-        nonlocal realized, raa
-        maybe_ref()
-        dev.issue(ACT, (bank, row), now)
+    # Every command below issues at `now`, which never lies before
+    # dev.blocked_until. Priming shares the loop: PRFM primes nothing, and
+    # PRAC priming leaves every decoy at abo_th - 1, so no back-off asserts
+    # before the wave: no REF is held and no recovery opens.
+    for row in chain(attacker.prime_rows(), attacker.wave_rows()):
+        if now >= next_ref and (fsm is None or fsm.phase == "delay"):
+            issue(REF, None, now)
+            now += tRFC
+            next_ref += tREFI
+        addr = (bank, row)
+        issue(ACT, addr, now)
+        issue(PRE, addr, now + tRAS)
         raa += 1
-        dev.issue(PRE, (bank, row), now + t.tRAS)
-        realized = max(realized, dev.counters[bank][row])
-        tick(t.tRC)
-
-    def rfm():
-        aggressors = dev.issue(RFMAB, None, max(now, dev.blocked_until))
-        attacker.on_refresh(aggressors[bank])
-        tick(t.tRFM)
-
-    def drain_obligations():
-        nonlocal raa
-        if dev.fsm is not None:
-            while dev.fsm.phase == "recovery":
-                rfm()
-        elif raa >= prfm_th:
-            rfm()
+        count = counters[bank][row]
+        if count > realized:
+            realized = count
+        now += tRC
+        if now < dev.blocked_until:
+            now = dev.blocked_until
+        while (fsm.phase == "recovery") if fsm is not None else (raa >= prfm_th):
+            attacker.on_refresh(issue(RFMAB, None, now)[bank])
+            now += tRFM
             raa = 0
-
-    for row in attacker.prime_rows():
-        act_pre(row)   # priming stays below any threshold, no obligations fire
-
-    for row in attacker.wave_rows():
-        act_pre(row)
-        drain_obligations()
 
     return WaveReplayResult(
         sizes=tuple(attacker.sizes), realized_max=realized,

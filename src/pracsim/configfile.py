@@ -42,16 +42,31 @@ SCHEMA = {
 }
 
 
-def check_schema(cfg: dict) -> None:
-    """Reject any section or key the schema does not list."""
+# the type of value each SCHEMA coercer yields; durations are int ps
+_YIELDS = {str: str, int: int, float: float, parse_duration: int, _bool: bool}
+
+
+def check_schema(cfg: dict, values: bool = True) -> None:
+    """Reject any section or key the schema does not list and, unless
+    `values` is false, any value whose type is not the one its coercer
+    yields (a bool is no int): a manifest's config is JSON, which nothing
+    coerces."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must map sections to keys, got {cfg!r}")
     for section, keys in cfg.items():
         if section not in SCHEMA:
             raise ConfigError(
                 f"unknown config section [{section}]; valid: {', '.join(SCHEMA)}")
-        for key in keys:
+        if not isinstance(keys, dict):
+            raise ConfigError(f"[{section}] must map keys to values, got {keys!r}")
+        for key, value in keys.items():
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]; "
                                   f"valid: {', '.join(SCHEMA[section])}")
+            want = _YIELDS[SCHEMA[section][key]]
+            if values and type(value) is not want:
+                raise ConfigError(f"{section}.{key} must be of type {want.__name__}, "
+                                  f"got {value!r}")
 
 
 def _coerce(section: str, key: str, text: str):
@@ -68,7 +83,7 @@ def parse_config(path: str) -> dict:
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     raw = {section: dict(parser[section]) for section in parser.sections()}
-    check_schema(raw)
+    check_schema(raw, values=False)
     return {section: {key: _coerce(section, key, text) for key, text in kv.items()}
             for section, kv in raw.items()}
 

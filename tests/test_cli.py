@@ -1,18 +1,27 @@
 import hashlib
 import subprocess
 import sys
-from dataclasses import astuple, replace
+import tempfile
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import command_log
 from pracsim import cli
-from pracsim.cli import main, resolve_spec
+from pracsim.attack import run_wave_attack
+from pracsim.cli import MECHANISMS, main, resolve_spec
 from pracsim.configfile import SCHEMA, RunManifest, parse_config, timing_from_config
-from pracsim.dram import DeviceState
-from pracsim.security import is_secure
-from pracsim.timing import ConfigError
+from pracsim.dram import ACT, REF, DeviceState, Topology
+from pracsim.security import PracParams, PrfmParams, is_secure
+from pracsim.timing import PRESET_NAMES, ConfigError, preset
+from pracsim.workloads import desk_timing
+
+DESK = Topology.desk()
+DESK_BASE = desk_timing(preset("ddr5-3200an-base"))
+DESK_PRAC = desk_timing(preset("ddr5-3200an-prac"))
 
 TINY_WORKLOAD = {"mixes": "6", "records": "64", "instructions_per_core": "100",
                  "max_cycles": "20000"}
@@ -308,6 +317,42 @@ def test_reports_csv_golden(tmp_path, monkeypatch, kind, n_rh, extra, digest, sc
     assert log.hexdigest() == schedule
 
 
+# perfbench's safety_replay configs: (params, timing, monitor n_rh with REF on)
+WAVE_CONFIGS = [(PrfmParams(2), DESK_BASE, 10), (PrfmParams(3), DESK_BASE, 10),
+                (PracParams(4, 4, 1), DESK_PRAC, 8), (PracParams(6, 4, 1), DESK_PRAC, 8)]
+WAVE_SCHEDULE = "05ae60e5e49fe7a78228f78b739155d7681116943ce9b114e9ade0062e9ee466"
+
+
+def test_wave_replay_schedule_golden():
+    """Pins the wave replay's command schedule, as the golden above pins the
+    controller's: every command of the desk replays of every decoy count,
+    with REF on (monitor on) and off, in order and with its time. The log
+    must hold both ways a REF issues: during priming, and held behind a
+    back-off, after window ACTs that issued once it was due."""
+    log = hashlib.sha256()
+    primed = held = 0
+    for params, t, n_rh in WAVE_CONFIGS:
+        priming_acts = params.abo_th - 1 if isinstance(params, PracParams) else 0
+        for with_ref in (True, False):
+            for b0 in range(1, DESK.rows_per_bank + 1):
+                lines = []
+                with command_log(lines.append):
+                    run_wave_attack(b0, params, t, topo=DESK, bank=5, with_ref=with_ref,
+                                    monitor_n_rh=n_rh if with_ref else None)
+                log.update("".join(lines).encode())
+                acts, last_act, refs = 0, None, 0
+                for line in lines:
+                    cmd, at = line.split(" ", 1)[0], int(line.rsplit(" ", 1)[1])
+                    if cmd == ACT:
+                        acts, last_act = acts + 1, at
+                    elif cmd == REF:
+                        refs += 1
+                        primed += acts < b0 * priming_acts
+                        held += last_act >= t.tRC + refs * t.tREFI   # when it fell due
+    assert primed and held
+    assert log.hexdigest() == WAVE_SCHEDULE
+
+
 @pytest.mark.parametrize("kind, tabo_act", [("prac", "30ns"), ("prac-optimistic", "30ns"),
                                              ("prac-optimistic", "45ns")])
 def test_a_short_tabo_act_window_runs_clean(tmp_path, kind, tabo_act):
@@ -335,6 +380,48 @@ def test_ref_keeps_the_counters_the_derived_abo_th_relies_on(tmp_path):
     assert (tmp_path / "o" / "reports.csv").exists()
 
 
+BASE_PS = {key.lower(): value for key, value in asdict(preset("ddr5-3200an-base")).items()}
+FUZZ_MITIGATION = {"bo_n_refs": st.integers(1, 4), "bo_n_acts": st.integers(1, 4),
+                   "abo_th": st.integers(1, 128), "rfm_th": st.integers(1, 32),
+                   "probability": st.floats(0, 1)}
+
+
+@st.composite
+def simulate_configs(draw):
+    """A config drawn from SCHEMA: any kind and n_rh, up to two recovery or
+    threshold keys, up to two [timing] overrides at 0.25-4x the base bin,
+    and half the time a dos attacker; the workload is tiny."""
+    mitigation = {"kind": draw(st.sampled_from(sorted(MECHANISMS))),
+                  "n_rh": draw(st.integers(4, 1024))}
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_MITIGATION)), max_size=2,
+                             unique=True)):
+        mitigation[key] = draw(FUZZ_MITIGATION[key])
+    timing = {}
+    for key in draw(st.lists(st.sampled_from(sorted(SCHEMA["timing"])), max_size=2,
+                             unique=True)):
+        timing[key] = (draw(st.sampled_from(PRESET_NAMES)) if key == "preset" else
+                       f"{round(BASE_PS[key] * draw(st.floats(0.25, 4)))}ps")
+    workload = {"seed": draw(st.integers(0, 9)), "mixes": 6, "records": 120,
+                "instructions_per_core": 600}
+    if draw(st.booleans()):
+        workload.update(attacker="dos", attacker_rows=draw(st.integers(1, 80)),
+                        attacker_banks=draw(st.integers(1, 10)))
+    return {"mitigation": mitigation, "timing": timing, "workload": workload}
+
+
+@settings(max_examples=100, deadline=None)
+@given(simulate_configs())
+def test_every_drawn_config_runs_clean_or_is_rejected(cfg):
+    """An accepted config runs to exit 0 and writes reports.csv; any other
+    config exits 2 and writes no file. No draw may exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        rc = main(["simulate", "--config", _write_ini(Path(tmp) / "f.ini", cfg),
+                   "--out-dir", str(out)])
+        assert rc in (0, 2)
+        assert (out / "reports.csv").exists() if rc == 0 else not out.exists()
+
+
 def test_manifest_round_trip(tmp_path):
     m = RunManifest("simulate", {"workload": {"seed": 1}}, 1, "x", ["a.csv"])
     p = tmp_path / "m.json"
@@ -355,12 +442,21 @@ _MANIFEST = '{"command": "simulate", "config": {}, "seed": 0, "preset_name": "x"
                  id="unknown-field"),
     pytest.param(["replay", "m.json"], _MANIFEST.replace("simulate", "analyze") + "}",
                  "cannot replay", id="analyze-manifest"),
+    pytest.param(["replay", "m.json"], _MANIFEST.replace("{}", '"x"') + "}",
+                 "config must map sections", id="config-not-a-table"),
+    pytest.param(["replay", "m.json"], _MANIFEST.replace("{}", '{"workload": 6}') + "}",
+                 "[workload] must map keys", id="section-not-a-table"),
+    pytest.param(["replay", "m.json"], _MANIFEST.replace("{}", '{"workload": {"mixes": "x"}}')
+                 + "}", "workload.mixes must be of type int", id="str-mixes"),
+    pytest.param(["replay", "m.json"], _MANIFEST.replace("{}", '{"mitigation": {"n_rh": "64"}}')
+                 + "}", "mitigation.n_rh must be of type int", id="str-n_rh"),
     pytest.param(["simulate", "--config", "missing.ini"], None, "config file not found",
                  id="no-config"),
 ])
 def test_unreadable_manifest_or_config_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                         argv, text, message):
-    # a missing or malformed manifest once exited 1 with a raw OSError or TypeError
+    # a missing or malformed manifest, or one whose config holds a value of the
+    # wrong type, once exited 1 with a raw OSError, AttributeError or TypeError
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "m.json").write_text(text)
