@@ -29,13 +29,9 @@ from .controller import MemoryController
 from .dram import DeviceState, DisturbanceMonitor, Topology
 from .metrics import SimReport, build_report
 from .mitigations import (
+    InDram,
     MitigationConfig,
-    NoMitigation,
     Para,
-    PracN,
-    PracOptimistic,
-    PracPlusPrfm,
-    Prfm,
     counter_width,
     graphene_defaults,
     hydra_defaults,
@@ -224,9 +220,17 @@ def _setting(sec: dict, key: str, derive, n_rh: int, *args):
 
 def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology,
                t: TimingParams) -> MitigationConfig:
-    """The mechanism's config; thresholds not set in the config are derived
+    """The config of a kind in MECHANISMS: graphene, hydra and para have
+    their own, and every other kind is InDram with the PRAC and PRFM
+    parameters its keys read. Thresholds not set in the config are derived
     from the security analysis at timing t and full size, and graphene's
     table is sized for t's refresh window."""
+    if kind == "graphene":
+        return graphene_defaults(n_rh, topo, t)
+    if kind == "hydra":
+        return hydra_defaults(n_rh, topo)
+    if kind == "para":
+        return Para(_setting(sec, "probability", para_probability, n_rh))
     refs = sec.get("bo_n_refs", PracParams.bo_n_refs)
     acts = sec.get("bo_n_acts", PracParams.bo_n_acts)
     prfm = prac = None
@@ -235,16 +239,7 @@ def _mechanism(kind: str, n_rh: int, sec: dict, topo: Topology,
     if "abo_th" in MECHANISMS[kind][1]:
         prac = PracParams(_setting(sec, "abo_th", secure_abo_th, n_rh, t, refs, acts),
                           refs, acts)
-    return {
-        "none": NoMitigation,
-        "prfm": lambda: Prfm(prfm),
-        "prac": lambda: PracN(prac),
-        "prac-optimistic": lambda: PracOptimistic(prac),
-        "prac+prfm": lambda: PracPlusPrfm(prac, prfm),
-        "graphene": lambda: graphene_defaults(n_rh, topo, t),
-        "hydra": lambda: hydra_defaults(n_rh, topo),
-        "para": lambda: Para(_setting(sec, "probability", para_probability, n_rh)),
-    }[kind]()
+    return InDram(kind, prac, prfm)
 
 
 def resolve_spec(cfg: dict) -> RunSpec:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dram import ACT, BURST_PS, PRE, RD, REF, RFMAB, WR, DeviceState, Topology
-from .mitigations import MitigationConfig, NoMitigation, build_mechanism
+from .mitigations import MitigationConfig, build_mechanism
 from .timing import ConfigError, TimingParams
 
 BLOCK_BYTES = 64
@@ -113,7 +113,7 @@ class MemoryController:
     """Single-channel controller driving one DeviceState."""
 
     def __init__(self, topo: Topology, t: TimingParams, device: DeviceState,
-                 mitigation: MitigationConfig = NoMitigation(), seed: int = 0):
+                 mitigation: MitigationConfig, seed: int = 0):
         self.topo = topo
         self.t = t
         self.dev = device

@@ -4,10 +4,9 @@ Controller-side mechanisms (frequent-item counting, DRAM-resident counters
 with an on-chip cache, probabilistic neighbor refresh) share one interface:
 on_activation() returns the tuple of victim rows to refresh now, empty when
 no refresh is due. The in-DRAM mechanisms (per-row counting with back-off,
-periodic refresh management) live in the device model and the controller.
-Every config derives from MitigationConfig, so any of them tells its runner
-the PRAC back-off and PRFM parameters it uses through `prac` and `prfm`,
-each None for a mechanism that does not use it.
+periodic refresh management) live in the device model and the controller,
+and one config, InDram, describes each of them by its kind and the PRAC
+back-off and PRFM parameters it uses.
 
 Storage constants the original proposals left open are pinned here and noted
 inline. The config file sets none of them: graphene_defaults sizes graphene
@@ -20,7 +19,8 @@ from __future__ import annotations
 import math
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .dram import Topology, victim_rows
@@ -29,42 +29,31 @@ from .timing import ConfigError, TimingParams, preset
 
 
 class MitigationConfig:
-    """Base of every mechanism config. A config that uses PRAC or PRFM
-    declares `prac`/`prfm` as a required field; `= field()` keeps the None
-    here from becoming that field's default."""
+    """Base of every mechanism config. `name` is its kind, and `prac`/`prfm`
+    are the PRAC back-off and PRFM parameters a run of it uses, each None
+    for a mechanism that does not use it."""
     prac: Optional[PracParams] = None
     prfm: Optional[PrfmParams] = None
 
 
 @dataclass(frozen=True)
-class NoMitigation(MitigationConfig):
-    name = "none"
+class InDram(MitigationConfig):
+    """An in-DRAM mechanism: the device and the controller read only these
+    three fields. prac-optimistic differs from prac here in name alone; its
+    unadjusted timing is its preset in cli.MECHANISMS."""
+    name: str
+    prac: Optional[PracParams] = None
+    prfm: Optional[PrfmParams] = None
 
 
-@dataclass(frozen=True)
-class Prfm(MitigationConfig):
-    prfm: PrfmParams = field()
-    name = "prfm"
-
-
-@dataclass(frozen=True)
-class PracN(MitigationConfig):
-    prac: PracParams = field()
-    name = "prac"
-
-
-@dataclass(frozen=True)
-class PracPlusPrfm(MitigationConfig):
-    prac: PracParams = field()
-    prfm: PrfmParams = field()
-    name = "prac+prfm"
-
-
-@dataclass(frozen=True)
-class PracOptimistic(MitigationConfig):
-    """Same policy as PracN but run on unadjusted timing parameters."""
-    prac: PracParams = field()
-    name = "prac-optimistic"
+# Named constructors of InDram. Nothing in the package calls them; the
+# benchmark's campaigns (perfbench/suite.py) and acceptance criterion 7 build
+# their configs with them.
+NoMitigation = partial(InDram, "none")
+Prfm = partial(InDram, "prfm", None)   # prac None
+PracN = partial(InDram, "prac")
+PracPlusPrfm = partial(InDram, "prac+prfm")
+PracOptimistic = partial(InDram, "prac-optimistic")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from pracsim.attack import run_wave_attack
 from pracsim.cli import MECHANISMS, main, resolve_spec
 from pracsim.configfile import SCHEMA, RunManifest, parse_config, timing_from_config
 from pracsim.dram import ACT, REF, DeviceState, Topology
+from pracsim.mitigations import InDram, NoMitigation, PracN, PracOptimistic, PracPlusPrfm, Prfm
 from pracsim.security import PracParams, PrfmParams, is_secure
 from pracsim.timing import PRESET_NAMES, ConfigError, preset
 from pracsim.workloads import desk_timing
@@ -95,9 +96,13 @@ def test_analyze_rejects_options_the_mechanism_never_reads(tmp_path, mech, unrea
     assert not out.exists()
 
 
-def test_storage_without_secure_threshold_is_config_error(tmp_path):
-    # no rfm_th or abo_th is secure at n_rh = 4, as simulate reports for it
+def test_storage_without_secure_threshold_is_config_error(tmp_path, capsys):
+    # rfm_th 1 is secure at n_rh = 4 on ddr5-3200an-base, but no abo_th is
+    # secure on ddr5-3200an-prac for n_rh 2-4, so the prac row fails, as
+    # simulate does for kind = prac
     assert main(["storage", "--nrh", "4", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "no secure abo_th exists for n_rh=4" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 # sha256 of the analyzer CSVs, so analyzer refactors and speedups can show
@@ -422,6 +427,61 @@ def test_every_drawn_config_runs_clean_or_is_rejected(cfg):
         assert (out / "reports.csv").exists() if rc == 0 else not out.exists()
 
 
+def _given(draw, odds=2) -> bool:
+    """True at odds of 1 in `odds`."""
+    return draw(st.sampled_from(range(odds))) == 0
+
+
+def _option(draw, flag, values, nargs=False, odds=2):
+    """[flag, value] at odds of 1 in `odds`, else []; an option that takes a
+    list gets 0-3 values."""
+    if not _given(draw, odds):
+        return []
+    return [flag, *map(str, draw(st.lists(values, max_size=3)) if nargs else [draw(values)])]
+
+
+@st.composite
+def analyzer_argvs(draw):
+    """An analyze, attack-theory or storage argument list: each option is
+    given or left at its default, thresholds and sizes reach 0 and lists
+    may be empty. An analyze option that is rejected whatever its value
+    (one the mechanism never reads, --require-secure without --nrh) is
+    drawn at lower odds. storage's n_rh stays small: its cost grows with it."""
+    command = draw(st.sampled_from(("analyze", "attack-theory", "storage")))
+    if command == "storage":
+        return [command, "--nrh", *map(str, draw(st.lists(st.integers(0, 64), max_size=3)))]
+    preset_name = _option(draw, "--preset", st.sampled_from(PRESET_NAMES))
+    recovery = st.integers(0, 4)   # bo_n_refs and bo_n_acts take 1, 2 or 4
+    if command == "attack-theory":
+        return [command, *preset_name,
+                *_option(draw, "--rfm-th", st.integers(0, 64), nargs=True),
+                *_option(draw, "--abo-th", st.integers(0, 128), nargs=True),
+                *_option(draw, "--bo-n-refs", recovery)]
+    mech = draw(st.sampled_from(("prac", "prfm")))
+    prac_odds, prfm_odds = (2, 8) if mech == "prac" else (8, 2)
+    nrh = _option(draw, "--nrh", st.integers(0, 1024))
+    return ["analyze", "--mech", mech, *preset_name,
+            *_option(draw, "--thresholds", st.integers(0, 128), nargs=True),
+            *_option(draw, "--b0", st.integers(0, 64), nargs=True, odds=prfm_odds),
+            *_option(draw, "--bo-n-refs", recovery, nargs=True, odds=prac_odds),
+            *_option(draw, "--bo-n-acts", recovery, odds=prac_odds), *nrh,
+            *(["--require-secure"] if _given(draw, 2 if nrh else 8) else [])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(analyzer_argvs())
+def test_every_drawn_analyzer_command_writes_its_csv_or_is_rejected(argv):
+    """An accepted argument list exits 0 and writes its CSV; any other exits
+    2 and writes nothing. Exit 3 (CSV written) is legal only under
+    --require-secure, and no draw may exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        rc = main([*argv, "--out", str(out)])
+        assert rc in (0, 2, 3)
+        assert out.exists() == (rc != 2)
+        assert rc != 3 or "--require-secure" in argv
+
+
 def test_manifest_round_trip(tmp_path):
     m = RunManifest("simulate", {"workload": {"seed": 1}}, 1, "x", ["a.csv"])
     p = tmp_path / "m.json"
@@ -521,15 +581,31 @@ def test_derivation_sees_the_timing_overrides():
     assert spec.mitigation.prfm.rfm_th == 5
 
 
+# the named constructor of each in-DRAM kind, given the resolved parameters
+IN_DRAM_CONSTRUCTORS = {
+    "none": lambda prac, prfm: NoMitigation(),
+    "prfm": lambda prac, prfm: Prfm(prfm),
+    "prac": lambda prac, prfm: PracN(prac),
+    "prac-optimistic": lambda prac, prfm: PracOptimistic(prac),
+    "prac+prfm": PracPlusPrfm,
+}
+
+
 @pytest.mark.parametrize("kind", sorted(cli.MECHANISMS))
 def test_resolved_prac_and_prfm_follow_the_keys_the_kind_reads(monkeypatch, kind):
-    """A resolved mechanism carries PRAC/PRFM parameters exactly when its
-    kind reads abo_th/rfm_th, and the device of a run gets a back-off FSM
-    exactly when PRAC is set, with those parameters."""
+    """A resolved mechanism is named by its kind and carries PRAC/PRFM
+    parameters exactly when its kind reads abo_th/rfm_th; an in-DRAM one
+    equals what its named constructor builds from them, as the benchmark's
+    campaigns build it. The device of a run gets a back-off FSM exactly
+    when PRAC is set, with those parameters."""
     spec = resolve_spec({"mitigation": {"kind": kind, "n_rh": 64}})
     prac, prfm, reads = spec.mitigation.prac, spec.mitigation.prfm, cli.MECHANISMS[kind][1]
+    assert spec.mitigation.name == kind
     assert (prac is not None) == ("abo_th" in reads)
     assert (prfm is not None) == ("rfm_th" in reads)
+    assert isinstance(spec.mitigation, InDram) == (kind in IN_DRAM_CONSTRUCTORS)
+    if kind in IN_DRAM_CONSTRUCTORS:
+        assert IN_DRAM_CONSTRUCTORS[kind](prac, prfm) == spec.mitigation
     devices = []
 
     def capture(*args, **kwargs):
