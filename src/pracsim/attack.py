@@ -123,7 +123,7 @@ class WaveReplayResult:
     rfm_count: int
     act_count: int
     monitor: Optional[DisturbanceMonitor]
-    min_deadline_slack: Optional[int]   # the device's, see DeviceState
+    min_deadline_slack: Optional[int]   # the back-off's, see BackOffFsm
 
 
 def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: TimingParams,
@@ -203,7 +203,7 @@ def run_wave_attack(spec_rows: int, sec: Union[PrfmParams, PracParams], t: Timin
     return WaveReplayResult(
         sizes=tuple(attacker.sizes), realized_max=realized,
         rfm_count=dev.counts[RFMAB], act_count=dev.counts[ACT], monitor=monitor,
-        min_deadline_slack=dev.min_deadline_slack)
+        min_deadline_slack=None if fsm is None else fsm.min_deadline_slack)
 
 
 # ---------------------------------------------------------------------------

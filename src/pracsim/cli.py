@@ -146,9 +146,8 @@ def cmd_storage(args) -> int:
     topo = Topology()
     lines = ["mechanism,n_rh,cpu_bits,dram_bits"]
     for n in args.nrh:
-        for kind in ("prac", "prfm", "graphene", "hydra", "para"):
-            t = preset(MECHANISMS[kind][0])
-            sb = storage_cost(_mechanism(kind, n, {}, topo, t), n, topo)
+        for kind, (preset_name, _) in MECHANISMS.items():
+            sb = storage_cost(_mechanism(kind, n, {}, topo, preset(preset_name)), n, topo)
             lines.append(f"{kind},{n},{sb.cpu_bits},{sb.dram_bits}")
     out = args.out or "storage.csv"
     _write_lines(out, lines)

@@ -381,7 +381,7 @@ class MemoryController:
             if now >= self.next_ref:
                 self._issue_ref(self.next_ref)
                 continue
-            deadline = self.dev.backoff_deadline if phase == "window" else None
+            deadline = fsm.deadline if phase == "window" else None
             best = self._select(now, deadline)
             if deadline is not None and best is None:
                 # nothing more can be served inside the window: recover early

@@ -7,22 +7,17 @@ issues the ACTs keeps them. A rank-level refresh pointer walks all rows once
 per refresh window. A REF moves that pointer and tells the monitor which
 rows it refreshed, and nothing else: it clears no activation counter, as the
 analyzer assumes. Only an RFM or a targeted refresh lowers a counter. The
-back-off engine is a small FSM:
+back-off engine, BackOffFsm, is a small FSM with one countdown `left`:
 
-    delay    bo_n_acts activations re-arm the assert; the arming
-             activation's precharge asserts if any row's counter is at
-             abo_th or above (the device keeps a count of such rows)
-    window   ends at an RFM or after tABO_ACT/tRC row closes (PREs, not ACTs);
-             each ACT must issue by the back-off deadline (below)
-    recovery bo_n_refs RFM commands must arrive; each refreshes the victims
-             of the bank's hottest row and clears that row's counter
+    phase    left counts               at 0
+    delay    bo_n_acts row closes      window if a row's counter is at
+                                       abo_th or above (an assert), else delay
+    window   tABO_ACT/tRC row closes   recovery; an RFM ends it early
+    recovery bo_n_refs RFMs            delay
 
 tABO_ACT is read as JESD79-5C's back-off window: once the alert asserts, the
-host may go on with normal traffic for tABO_ACT, so every window ACT issues
-by backoff_deadline = assert_ts + tABO_ACT, and the recovery RFMs follow with
-no deadline of their own. The analyzer's divisor bo_n_acts + tABO_ACT/tRC
-(`PracParams.divisor`) counts the same ACTs. A later window ACT raises
-ProtocolError("tABO_ACT"); min_deadline_slack keeps the least slack.
+host may go on with normal traffic for tABO_ACT, and the recovery RFMs
+follow with no deadline of their own. BackOffFsm names both window rules.
 
 The device's `counters` maps bank -> {row: count} and holds a bank only
 while it has a counter: the PRE that creates a bank's first counter adds
@@ -117,55 +112,82 @@ class BankState:
 
 @dataclass
 class BackOffFsm:
+    """The back-off protocol of one channel, the only holder of its state
+    (module docstring). The device calls `on_close` at each PRE, `on_rfm`
+    at each RFM, `on_clear` for each cleared counter, and `admit` before an
+    ACT outside the delay phase. A window ends by the first of two rules:
+
+      count     tABO_ACT // tRC row closes (PREs on any bank), or an RFM;
+                the analyzer's divisor bo_n_acts + tABO_ACT // tRC
+                (`PracParams.divisor`) counts these ACTs;
+      deadline  each window ACT issues by `deadline` = assert_ts + tABO_ACT,
+                or `admit` raises ProtocolError("tABO_ACT").
+    """
     abo_th: int
     bo_n_refs: int
     bo_n_acts: int
-    window_acts: int
-    phase: str = "delay"        # idle is represented by an armed delay phase
-    delay_left: int = 0
-    window_left: int = 0
-    refs_needed: int = 0
+    t: TimingParams
+    phase: str = "delay"    # idle is represented by an armed delay phase
+    left: int = 0           # the phase's countdown, see module doc
+    rows_at_th: int = 0     # rows whose counter is at abo_th or above
     assert_ts: int = -1
     asserts: int = 0
+    min_deadline_slack: Optional[int] = None   # least deadline - t of a window ACT
 
     def __post_init__(self):
-        self.delay_left = self.bo_n_acts
+        self.left = self.bo_n_acts
 
-    def on_close(self, over_th: bool, now: int, signal_latency: int):
-        """Row-close bookkeeping; `over_th` says whether some row's counter
-        is at abo_th or above. An assert counts in `asserts` and stamps
-        `assert_ts`."""
-        if self.phase == "delay":
-            self.delay_left -= 1
-            if self.delay_left == 0:
-                if over_th:
-                    self.asserts += 1
-                    self.assert_ts = now + signal_latency
-                    if self.window_acts > 0:
-                        self.phase = "window"
-                        self.window_left = self.window_acts
-                    else:
-                        self.phase = "recovery"
-                        self.refs_needed = self.bo_n_refs
-                else:
-                    self.delay_left = self.bo_n_acts
-        elif self.phase == "window":
-            self.window_left -= 1
-            if self.window_left == 0:
-                self.phase = "recovery"
-                self.refs_needed = self.bo_n_refs
+    @property
+    def deadline(self) -> int:
+        """Latest issue time of a window ACT: tABO_ACT after the assert."""
+        return self.assert_ts + self.t.tABO_ACT
 
-    def on_rfm(self):
-        """Count one RFM."""
-        if self.phase == "window":
-            # controller may start recovery early; unused window slots lapse
-            self.phase = "recovery"
-            self.refs_needed = self.bo_n_refs
+    def _next(self, now: int):
+        """The one phase change, at the countdown's end or an RFM in the window;
+        it loads the next countdown. A window of no row close ends at once."""
+        while True:
+            if self.phase == "delay" and self.rows_at_th:
+                self.asserts += 1
+                self.assert_ts = now + self.t.tBackoffSignal
+                self.phase, self.left = "window", self.t.window_acts()
+            elif self.phase == "window":
+                self.phase, self.left = "recovery", self.bo_n_refs
+            else:   # a delay with no row at abo_th re-arms, as the last RFM does
+                self.phase, self.left = "delay", self.bo_n_acts
+            if self.left:
+                return
+
+    def admit(self, now: int):
+        """Check an ACT outside the delay phase before any state changes; a
+        window ACT lowers `min_deadline_slack` to its slack if that is less."""
         if self.phase == "recovery":
-            self.refs_needed -= 1
-            if self.refs_needed == 0:
-                self.phase = "delay"
-                self.delay_left = self.bo_n_acts
+            raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
+        slack = self.deadline - now
+        if slack < 0:
+            raise ProtocolError("tABO_ACT", -slack)
+        if self.min_deadline_slack is None or slack < self.min_deadline_slack:
+            self.min_deadline_slack = slack
+
+    def on_close(self, old: int, count: int, now: int):
+        """A PRE moved a row's counter from `old` to `count`."""
+        if old < self.abo_th <= count:
+            self.rows_at_th += 1
+        if self.phase != "recovery":
+            self.left -= 1
+            if not self.left:
+                self._next(now)
+
+    def on_clear(self, count: int):
+        if count >= self.abo_th:
+            self.rows_at_th -= 1
+
+    def on_rfm(self, now: int):
+        if self.phase == "window":
+            self._next(now)   # the RFM ends the window; its unused closes lapse
+        if self.phase == "recovery":
+            self.left -= 1
+            if not self.left:
+                self._next(now)
 
 
 class DisturbanceMonitor:
@@ -229,11 +251,7 @@ class DeviceState:
         self.t = t
         self.banks = [BankState() for _ in range(topo.banks_total)]
         self.counters: dict = {}   # bank -> {row: activation count}, see module doc
-        self.fsm = None
-        if prac is not None:
-            self.fsm = BackOffFsm(
-                abo_th=prac["abo_th"], bo_n_refs=prac["bo_n_refs"],
-                bo_n_acts=prac["bo_n_acts"], window_acts=t.window_acts())
+        self.fsm = None if prac is None else BackOffFsm(**prac, t=t)
         self.counter_max = None if counter_bits is None else (1 << counter_bits) - 1
         self.monitor = monitor
         self.blocked_until = 0          # no command before this time
@@ -243,10 +261,7 @@ class DeviceState:
         self.ref_pointer = 0
         self.rows_per_ref = -(-topo.rows_per_bank // (t.tREFW // t.tREFI))
         self.cleared_counts = 0         # counter mass cleared by RFMs and targeted refreshes
-        self.rows_at_th = 0             # rows whose counter is at abo_th or above
         self.saturated_increments = 0   # increments swallowed at saturation
-        # least backoff_deadline - t over the ACTs of back-off windows
-        self.min_deadline_slack: Optional[int] = None
         self.counts = {c: 0 for c in (ACT, PRE, RD, WR, REF, RFMAB)}
 
     # ------------------------------------------------------------- helpers
@@ -266,21 +281,14 @@ class DeviceState:
             if at > self.idle_at:
                 self.idle_at = at
 
-    @property
-    def backoff_deadline(self) -> int:
-        """Latest issue time of a window ACT: tABO_ACT after the assert."""
-        return self.fsm.assert_ts + self.t.tABO_ACT
-
     # ------------------------------------------------------------- commands
 
     def issue(self, cmd: str, addr, now: int) -> Optional[list]:
         """Apply one command; addr is (bank_index, row) or None for REF/RFMab.
 
         Returns an RFMab's report, serve_rfm's aggressor row per bank, and
-        None for every other command. A back-off a PRE asserts shows in
-        `fsm`; an ACT of its window lowers `min_deadline_slack` to its slack
-        if that is less, and raises ProtocolError("tABO_ACT") if that is
-        negative.
+        None for every other command. The back-off, its deadline and its
+        slack are `fsm`'s (BackOffFsm).
         """
         aggressors = None
         t = self.t
@@ -299,13 +307,7 @@ class DeviceState:
                                     f"0..{self.topo.rows_per_bank - 1}")
             fsm = self.fsm
             if fsm is not None and fsm.phase != "delay":
-                if fsm.phase == "recovery":
-                    raise ProtocolError("backoff-recovery", 0, "ACT during recovery")
-                slack = self.backoff_deadline - now
-                if slack < 0:
-                    raise ProtocolError("tABO_ACT", -slack)
-                if self.min_deadline_slack is None or slack < self.min_deadline_slack:
-                    self.min_deadline_slack = slack
+                fsm.admit(now)
             b.open_row = row
             self.open_banks += 1
             b.last_act = now
@@ -344,9 +346,7 @@ class DeviceState:
                 else:
                     heappush(heap, (-count, row))
             if self.fsm is not None:
-                if old < self.fsm.abo_th <= count:
-                    self.rows_at_th += 1
-                self.fsm.on_close(self.rows_at_th > 0, now, self.t.tBackoffSignal)
+                self.fsm.on_close(old, count, now)
         elif cmd in (RD, WR):
             bank_idx, row = addr
             b = self.banks[bank_idx]
@@ -368,7 +368,7 @@ class DeviceState:
                 aggressors = self.serve_rfm()
                 busy = self.t.tRFM
                 if self.fsm is not None:
-                    self.fsm.on_rfm()
+                    self.fsm.on_rfm(now)
         else:
             raise ConfigError(f"unknown command {cmd!r}")
         self.blocked_until = now + busy
@@ -385,8 +385,8 @@ class DeviceState:
         if not counters:
             del self.counters[bank_idx]
         self.cleared_counts += count
-        if self.fsm is not None and count >= self.fsm.abo_th:
-            self.rows_at_th -= 1
+        if self.fsm is not None:
+            self.fsm.on_clear(count)
 
     def _heap_of(self, counters: dict) -> list:
         heap = [(-c, r) for r, c in counters.items()]

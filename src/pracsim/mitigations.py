@@ -106,9 +106,9 @@ def graphene_defaults(n_rh: int, topo: Topology,
     with W the activations that fit in one refresh window of timing t
     (the base preset when t is None)."""
     t = preset("ddr5-3200an-base") if t is None else t
-    window_acts = t_available(t) // t.tRC
+    refw_acts = t_available(t) // t.tRC
     threshold = max(n_rh // 4, 1)
-    return Graphene(table_entries=-(-window_acts // threshold) + 1, threshold=threshold)
+    return Graphene(table_entries=-(-refw_acts // threshold) + 1, threshold=threshold)
 
 
 def hydra_defaults(n_rh: int, topo: Topology) -> Hydra:

@@ -324,7 +324,7 @@ def run_cores(traces, controller: MemoryController, stop: StopCondition) -> RunR
         controller_stat={"acts": dev.counts["ACT"]},   # perfbench reads it
         device_counts=dict(dev.counts),
         read_latencies=list(controller.read_latencies),
-        min_deadline_slack=dev.min_deadline_slack,
+        min_deadline_slack=None if dev.fsm is None else dev.fsm.min_deadline_slack,
         max_pair_disturbance=0 if dev.monitor is None else dev.monitor.max_pair,
         first_violation=violations[0] if violations else None,
         preventive_refreshes=controller.preventive_refreshes,

@@ -115,7 +115,7 @@ ANALYZER_GOLDEN = {
     "attack-theory": (["attack-theory"],
                       "6ba76685d124c2a978b90f0156a9a2ec300b0c23f0a95ad07b1aadfadebad8bb"),
     "storage-64-16": (["storage", "--nrh", "64", "16"],
-                      "cf607fc60e15e5906e961279ee91ad4d4c2e0d78302f5924e4c8b528759d40c2"),
+                      "84080c00216493ebe01a639dd7d9a04bbd101b24fc84469249f7bd3790647350"),
 }
 
 
@@ -389,17 +389,23 @@ BASE_PS = {key.lower(): value for key, value in asdict(preset("ddr5-3200an-base"
 FUZZ_MITIGATION = {"bo_n_refs": st.integers(1, 4), "bo_n_acts": st.integers(1, 4),
                    "abo_th": st.integers(1, 128), "rfm_th": st.integers(1, 32),
                    "probability": st.floats(0, 1)}
+BACKOFF_KINDS = ("prac", "prac+prfm", "prac-optimistic")
 
 
 @st.composite
 def simulate_configs(draw):
     """A config drawn from SCHEMA: any kind and n_rh, up to two recovery or
     threshold keys, up to two [timing] overrides at 0.25-4x the base bin,
-    and half the time a dos attacker; the workload is tiny."""
-    mitigation = {"kind": draw(st.sampled_from(sorted(MECHANISMS))),
-                  "n_rh": draw(st.integers(4, 1024))}
-    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_MITIGATION)), max_size=2,
-                             unique=True)):
+    and half the time a dos attacker; the workload is tiny. Half the draws
+    aim at the back-off under attack instead (tests/stress_sweep.py's
+    region): a kind in BACKOFF_KINDS at n_rh 6-16 with the dos attacker,
+    only keys that kind reads, and half the instructions, to hold the time."""
+    backoff = draw(st.booleans())
+    kind = draw(st.sampled_from(BACKOFF_KINDS if backoff else sorted(MECHANISMS)))
+    mitigation = {"kind": kind, "n_rh": draw(st.integers(6, 16) if backoff
+                                             else st.integers(4, 1024))}
+    keys = MECHANISMS[kind][1] if backoff else sorted(FUZZ_MITIGATION)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         mitigation[key] = draw(FUZZ_MITIGATION[key])
     timing = {}
     for key in draw(st.lists(st.sampled_from(sorted(SCHEMA["timing"])), max_size=2,
@@ -407,8 +413,8 @@ def simulate_configs(draw):
         timing[key] = (draw(st.sampled_from(PRESET_NAMES)) if key == "preset" else
                        f"{round(BASE_PS[key] * draw(st.floats(0.25, 4)))}ps")
     workload = {"seed": draw(st.integers(0, 9)), "mixes": 6, "records": 120,
-                "instructions_per_core": 600}
-    if draw(st.booleans()):
+                "instructions_per_core": 300 if backoff else 600}
+    if backoff or draw(st.booleans()):
         workload.update(attacker="dos", attacker_rows=draw(st.integers(1, 80)),
                         attacker_banks=draw(st.integers(1, 10)))
     return {"mitigation": mitigation, "timing": timing, "workload": workload}

@@ -162,7 +162,7 @@ def test_backoff_deadline_never_overrun_and_recovery_complete():
     assert dev.counts["RFMab"] == dev.fsm.asserts * 4
     # the device raises ProtocolError("tABO_ACT") on a window ACT after the
     # deadline, so the run finishing is the deadline check; a window ACT issued
-    assert dev.min_deadline_slack is not None
+    assert dev.fsm.min_deadline_slack is not None
     assert dev.fsm.phase in ("delay", "window")
 
 
@@ -186,7 +186,7 @@ def test_prfm_rfm_that_opens_a_recovery_is_held_to_the_deadline():
     dev.issue = counting
     res = run_cores([trace], ctrl, StopCondition(None, 10 ** 9))
     assert res.instructions[0] == 3000 and dev.fsm.asserts > 0
-    assert dev.min_deadline_slack is not None
+    assert dev.fsm.min_deadline_slack is not None
     assert openings and set(openings) == {"recovery"}
 
 

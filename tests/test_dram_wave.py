@@ -200,10 +200,10 @@ def test_window_act_is_held_to_the_backoff_deadline(late):
                       monitor=DisturbanceMonitor(8, DESK.rows_per_bank))
     dev.issue(ACT, (0, 3), 1_000_000)
     dev.issue(PRE, (0, 3), 1_000_000 + PRAC_T.tRAS)
-    at = dev.backoff_deadline + late
+    at = dev.fsm.deadline + late
     if not late:
         dev.issue(ACT, (1, 5), at)
-        assert dev.min_deadline_slack == 0 and dev.banks[1].open_row == 5
+        assert dev.fsm.min_deadline_slack == 0 and dev.banks[1].open_row == 5
         return
 
     def state():
@@ -212,7 +212,7 @@ def test_window_act_is_held_to_the_backoff_deadline(late):
     with pytest.raises(ProtocolError) as err:
         dev.issue(ACT, (1, 5), at)
     assert (err.value.constraint, err.value.slack_ps) == ("tABO_ACT", 1)
-    assert state() == before and dev.min_deadline_slack is None
+    assert state() == before and dev.fsm.min_deadline_slack is None
 
 
 def test_rows_cleared_by_the_recovery_do_not_assert_again():
@@ -223,10 +223,10 @@ def test_rows_cleared_by_the_recovery_do_not_assert_again():
     bus.act_pre(0, 5, 2)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "window"
     bus.act_pre(0, 9, 2)
-    assert dev.counters == {0: {5: 2, 9: 2}} and dev.rows_at_th == 2
+    assert dev.counters == {0: {5: 2, 9: 2}} and dev.fsm.rows_at_th == 2
     for _ in range(2):
         bus.issue(RFMAB)
-    assert dev.fsm.phase == "delay" and dev.rows_at_th == 0
+    assert dev.fsm.phase == "delay" and dev.fsm.rows_at_th == 0
     bus.act_pre(0, 20)
     assert dev.fsm.asserts == 1 and dev.fsm.phase == "delay"
 
@@ -235,12 +235,18 @@ def test_act_rejected_during_recovery():
     # a tABO_ACT below tRC leaves no window ACT: the assert opens the recovery
     t = replace(PRAC_T, tABO_ACT=PRAC_T.tRC - 1)
     dev = DeviceState(DESK, t, prac={"abo_th": 1, "bo_n_refs": 2, "bo_n_acts": 1})
-    assert dev.fsm.window_acts == 0
+    assert t.window_acts() == 0
     bus = CommandBus(dev)
+    bus.issue(ACT, (1, 7))
     bus.act_pre(0, 3)
     assert dev.fsm.phase == "recovery"
     with pytest.raises(ProtocolError, match="ACT during recovery"):
         bus.issue(ACT, (0, 4))
+    # a PRE in the recovery counts its row at abo_th, and no RFM of the recovery
+    bus.issue(PRE, (1, 7))
+    assert dev.fsm.rows_at_th == 2
+    bus.issue(RFMAB)
+    assert dev.fsm.phase == "recovery"
 
 
 def test_serve_rfm_refreshes_the_hottest_rows_victims():
@@ -392,8 +398,8 @@ def _assert_matches_reference(dev, ref, out):
     the monitor's `pair` hold exactly the banks and victims with entries."""
     assert out[0] == out[1]
     assert dev.counters == ref.counters and all(dev.counters.values())
-    assert (dev.cleared_counts, dev.saturated_increments, dev.rows_at_th, dev.fsm) == (
-        ref.cleared_counts, ref.saturated_increments, ref.rows_at_th, ref.fsm)
+    assert (dev.cleared_counts, dev.saturated_increments, dev.fsm) == (
+        ref.cleared_counts, ref.saturated_increments, ref.fsm)
     assert dev.conservation_holds()
     mon, flat = dev.monitor, ref.flat
     assert all(victims and all(victims.values()) for victims in mon.pair.values())
@@ -432,7 +438,7 @@ def _replay_against_reference(ops, bits, abo_th):
         if op == "act" and open_row is not None:
             run(PRE, (bank, open_row))
         elif op == "act" and (fsm is None or fsm.phase == "delay" or fsm.phase == "window"
-                              and bus.ready(ACT, (bank, rows[0])) <= dev.backoff_deadline):
+                              and bus.ready(ACT, (bank, rows[0])) <= fsm.deadline):
             run(ACT, (bank, rows[0]))
         elif op in ("victims", "rows"):
             rows = victim_rows(rows[0], 64) if op == "victims" else rows
